@@ -48,6 +48,7 @@ def _build_context(config_path, mock_path, deterministic, use_interpreter,
         cache_dir=cache_dir,
         trace_dir=trace_dir,
         use_interpreter=use_interpreter,
+        concurrency=cfg.concurrency,
     )
 
 

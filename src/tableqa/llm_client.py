@@ -39,8 +39,8 @@ class Message:
 class ChatRequest:
     messages: tuple[Message, ...]
     stage_tag: str
-    temperature: float = 0.7
-    max_tokens: int = 2048
+    temperature: Optional[float] = None  # None: the client's configured value
+    max_tokens: Optional[int] = None  # None: the client's configured value
     model: str = ""
 
     def __post_init__(self) -> None:
@@ -50,8 +50,10 @@ class ChatRequest:
             raise ValueError("first message must be system or user")
         if self.stage_tag not in STAGES:
             raise ValueError(f"unknown stage tag {self.stage_tag!r}")
-        if self.temperature < 0:
+        if self.temperature is not None and self.temperature < 0:
             raise ValueError("temperature must be >= 0")
+        if self.max_tokens is not None and self.max_tokens < 1:
+            raise ValueError("max_tokens must be >= 1")
 
     @property
     def last_user_content(self) -> str:

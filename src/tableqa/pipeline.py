@@ -1,32 +1,47 @@
-"""Batched pipeline orchestration, majority-voting ensemble, and
-benchmark scoring.
+"""Pipeline orchestration, majority-voting ensemble, and benchmark
+scoring.
 
-Stages run as barriers: every question finishes profiling before any
-question is selected, and so on.  Each repetition of the ensemble is one
-full batched pass; failed runs and sentinel answers ("No matching
-records were found") are discarded before voting, and a question with no
-surviving runs abstains (scored incorrect).
+An ensemble loads and profiles each distinct table once, then runs every
+(question, repetition) pair as one independent task: prune+select ->
+explain+clarify -> solve -> format.  Tasks run on a thread pool of
+`PipelineContext.concurrency` workers.  A task runs pipeline code only
+while it holds a shared turn lock, which it gives up while it waits on
+the LLM: pipeline code never runs in two threads at once, and the LLM
+waits of up to `concurrency` runs overlap.  Any exception inside a task
+becomes that run's failure, prefixed with its stage (`select:`,
+`explain:`, `solve:`, `format:`); a table that fails to load fails every
+run of its questions with `profile:`.
+
+Tasks are submitted repetition by repetition, questions in order within
+a repetition, and records come back in that order whatever order the
+runs finish in.  At concurrency 1 the LLM therefore sees each stage's
+prompts in that order, which scripted mocks with `consume_once` entries
+rely on.  Failed runs and sentinel answers ("No matching records were
+found") are discarded before voting, and a question with no surviving
+runs abstains (scored incorrect).
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import json
 import os
-from dataclasses import dataclass, field
+import threading
+import traceback
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .answerer import (
     Answer,
     AnswerType,
     CompareConfig,
-    FormatError,
     compare_answers,
     format_answer,
     interpret_answer,
 )
 from .explainer import (
-    InstructionParseError,
-    InstructionSet,
     build_explainer_prompt,
     clarify,
     request_instructions,
@@ -40,7 +55,7 @@ from .profiler import (
 )
 from .runner import build_coder_prompt, solve
 from .selector import SelectorConfig, prune_uninformative, select_columns
-from .table_core import LoadOptions, Table, load_csv, render_cell
+from .table_core import LoadOptions, load_csv, render_cell
 
 DEFAULT_SENTINELS = ["No matching records were found"]
 
@@ -116,6 +131,11 @@ class PipelineContext:
     selector: SelectorConfig = field(default_factory=SelectorConfig)
     max_attempts: int = 5
     load_options: LoadOptions = field(default_factory=LoadOptions)
+    concurrency: int = 4  # runs in flight at once
+
+    def __post_init__(self) -> None:
+        if self.concurrency < 1:
+            raise ValueError("concurrency must be >= 1")
 
 
 def load_table_profiles(path: str, ctx: PipelineContext):
@@ -135,72 +155,54 @@ def load_table_profiles(path: str, ctx: PipelineContext):
     return table, profiles, cached
 
 
-def run_pipeline_batch(questions: list[Question], tables_dir: str,
-                       ctx: PipelineContext, repetition: int = 0) -> list[RunRecord]:
-    """One full pass over all questions with stage barriers:
-    profile -> prune+select -> explain+clarify -> solve -> format."""
-    trace = TraceWriter(ctx.trace_dir)
-    records = [RunRecord(q.id, repetition) for q in questions]
+class _TurnTakingLLM:
+    """The LLM client as a task sees it.  A task holds the turn lock
+    while it runs pipeline code and gives it up only for the duration of
+    an LLM call, so one task at a time runs pipeline code while the LLM
+    waits of several tasks overlap."""
 
-    # Stage 1: profile (once per distinct table).
-    tables: dict[str, Table] = {}
-    profiles_by_table: dict[str, list] = {}
-    for q in questions:
-        if q.table_id in tables:
-            continue
-        path = os.path.join(tables_dir, f"{q.table_id}.csv")
+    def __init__(self, llm, turn: threading.Lock):
+        self._llm = llm
+        self._turn = turn
+
+    def complete(self, req):
+        self._turn.release()
         try:
-            table, profiles, _ = load_table_profiles(path, ctx)
-        except Exception as exc:
-            for rec, qq in zip(records, questions):
-                if qq.table_id == q.table_id:
-                    rec.failure = f"profile: {exc}"
-            continue
-        tables[q.table_id] = table
-        profiles_by_table[q.table_id] = profiles
+            return self._llm.complete(req)
+        finally:
+            self._turn.acquire()
 
-    # Stage 2: prune + select.
-    selected: dict[str, list] = {}
-    for rec, q in zip(records, questions):
-        if rec.failure:
-            continue
-        profiles = profiles_by_table[q.table_id]
+
+def _run_one(q: Question, repetition: int, loaded, ctx: PipelineContext,
+             trace: TraceWriter) -> RunRecord:
+    """One pipeline pass over one question: prune+select ->
+    explain+clarify -> solve -> format.  `loaded` is the question's
+    (table, profiles) pair, or the failure text of its table load.  Any
+    exception becomes the run's failure, prefixed with its stage."""
+    rec = RunRecord(q.id, repetition)
+    if isinstance(loaded, str):
+        rec.failure = loaded
+        return rec
+    table, profiles = loaded
+    stage = "select"
+    try:
         kept, dropped = prune_uninformative(profiles, ctx.selector)
         warnings: list[str] = []
         chosen = select_columns(q.text, kept, ctx.llm, ctx.selector, warnings)
-        selected[q.id] = chosen
         trace.write(q.id, repetition, "selector.json", {
             "dropped_by_rule": dropped,
             "selected": [p.name for p in chosen],
             "warnings": warnings,
         })
 
-    # Stage 3: explain + clarify.
-    instructions: dict[str, InstructionSet] = {}
-    for rec, q in zip(records, questions):
-        if rec.failure:
-            continue
-        table = tables[q.table_id]
-        profiles = profiles_by_table[q.table_id]
-        chosen = selected[q.id]
-        try:
-            trace.write(q.id, repetition, "explainer_prompt.txt",
-                        build_explainer_prompt(q.text, chosen))
-            inst = request_instructions(q.text, chosen, ctx.llm)
-            inst = clarify(inst, table, profiles, ctx.fuzzy)
-        except (InstructionParseError, ValueError) as exc:
-            rec.failure = f"explain: {exc}"
-            continue
-        instructions[q.id] = inst
+        stage = "explain"
+        trace.write(q.id, repetition, "explainer_prompt.txt",
+                    build_explainer_prompt(q.text, chosen))
+        inst = request_instructions(q.text, chosen, ctx.llm)
+        inst = clarify(inst, table, profiles, ctx.fuzzy)
         trace.write(q.id, repetition, "instruction_set.json", inst.to_dict())
 
-    # Stage 4: solve.
-    for rec, q in zip(records, questions):
-        if rec.failure:
-            continue
-        table = tables[q.table_id]
-        inst = instructions[q.id]
-        chosen = selected[q.id]
+        stage = "solve"
         trace.write(q.id, repetition, "coder_prompt.txt",
                     build_coder_prompt(inst, chosen))
         run = solve(inst, table, chosen, ctx.llm, ctx.max_attempts, ctx.fuzzy)
@@ -209,18 +211,64 @@ def run_pipeline_batch(questions: list[Question], tables_dir: str,
         if not run.succeeded:
             last = run.attempts[-1] if run.attempts else None
             rec.failure = f"solve: {last.error_message if last else 'no attempts'}"
-            continue
+            return rec
 
-        # Stage 5: format (or interpret).
+        stage = "format"
+        if ctx.use_interpreter:
+            rec.answer = interpret_answer(q.text, run.final_value,
+                                          q.answer_type, ctx.llm)
+        else:
+            rec.answer = format_answer(run.final_value, q.answer_type)
+    except Exception as exc:
+        rec.failure = f"{stage}: {exc}"
+        with contextlib.suppress(OSError):
+            trace.write(q.id, repetition, "failure.txt", traceback.format_exc())
+    return rec
+
+
+def _run_repetitions(questions: list[Question], tables_dir: str,
+                     ctx: PipelineContext, repetitions) -> list[RunRecord]:
+    """Load and profile each distinct table once, then run every
+    (question, repetition) pair as one task on a pool of
+    `ctx.concurrency` threads.  Records come back in submission order:
+    repetitions in order, questions in order within a repetition."""
+    loaded: dict[str, object] = {}
+    for q in questions:
+        if q.table_id in loaded:
+            continue
+        path = os.path.join(tables_dir, f"{q.table_id}.csv")
         try:
-            if ctx.use_interpreter:
-                rec.answer = interpret_answer(q.text, run.final_value,
-                                              q.answer_type, ctx.llm)
-            else:
-                rec.answer = format_answer(run.final_value, q.answer_type)
-        except FormatError as exc:
-            rec.failure = f"format: {exc}"
-    return records
+            table, profiles, _ = load_table_profiles(path, ctx)
+        except Exception as exc:
+            loaded[q.table_id] = f"profile: {exc}"
+        else:
+            loaded[q.table_id] = (table, profiles)
+
+    trace = TraceWriter(ctx.trace_dir)
+    turn = threading.Lock()
+    task_ctx = replace(ctx, llm=_TurnTakingLLM(ctx.llm, turn))
+
+    def task(q: Question, repetition: int) -> RunRecord:
+        with turn:
+            return _run_one(q, repetition, loaded[q.table_id], task_ctx, trace)
+
+    pool = ThreadPoolExecutor(max_workers=ctx.concurrency)
+    try:
+        # Each task runs in a copy of the caller's context, so context
+        # variables (a tracer's current span, say) reach the workers.
+        futures = [pool.submit(contextvars.copy_context().run, task, q, rep)
+                   for rep in repetitions for q in questions]
+        return [f.result() for f in futures]
+    finally:
+        # On an interrupt, drop the runs that have not started yet.
+        pool.shutdown(cancel_futures=True)
+
+
+def run_pipeline_batch(questions: list[Question], tables_dir: str,
+                       ctx: PipelineContext, repetition: int = 0) -> list[RunRecord]:
+    """One pass over all questions: the one-repetition case of
+    `ensemble_answers`, returning one record per question in order."""
+    return _run_repetitions(questions, tables_dir, ctx, [repetition])
 
 
 def _is_sentinel(answer: Answer, sentinels: list[str]) -> bool:
@@ -259,12 +307,12 @@ def vote(records: list[RunRecord], cfg: EnsembleConfig) -> Optional[Answer]:
 def ensemble_answers(questions: list[Question], tables_dir: str,
                      ctx: PipelineContext, cfg: EnsembleConfig
                      ) -> tuple[dict[str, Optional[Answer]], dict[str, list[RunRecord]]]:
-    """Run the batched pipeline `repetitions` times and vote per
-    question.  Returns final answers (None = abstain) and all records."""
+    """Run every question `repetitions` times and vote per question.
+    Returns final answers (None = abstain) and all records, each
+    question's in repetition order."""
     all_records: dict[str, list[RunRecord]] = {q.id: [] for q in questions}
-    for rep in range(cfg.repetitions):
-        for rec in run_pipeline_batch(questions, tables_dir, ctx, rep):
-            all_records[rec.question_id].append(rec)
+    for rec in _run_repetitions(questions, tables_dir, ctx, range(cfg.repetitions)):
+        all_records[rec.question_id].append(rec)
     finals: dict[str, Optional[Answer]] = {}
     trace = TraceWriter(ctx.trace_dir)
     for q in questions:

@@ -158,3 +158,12 @@ def test_dsl_reference_lists_builtins(runner):
     assert result.exit_code == 0
     for name in ("filter_contains", "count_rows", "most_frequent", "answer"):
         assert name in result.output
+
+
+def test_config_concurrency_sets_runs_in_flight(tmp_path):
+    from tableqa.cli import _build_context
+
+    config = tmp_path / "config.yaml"
+    config.write_text("concurrency: 2\n", encoding="utf-8")
+    assert _build_context(str(config), None, False, False, None).concurrency == 2
+    assert _build_context(None, None, False, False, None).concurrency == 4

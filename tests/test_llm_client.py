@@ -28,6 +28,12 @@ class TestChatRequest:
             ChatRequest(messages=(Message("assistant", "x"),), stage_tag="coder")
         with pytest.raises(ValueError):
             req("nope", "x")
+        with pytest.raises(ValueError):
+            ChatRequest(messages=(Message("user", "x"),), stage_tag="coder",
+                        temperature=-0.1)
+        with pytest.raises(ValueError):
+            ChatRequest(messages=(Message("user", "x"),), stage_tag="coder",
+                        max_tokens=0)
 
 
 class TestRouting:
@@ -83,9 +89,12 @@ class TestMockClient:
 
 
 class _StubHandler(http.server.BaseHTTPRequestHandler):
+    last_body = None
+
     def do_POST(self):
         length = int(self.headers["Content-Length"])
         body = json.loads(self.rfile.read(length))
+        type(self).last_body = body
         reply = {
             "choices": [{"message": {
                 "role": "assistant",
@@ -110,6 +119,7 @@ def stub_server():
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}/v1"
     server.shutdown()
+    server.server_close()
 
 
 class TestHTTPClient:
@@ -124,6 +134,22 @@ class TestHTTPClient:
                         retry_base_seconds=0.01)
         with pytest.raises(LLMError, match="transport"):
             HTTPClient(cfg).complete(req("coder", "x"))
+
+    def test_config_sampling_settings_reach_the_wire(self, stub_server):
+        cfg = LLMConfig(base_url=stub_server, retries=0, temperature=0.1,
+                        max_tokens=100)
+        HTTPClient(cfg).complete(req("explainer", "x"))
+        assert _StubHandler.last_body["temperature"] == 0.1
+        assert _StubHandler.last_body["max_tokens"] == 100
+
+    def test_request_settings_override_config(self, stub_server):
+        cfg = LLMConfig(base_url=stub_server, retries=0, temperature=0.1,
+                        max_tokens=100)
+        request = ChatRequest(messages=(Message("user", "x"),), stage_tag="coder",
+                              temperature=0.0, max_tokens=7)
+        HTTPClient(cfg).complete(request)
+        assert _StubHandler.last_body["temperature"] == 0.0
+        assert _StubHandler.last_body["max_tokens"] == 7
 
     def test_deterministic_flag_zeroes_temperature(self, stub_server):
         cfg = LLMConfig(base_url=stub_server, deterministic=True)

@@ -1,8 +1,16 @@
+import collections
 import json
+import os
+import random
+import shutil
+import sys
+import threading
+import time
 
 import pytest
 
 import e2e_fixtures
+from tableqa import pipeline
 from tableqa.answerer import Answer, AnswerType
 from tableqa.llm_client import MockClient
 from tableqa.pipeline import (
@@ -211,3 +219,156 @@ class TestEnsembleCurve:
         q = Question("a", "t", "?", AnswerType.NUMBER, gold=num(1))
         recs = self._records({"a": [num(1), num(1)]})
         assert ensemble_curve(recs, [q], 10)[-1][0] == 2
+
+
+class _ShuffledDelays:
+    """MockClient wrapper that sleeps a seeded delay picked by the call's
+    ordinal among calls with the same stage and prompt, which tracks the
+    repetition the call belongs to, so concurrent runs finish out of
+    order."""
+
+    def __init__(self, inner, repetitions, seed=7):
+        self.inner = inner
+        rng = random.Random(seed)
+        self.delays = [rng.uniform(0.0, 0.004) for _ in range(repetitions)]
+        self.ordinals = collections.Counter()
+        self.lock = threading.Lock()
+
+    def complete(self, req):
+        key = (req.stage_tag, req.last_user_content)
+        with self.lock:
+            ordinal = self.ordinals[key]
+            self.ordinals[key] += 1
+        time.sleep(self.delays[ordinal % len(self.delays)])
+        return self.inner.complete(req)
+
+
+def _context(tmp_path, name, llm, concurrency, cache=True):
+    return PipelineContext(
+        llm=llm,
+        cache_dir=str(tmp_path / name / "cache") if cache else None,
+        trace_dir=str(tmp_path / name / "trace"),
+        concurrency=concurrency,
+    )
+
+
+def _outcomes(records):
+    return {qid: [(r.repetition, answer_dict(r.answer), r.failure) for r in recs]
+            for qid, recs in records.items()}
+
+
+class TestConcurrentEnsemble:
+    def test_each_table_loaded_and_described_once(self, tmp_path, monkeypatch):
+        tables_dir, questions_path, mock_path = e2e_fixtures.write_fixture(tmp_path)
+        shutil.copy(os.path.join(tables_dir, "encuestas.csv"),
+                    os.path.join(tables_dir, "encuestas2.csv"))
+        questions = load_questions(questions_path)
+        questions[1].table_id = "encuestas2"
+        loads = collections.Counter()
+        real_load_csv = pipeline.load_csv
+
+        def counting_load_csv(path, *args, **kwargs):
+            loads[os.path.basename(path)] += 1
+            return real_load_csv(path, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "load_csv", counting_load_csv)
+        mock = MockClient.from_file(mock_path)
+        ctx = _context(tmp_path, "run", mock, concurrency=4, cache=False)
+        finals, _ = ensemble_answers(questions[:2], tables_dir, ctx,
+                                     EnsembleConfig(repetitions=8))
+        assert loads == {"encuestas.csv": 1, "encuestas2.csv": 1}
+        assert sum(c.stage_tag == "descriptor" for c in mock.calls) == 2
+        assert answer_dict(finals["q2"]) == e2e_fixtures.EXPECTED["q2"]
+
+    def test_out_of_order_completion_keeps_repetition_order(self, tmp_path,
+                                                            monkeypatch):
+        tables_dir, questions_path, mock_path = e2e_fixtures.write_fixture(tmp_path)
+        questions = load_questions(questions_path)
+        reps = 8
+        serial_ctx = _context(tmp_path, "serial", MockClient.from_file(mock_path), 1)
+        serial_finals, serial_records = ensemble_answers(
+            questions, tables_dir, serial_ctx, EnsembleConfig(repetitions=reps))
+
+        finished = []
+        real_write = pipeline.TraceWriter.write
+
+        def recording_write(self, question_id, repetition, name, payload):
+            if name == "run_trace.json":
+                finished.append((repetition, question_id))
+            real_write(self, question_id, repetition, name, payload)
+
+        monkeypatch.setattr(pipeline.TraceWriter, "write", recording_write)
+        llm = _ShuffledDelays(MockClient.from_file(mock_path), reps)
+        ctx = _context(tmp_path, "concurrent", llm, concurrency=8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            start = time.monotonic()
+            finals, records = ensemble_answers(questions, tables_dir, ctx,
+                                               EnsembleConfig(repetitions=reps))
+            assert time.monotonic() - start < 30.0
+        finally:
+            sys.setswitchinterval(interval)
+
+        submitted = [(rep, q.id) for rep in range(reps) for q in questions]
+        assert sorted(finished) == submitted and finished != submitted
+        assert _outcomes(records) == _outcomes(serial_records)
+        assert finals == serial_finals
+        for q in questions:
+            name = os.path.join(q.id, "votes.json")
+            with open(os.path.join(serial_ctx.trace_dir, name), "rb") as fh:
+                expected = fh.read()
+            with open(os.path.join(ctx.trace_dir, name), "rb") as fh:
+                assert fh.read() == expected, q.id
+
+    def test_serial_prompt_order_per_stage(self, tmp_path):
+        tables_dir, questions_path, mock_path = e2e_fixtures.write_fixture(tmp_path)
+        questions = load_questions(questions_path)
+        reps = 3
+        reference = MockClient.from_file(mock_path)
+        reference_ctx = _context(tmp_path, "reference", reference, 1)
+        for rep in range(reps):
+            for q in questions:
+                run_pipeline_batch([q], tables_dir, reference_ctx, rep)
+        mock = MockClient.from_file(mock_path)
+        ensemble_answers(questions, tables_dir, _context(tmp_path, "run", mock, 1),
+                         EnsembleConfig(repetitions=reps))
+
+        def per_stage(calls):
+            prompts = collections.defaultdict(list)
+            for c in calls:
+                prompts[c.stage_tag].append(c.last_user_content)
+            return dict(prompts)
+
+        assert per_stage(mock.calls) == per_stage(reference.calls)
+        selector_order = [next(q.id for q in questions if q.text in c.last_user_content)
+                          for c in mock.calls if c.stage_tag == "selector"]
+        assert selector_order == [q.id for _ in range(reps) for q in questions]
+
+    def test_llm_failure_is_contained_to_its_question(self, tmp_path):
+        tables_dir, questions_path, _ = e2e_fixtures.write_fixture(tmp_path)
+        questions = load_questions(questions_path)
+        script = [e for e in e2e_fixtures.MOCK_SCRIPT
+                  if not (e["stage"] == "explainer"
+                          and e.get("match") == "partido más frecuente")]
+        ctx = _context(tmp_path, "run", MockClient.from_list(script), 4)
+        finals, records = ensemble_answers(questions, tables_dir, ctx,
+                                           EnsembleConfig(repetitions=3))
+        assert finals["q3"] is None
+        assert all(r.failure.startswith("explain: ") for r in records["q3"])
+        assert (tmp_path / "run" / "trace" / "q3" / "rep0" / "failure.txt").exists()
+        for qid, expected in e2e_fixtures.EXPECTED.items():
+            if qid != "q3":
+                assert answer_dict(finals[qid]) == expected, qid
+
+    def test_unloadable_table_fails_its_questions_only(self, e2e):
+        tables_dir, questions, ctx, _ = e2e
+        questions[0].table_id = "missing"
+        finals, records = ensemble_answers(questions, tables_dir, ctx,
+                                           EnsembleConfig(repetitions=2))
+        assert all(r.failure.startswith("profile: ") for r in records["q1"])
+        assert answer_dict(finals["q2"]) == e2e_fixtures.EXPECTED["q2"]
+
+    def test_concurrency_must_be_positive(self):
+        with pytest.raises(ValueError, match="concurrency"):
+            PipelineContext(llm=None, concurrency=0)
