@@ -29,7 +29,7 @@ from .pipeline import (
     vote,
 )
 from .planlang import dsl_reference, parse_plan, validate_plan
-from .runner import execute_plan, _render_value
+from .runner import execute_plan, render_value
 from .table_core import load_csv
 
 
@@ -182,7 +182,7 @@ def plan_run(table_path, plan_path):
     with open(plan_path, encoding="utf-8") as fh:
         plan = validate_plan(parse_plan(fh.read()), table.column_names)
     value = execute_plan(plan, table)
-    click.echo(json.dumps(_render_value(value), ensure_ascii=False))
+    click.echo(json.dumps(render_value(value), ensure_ascii=False))
 
 
 @main.command("ensemble-curve")

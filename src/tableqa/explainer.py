@@ -159,11 +159,11 @@ def clarify(inst: InstructionSet, t: Table, profiles: list[ColumnProfile],
         else:
             candidates = corrected_columns
         for cand in candidates:
-            cells = t.column(cand).cells
-            renderings = {render_cell(c) for c in cells if c is not None}
-            if value in renderings:
+            distinct = t.column(cand).distinct
+            if value in distinct:
                 break
-            match = best_fuzzy_match(cells, value, fuzzy_cfg.match_threshold)
+            firsts = [first for first, _ in distinct.values()]
+            match = best_fuzzy_match(firsts, value, fuzzy_cfg.match_threshold)
             if match is not None:
                 stored = render_cell(match)
                 if stored != value:

@@ -4,6 +4,15 @@ Two different distances are used on purpose: value matching uses the
 normalized indel ratio (insertions/deletions only, substitutions cost 2),
 while column-name correction uses plain Levenshtein distance with unit
 costs.
+
+Indel similarity goes through the length of the longest common
+subsequence, since D_indel(a, b) = |a| + |b| - 2 * LCS(a, b).  The LCS
+length is computed bit-parallel (Allison & Dix 1986; Hyyrö 2004,
+"Bit-parallel LCS-length computation revisited"): one string becomes a
+per-character bitmask over Python ints, and each character of the other
+string costs a constant number of integer operations, whatever the
+lengths.  `best_fuzzy_match` builds the target's masks once and reuses
+them for every value.
 """
 
 from __future__ import annotations
@@ -25,19 +34,31 @@ class FuzzyConfig:
                 raise ValueError(f"threshold {t} outside 0..100")
 
 
-def _lcs_length(a: str, b: str) -> int:
-    if len(a) < len(b):
-        a, b = b, a
-    prev = [0] * (len(b) + 1)
-    for ch in a:
-        cur = [0] * (len(b) + 1)
-        for j, bj in enumerate(b, start=1):
-            if ch == bj:
-                cur[j] = prev[j - 1] + 1
-            else:
-                cur[j] = max(prev[j], cur[j - 1])
-        prev = cur
-    return prev[-1]
+def _match_masks(text: str) -> dict[str, int]:
+    """Bit i of masks[ch] is set where text[i] == ch."""
+    masks: dict[str, int] = {}
+    for i, ch in enumerate(text):
+        masks[ch] = masks.get(ch, 0) | (1 << i)
+    return masks
+
+
+def _indel_similarity(masks: dict[str, int], length: int, other: str) -> float:
+    """similarity(text, other) for the text that `masks` and `length`
+    describe."""
+    total = length + len(other)
+    if total == 0:
+        return 100.0
+    full = (1 << length) - 1
+    v = full
+    for ch in other:
+        u = v & masks.get(ch, 0)
+        v = ((v + u) | (v - u)) & full
+    lcs = length - v.bit_count()
+    # Not the algebraically equal 200 * lcs / total: that can round
+    # differently in the last place and flip a score sitting exactly on
+    # a threshold.
+    indel = total - 2 * lcs
+    return 100.0 * (1.0 - indel / total)
 
 
 def similarity(a: str, b: str) -> float:
@@ -47,11 +68,7 @@ def similarity(a: str, b: str) -> float:
     insertions and deletions.  Two empty strings score 100.  Callers are
     responsible for lowercasing.
     """
-    total = len(a) + len(b)
-    if total == 0:
-        return 100.0
-    indel = total - 2 * _lcs_length(a, b)
-    return 100.0 * (1.0 - indel / total)
+    return _indel_similarity(_match_masks(b), len(b), a)
 
 
 def levenshtein(a: str, b: str) -> int:
@@ -78,6 +95,7 @@ def best_fuzzy_match(values: Sequence[Cell], target: str, threshold: int) -> Opt
     best_val: Optional[Cell] = None
     best_score = -1.0
     target_lower = target.lower()
+    masks = _match_masks(target_lower)
     for v in values:
         if v is None:
             continue
@@ -85,7 +103,7 @@ def best_fuzzy_match(values: Sequence[Cell], target: str, threshold: int) -> Opt
         if text in seen:
             continue
         seen.add(text)
-        score = similarity(text.lower(), target_lower)
+        score = _indel_similarity(masks, len(target_lower), text.lower())
         if score > best_score:
             best_val, best_score = v, score
     if best_val is not None and best_score >= threshold:

@@ -106,7 +106,8 @@ def route_model(stage_tag: str, config: LLMConfig) -> str:
 class HTTPClient:
     """Client for an OpenAI-compatible /chat/completions endpoint.
 
-    Transport errors and 5xx responses retry with exponential backoff;
+    Transport errors, 5xx responses and replies without a
+    choices[0].message.content string retry with exponential backoff;
     4xx responses fail immediately.
     """
 
@@ -117,16 +118,12 @@ class HTTPClient:
     def _body(self, req: ChatRequest) -> dict:
         temperature = 0.0 if self.config.deterministic else (
             req.temperature if req.temperature is not None else self.config.temperature)
-        body = {
+        return {
             "model": req.model or route_model(req.stage_tag, self.config),
             "messages": [{"role": m.role, "content": m.content} for m in req.messages],
             "temperature": temperature,
             "max_tokens": req.max_tokens or self.config.max_tokens,
         }
-        # Round-trip through the serializer so a malformed body never
-        # leaves the process.
-        json.loads(json.dumps(body))
-        return body
 
     def complete(self, req: ChatRequest) -> str:
         url = self.config.base_url.rstrip("/") + "/chat/completions"
@@ -144,11 +141,19 @@ class HTTPClient:
                     last_exc = exc
                 else:
                     if resp.status_code < 400:
-                        payload = resp.json()
-                        return payload["choices"][0]["message"]["content"]
-                    if resp.status_code < 500:
+                        try:
+                            content = resp.json()["choices"][0]["message"]["content"]
+                        except (ValueError, LookupError, TypeError):
+                            content = None
+                        if isinstance(content, str):
+                            return content
+                        last_exc = LLMError(
+                            f"HTTP {resp.status_code} without a choices[0].message.content "
+                            f"string: {resp.text[:200]}")
+                    elif resp.status_code < 500:
                         raise LLMError(f"HTTP {resp.status_code}: {resp.text[:200]}")
-                    last_exc = LLMError(f"HTTP {resp.status_code}")
+                    else:
+                        last_exc = LLMError(f"HTTP {resp.status_code}")
                 if attempt < self.config.retries:
                     time.sleep(self.config.retry_base_seconds * (2 ** attempt))
         raise LLMError(f"transport failure after {self.config.retries} retries: {last_exc}")

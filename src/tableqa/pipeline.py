@@ -27,6 +27,7 @@ import contextlib
 import contextvars
 import json
 import os
+import re
 import threading
 import traceback
 from concurrent.futures import ThreadPoolExecutor
@@ -93,6 +94,19 @@ class RunRecord:
         return self.answer is not None
 
 
+# What could take a question id out of its trace directory, plus the
+# escape character itself, so distinct ids keep distinct directories.
+_PATH_UNSAFE = re.compile(r"[%/\\\x00]")
+
+
+def _path_component(question_id: str) -> str:
+    """A question id as one path component: '%', '/', '\\' and NUL
+    become %XX, and '', '.' and '..' get a '%' prefix.  Other ids map to
+    themselves."""
+    text = _PATH_UNSAFE.sub(lambda m: f"%{ord(m.group()):02X}", question_id)
+    return "%" + text if text in ("", ".", "..") else text
+
+
 class TraceWriter:
     """Per-question, per-repetition explainability artifacts on disk."""
 
@@ -102,7 +116,7 @@ class TraceWriter:
     def write(self, question_id: str, repetition: int, name: str, payload) -> None:
         if self.root is None:
             return
-        directory = os.path.join(self.root, question_id, f"rep{repetition}")
+        directory = os.path.join(self.root, _path_component(question_id), f"rep{repetition}")
         os.makedirs(directory, exist_ok=True)
         path = os.path.join(directory, name)
         if isinstance(payload, str):
@@ -115,7 +129,7 @@ class TraceWriter:
     def write_question(self, question_id: str, name: str, payload) -> None:
         if self.root is None:
             return
-        directory = os.path.join(self.root, question_id)
+        directory = os.path.join(self.root, _path_component(question_id))
         os.makedirs(directory, exist_ok=True)
         with open(os.path.join(directory, name), "w", encoding="utf-8") as fh:
             json.dump(payload, fh, ensure_ascii=False, indent=2)

@@ -12,6 +12,7 @@ import hashlib
 import json
 import os
 import re
+import tempfile
 from dataclasses import dataclass, field, asdict
 from typing import Optional
 
@@ -19,8 +20,9 @@ from .llm_client import ChatRequest, Message
 from .table_core import (
     ColumnKind,
     Table,
+    distinct_cells,
     extract_numeric,
-    render_cell,
+    map_cells,
 )
 
 PROFILER_VERSION = "1"
@@ -58,32 +60,26 @@ def fallback_description(profile: ColumnProfile) -> str:
 
 def profile_table(t: Table, example_count: int = DEFAULT_EXAMPLE_COUNT) -> list[ColumnProfile]:
     """One profile per column; descriptions stay empty here and are
-    filled by describe_columns (or its fallback template)."""
+    filled by describe_columns (or its fallback template).
+
+    The pass is transient: it fills none of the Columns' cached views, so
+    a high-cardinality column the questions never touch does not keep a
+    distinct map alive for as long as its table is loaded."""
     profiles = []
     for col in t.columns:
-        counts: dict[str, int] = {}
-        order: list[str] = []
-        nulls = 0
-        for c in col.cells:
-            if c is None:
-                nulls += 1
-                continue
-            key = render_cell(c)
-            if key not in counts:
-                counts[key] = 0
-                order.append(key)
-            counts[key] += 1
-        examples = sorted(order, key=lambda k: -counts[k])[:example_count]
+        distinct = distinct_cells(col.cells)
+        # A stable sort keeps first-seen order among equal counts.
+        examples = sorted(distinct, key=lambda k: -distinct[k][1])[:example_count]
         lo = hi = None
         if col.kind in (ColumnKind.NUMERIC, ColumnKind.MIXED_NUMERIC):
-            numbers = [x for x in (extract_numeric(c) for c in col.cells) if x is not None]
+            numbers = [x for x in map_cells(col.cells, extract_numeric) if x is not None]
             if numbers:
                 lo, hi = min(numbers), max(numbers)
         profiles.append(ColumnProfile(
             name=col.name,
             kind=col.kind,
-            null_count=nulls,
-            distinct_count=len(counts),
+            null_count=col.cells.count(None),
+            distinct_count=len(distinct),
             example_values=examples,
             min=lo,
             max=hi,
@@ -179,9 +175,20 @@ class ProfileCache:
         except FileNotFoundError:
             return None
         except (ValueError, KeyError, TypeError):
-            os.remove(path)
+            try:
+                os.remove(path)
+            except FileNotFoundError:  # another reader evicted it first
+                pass
             return None
 
     def put(self, fingerprint: str, profiles: list[ColumnProfile]) -> None:
-        with open(self._path(fingerprint), "w", encoding="utf-8") as fh:
-            json.dump([p.to_dict() for p in profiles], fh, ensure_ascii=False, indent=2)
+        """Write to a temp file in the cache dir, then rename it into
+        place, so a reader never sees a half-written entry."""
+        fd, tmp = tempfile.mkstemp(dir=self.cache_dir, suffix=".tmp")
+        try:
+            with open(fd, "w", encoding="utf-8") as fh:
+                json.dump([p.to_dict() for p in profiles], fh, ensure_ascii=False, indent=2)
+            os.replace(tmp, self._path(fingerprint))
+        except BaseException:
+            os.remove(tmp)
+            raise

@@ -74,11 +74,13 @@ class RunTrace:
             "attempts": [a.to_dict() for a in self.attempts],
             "succeeded": self.succeeded,
             "attempts_used": self.attempts_used,
-            "final_value": _render_value(self.final_value) if self.succeeded else None,
+            "final_value": render_value(self.final_value) if self.succeeded else None,
         }
 
 
-def _render_value(v: RuntimeValue) -> object:
+def render_value(v: RuntimeValue) -> object:
+    """A runtime value as JSON-ready data: a table as {"table": {column:
+    [cells]}}, a list as a list, a scalar as its cell rendering."""
     if isinstance(v, Table):
         return {"table": {c.name: [render_cell(x) for x in c.cells] for c in v.columns}}
     if isinstance(v, list):

@@ -5,6 +5,21 @@ A cell is one of: a number (float), a boolean, a text string, or None
 (missing).  Missing is distinct from the empty string and from 0.
 Tables are never mutated after load; every transforming operation
 returns a new Table.
+
+Because a Column never changes, per-cell work done for it can be kept on
+it.  Three lazy views are computed on first use and then shared by every
+caller of that Column (one loaded table serves all the questions and
+repetitions of an ensemble):
+
+- `distinct`: rendering -> (first cell, count) over the non-missing
+  cells, in first-seen order;
+- `lowered`: the lowercased rendering of each row ("" for missing);
+- `numbers`: `extract_numeric` of each row.
+
+A view derives each distinct cell once, keyed by `(type(c), c)`: equal
+cells share one derived object, so a per-row view costs one pointer per
+row, and True, 1 and 1.0 are still derived apart.  Loading computes no
+view.
 """
 
 from __future__ import annotations
@@ -12,8 +27,10 @@ from __future__ import annotations
 import csv
 import enum
 import re
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence, Union
+from functools import cached_property
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 Cell = Union[float, bool, str, None]
 
@@ -40,10 +57,6 @@ _FULL_NUMBER_RE = re.compile(r"^[+-]?(?:\d+(?:[.,]\d+)?|\.\d+)$")
 # First number embedded in free text; the comma/point only counts as a
 # decimal separator when it sits between digits.
 _EMBEDDED_NUMBER_RE = re.compile(r"[+-]?\d+(?:[.,]\d+)?")
-
-
-def is_missing(cell: Cell) -> bool:
-    return cell is None
 
 
 def is_number(cell: Cell) -> bool:
@@ -162,6 +175,26 @@ def _coerce_cells(cells: list[Cell], kind: ColumnKind) -> list[Cell]:
     return cells
 
 
+def map_cells(cells: Sequence[Cell], fn: Callable[[Cell], object]) -> tuple:
+    """`fn` of each cell, calling `fn` once per distinct (type, cell)."""
+    keys = list(zip(map(type, cells), cells))
+    derived = {key: fn(key[1]) for key in dict.fromkeys(keys)}
+    return tuple(map(derived.__getitem__, keys))
+
+
+def distinct_cells(cells: Sequence[Cell]) -> dict[str, tuple[Cell, int]]:
+    """Rendering -> (first cell, count) over the non-missing cells, in
+    first-seen order."""
+    out: dict[str, tuple[Cell, int]] = {}
+    for (_, cell), n in Counter(zip(map(type, cells), cells)).items():
+        if cell is None:
+            continue
+        key = render_cell(cell)
+        first, count = out.get(key, (cell, 0))
+        out[key] = (first, count + n)
+    return out
+
+
 @dataclass(frozen=True)
 class Column:
     name: str
@@ -173,6 +206,18 @@ class Column:
         raw = list(cells)
         kind = infer_column_kind(raw)
         return Column(name, kind, tuple(_coerce_cells(raw, kind)))
+
+    @cached_property
+    def distinct(self) -> dict[str, tuple[Cell, int]]:
+        return distinct_cells(self.cells)
+
+    @cached_property
+    def lowered(self) -> tuple[str, ...]:
+        return map_cells(self.cells, lambda c: render_cell(c).lower())
+
+    @cached_property
+    def numbers(self) -> tuple[Optional[float], ...]:
+        return map_cells(self.cells, extract_numeric)
 
 
 @dataclass(frozen=True)
@@ -199,12 +244,9 @@ class Table:
                 return c
         raise TableError(f"no column named {name!r}")
 
-    def has_column(self, name: str) -> bool:
-        return any(c.name == name for c in self.columns)
-
     def take_rows(self, indices: Sequence[int]) -> "Table":
         cols = tuple(
-            Column(c.name, c.kind, tuple(c.cells[i] for i in indices))
+            Column(c.name, c.kind, tuple(map(c.cells.__getitem__, indices)))
             for c in self.columns
         )
         return Table(self.name, cols)

@@ -13,6 +13,7 @@ family (count_equal, delete_rows_by_column_value) never goes fuzzy.
 
 from __future__ import annotations
 
+from itertools import compress, repeat
 from typing import Optional, Union
 
 from .fuzzy import FuzzyConfig, best_fuzzy_match, correct_name
@@ -22,7 +23,7 @@ from .table_core import (
     ColumnKind,
     Table,
     cells_equal,
-    extract_numeric,
+    map_cells,
     render_cell,
 )
 
@@ -42,6 +43,14 @@ def _resolve(t: Table, column: str) -> Column:
     return t.column(correct_name(column, t.column_names))
 
 
+def _split_cell(cell: Cell) -> tuple[Cell, ...]:
+    if isinstance(cell, str):
+        for delim in FLATTEN_DELIMITERS:
+            if delim in cell:
+                return tuple(p.strip() or None for p in cell.split(delim))
+    return (cell,)
+
+
 def flatten_column_values(t: Table, column: str) -> Table:
     """Explode multi-valued text cells into one row per value.
 
@@ -49,25 +58,11 @@ def flatten_column_values(t: Table, column: str) -> Table:
     values are trimmed.  Single-valued rows pass through.
     """
     col = _resolve(t, column)
-    new_rows: list[list[Cell]] = []
-    col_idx = t.column_names.index(col.name)
-    for i in range(t.row_count):
-        cell = col.cells[i]
-        parts: list[Cell] = [cell]
-        if isinstance(cell, str):
-            for delim in FLATTEN_DELIMITERS:
-                if delim in cell:
-                    parts = [p.strip() or None for p in cell.split(delim)]
-                    break
-        for part in parts:
-            row = t.row(i)
-            row[col_idx] = part
-            new_rows.append(row)
-    columns = tuple(
-        Column(c.name, c.kind, tuple(row[j] for row in new_rows))
-        for j, c in enumerate(t.columns)
-    )
-    return Table(t.name, columns)
+    parts = map_cells(col.cells, _split_cell)
+    out = t.take_rows([i for i, ps in enumerate(parts) for _ in ps]).columns
+    flat = Column(col.name, col.kind, tuple(p for ps in parts for p in ps))
+    j = t.column_names.index(col.name)
+    return Table(t.name, out[:j] + (flat,) + out[j + 1:])
 
 
 def top_n_non_missing(t: Table, column: str, n: int, end: str = "head") -> Table:
@@ -83,11 +78,17 @@ def top_n_non_missing(t: Table, column: str, n: int, end: str = "head") -> Table
     return t.take_rows(chosen)
 
 
+def _equal_mask(col: Column, value: Cell) -> tuple[bool, ...]:
+    """cells_equal(cell, value) per row, evaluated once per distinct
+    (type, cell)."""
+    return map_cells(col.cells, lambda c: cells_equal(c, value))
+
+
 def delete_rows_by_column_value(t: Table, column: str, value: Cell) -> Table:
     """Drop rows whose cell equals `value` exactly (numeric equality for
     numbers; value=None drops missing-valued rows).  No fuzzy fallback."""
     col = _resolve(t, column)
-    keep = [i for i in range(t.row_count) if not cells_equal(col.cells[i], value)]
+    keep = [i for i, hit in enumerate(_equal_mask(col, value)) if not hit]
     return t.take_rows(keep)
 
 
@@ -95,11 +96,9 @@ def sort_alphabetical(t: Table, column: str) -> Table:
     """Stable ascending sort by case-insensitive text rendering; missing
     cells sort last."""
     col = _resolve(t, column)
-    order = sorted(
-        range(t.row_count),
-        key=lambda i: (col.cells[i] is None, render_cell(col.cells[i]).lower()),
-    )
-    return t.take_rows(order)
+    order = sorted(range(t.row_count), key=col.lowered.__getitem__)
+    return t.take_rows([i for i in order if col.cells[i] is not None]
+                       + [i for i in order if col.cells[i] is None])
 
 
 _COMPARATORS = {
@@ -116,9 +115,8 @@ def filter_numeric(t: Table, column: str, cmp: str, value: float) -> Table:
     if cmp not in _COMPARATORS:
         raise TableFnError(f"unknown comparator {cmp!r}")
     col = _resolve(t, column)
-    extracted = [extract_numeric(c) for c in col.cells]
-    present = [c for c in col.cells if c is not None]
-    if present and all(x is None for x in extracted):
+    extracted = col.numbers
+    if all(x is None for x in extracted) and any(c is not None for c in col.cells):
         raise TableFnError(f"non-numeric column {col.name!r}")
     op = _COMPARATORS[cmp]
     keep = [i for i, x in enumerate(extracted) if x is not None and op(x, float(value))]
@@ -127,10 +125,11 @@ def filter_numeric(t: Table, column: str, cmp: str, value: float) -> Table:
 
 def _contains_round1(col: Column, value: Cell) -> list[int]:
     needle = render_cell(value).strip().lower()
-    return [
-        i for i, c in enumerate(col.cells)
-        if c is not None and needle in render_cell(c).lower()
-    ]
+    if needle:
+        hits = map(str.__contains__, col.lowered, repeat(needle))
+    else:  # the empty needle is in every text but matches no missing cell
+        hits = (c is not None for c in col.cells)
+    return list(compress(range(len(col.cells)), hits))
 
 
 def filter_contains(t: Table, column: str, value: Cell,
@@ -149,9 +148,10 @@ def filter_contains(t: Table, column: str, value: Cell,
         return t.take_rows(keep)
     textual = col.kind in (ColumnKind.CATEGORICAL, ColumnKind.MIXED_NUMERIC)
     if textual and isinstance(value, str) and value != "":
-        match = best_fuzzy_match(col.cells, value, fuzzy_cfg.filter_threshold)
+        firsts = [first for first, _ in col.distinct.values()]
+        match = best_fuzzy_match(firsts, value, fuzzy_cfg.filter_threshold)
         if match is not None:
-            fuzzy_keep = [i for i, c in enumerate(col.cells) if cells_equal(c, match)]
+            fuzzy_keep = list(compress(range(t.row_count), _equal_mask(col, match)))
             if fuzzy_keep:
                 return t.take_rows(fuzzy_keep)
     return t.take_rows(keep)
@@ -173,7 +173,7 @@ def exists_value(t: Table, column: str, value: Cell,
 def count_equal(t: Table, column: str, value: Cell) -> int:
     """Exact, case-sensitive count; no fuzzy fallback."""
     col = _resolve(t, column)
-    return sum(1 for c in col.cells if cells_equal(c, value))
+    return sum(_equal_mask(col, value))
 
 
 def count_containing(t: Table, column: str, value: Cell,
@@ -188,24 +188,13 @@ def most_frequent(t: Table, column: str,
     if n is not None and n < 1:
         raise TableFnError(f"n must be >= 1, got {n}")
     col = _resolve(t, column)
-    counts: dict[str, int] = {}
-    first_cell: dict[str, Cell] = {}
-    order: list[str] = []
-    for c in col.cells:
-        if c is None:
-            continue
-        key = render_cell(c)
-        if key not in counts:
-            counts[key] = 0
-            first_cell[key] = c
-            order.append(key)
-        counts[key] += 1
-    if not counts:
+    if not col.distinct:
         raise TableFnError(f"no values in column {col.name!r}")
-    ranked = sorted(order, key=lambda k: (-counts[k], order.index(k)))
+    # A stable sort keeps first-seen order among equal counts.
+    ranked = sorted(col.distinct.values(), key=lambda fc: -fc[1])
     if n is None:
-        return first_cell[ranked[0]]
-    return [first_cell[k] for k in ranked[:n]]
+        return ranked[0][0]
+    return [first for first, _ in ranked[:n]]
 
 
 def most_frequent_in_subset(t: Table, target_column: str, subset_column: str,

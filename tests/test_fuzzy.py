@@ -3,7 +3,12 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from reference import ref_best_fuzzy_match, ref_levenshtein, ref_similarity
+from reference import (
+    ref_best_fuzzy_match,
+    ref_indel_distance,
+    ref_levenshtein,
+    ref_similarity,
+)
 from tableqa.fuzzy import (
     FuzzyConfig,
     best_fuzzy_match,
@@ -13,6 +18,10 @@ from tableqa.fuzzy import (
 )
 
 words = st.text(alphabet="abcdeíó ", max_size=10)
+# Up to 200 characters, so past one 64-bit word, with non-ASCII text; the
+# small alphabet makes long common subsequences likely.
+long_words = st.one_of(st.text(alphabet="abñé😀 A", max_size=200),
+                       st.text(max_size=200))
 
 
 class TestSimilarity:
@@ -31,6 +40,13 @@ class TestSimilarity:
     @given(words, words)
     def test_matches_reference(self, a, b):
         assert similarity(a, b) == pytest.approx(ref_similarity(a, b))
+
+    @given(long_words, long_words)
+    def test_exactly_the_indel_formula(self, a, b):
+        total = len(a) + len(b)
+        expected = 100.0 if total == 0 else \
+            100.0 * (1.0 - ref_indel_distance(a, b) / total)
+        assert similarity(a, b) == expected
 
     @given(words, words)
     def test_symmetric_and_100_iff_equal(self, a, b):
@@ -66,6 +82,19 @@ class TestBestFuzzyMatch:
         assert similarity("aaaaaaaa", "aaaaaabb") == 75.0
         assert best_fuzzy_match(["aaaaaabb"], "aaaaaaaa", 75) == "aaaaaabb"
         assert best_fuzzy_match(["aaaaaabb"], "aaaaaaaa", 76) is None
+
+    def test_threshold_is_inclusive_past_one_word(self):
+        # 80 + 80 characters, LCS 60: indel 40 of 160 is 75 exactly.
+        target, value = "a" * 80, "a" * 60 + "b" * 20
+        assert similarity(value, target) == 75.0
+        assert best_fuzzy_match([value], target, 75) == value
+
+    def test_score_just_below_threshold_misses(self):
+        # LCS 1 of 5 + 5 characters: 100 * (1 - 8/10) rounds to
+        # 19.999999999999996, while 200 * 1/10 would give 20.0 exactly.
+        assert similarity("azzzz", "abcde") < 20.0
+        assert best_fuzzy_match(["azzzz"], "abcde", 20) is None
+        assert ref_best_fuzzy_match(["azzzz"], "abcde", 20) is None
 
     @given(st.lists(st.one_of(st.none(), words,
                               st.floats(allow_nan=False, allow_infinity=False)),

@@ -1,3 +1,4 @@
+import contextlib
 import http.server
 import json
 import threading
@@ -112,14 +113,54 @@ class _StubHandler(http.server.BaseHTTPRequestHandler):
         pass
 
 
+class _ScriptedHandler(http.server.BaseHTTPRequestHandler):
+    """Answers each POST with HTTP 200 and the next body in `bodies` (the
+    last one repeats), counting requests in `hits`."""
+    bodies: list = []
+    hits = 0
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        cls = type(self)
+        data = cls.bodies[min(cls.hits, len(cls.bodies) - 1)]
+        cls.hits += 1
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+    def log_message(self, *args):
+        pass
+
+
+@contextlib.contextmanager
+def _serve(handler):
+    server = http.server.HTTPServer(("127.0.0.1", 0), handler)
+    # A short poll interval keeps shutdown() from waiting the default 0.5 s.
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.02},
+                              daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_port}/v1"
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+
+
 @pytest.fixture
 def stub_server():
-    server = http.server.HTTPServer(("127.0.0.1", 0), _StubHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield f"http://127.0.0.1:{server.server_port}/v1"
-    server.shutdown()
-    server.server_close()
+    with _serve(_StubHandler) as url:
+        yield url
+
+
+def scripted_server(*bodies: bytes):
+    handler = type("Handler", (_ScriptedHandler,), {"bodies": list(bodies), "hits": 0})
+    return handler, _serve(handler)
+
+
+GOOD_REPLY = json.dumps({"choices": [{"message": {"content": "fine"}}]}).encode()
 
 
 class TestHTTPClient:
@@ -150,6 +191,28 @@ class TestHTTPClient:
         HTTPClient(cfg).complete(request)
         assert _StubHandler.last_body["temperature"] == 0.0
         assert _StubHandler.last_body["max_tokens"] == 7
+
+    @pytest.mark.parametrize("body", [
+        b"{}",
+        b"<html>upstream busy</html>",
+        b"[]",
+        b'{"choices": []}',
+        b'{"choices": [{"message": {"content": null}}]}',
+    ], ids=["empty-object", "not-json", "list", "no-choices", "null-content"])
+    def test_malformed_200_is_retried_then_llm_error(self, body):
+        handler, server = scripted_server(body)
+        with server as url:
+            cfg = LLMConfig(base_url=url, retries=1, retry_base_seconds=0.01)
+            with pytest.raises(LLMError, match="transport failure after 1 retries"):
+                HTTPClient(cfg).complete(req("coder", "x"))
+        assert handler.hits == 2
+
+    def test_malformed_200_then_valid_reply(self):
+        handler, server = scripted_server(b"{}", b"not json", GOOD_REPLY)
+        with server as url:
+            cfg = LLMConfig(base_url=url, retries=2, retry_base_seconds=0.01)
+            assert HTTPClient(cfg).complete(req("coder", "x")) == "fine"
+        assert handler.hits == 3
 
     def test_deterministic_flag_zeroes_temperature(self, stub_server):
         cfg = LLMConfig(base_url=stub_server, deterministic=True)

@@ -18,6 +18,7 @@ from tableqa.pipeline import (
     PipelineContext,
     Question,
     RunRecord,
+    TraceWriter,
     ensemble_answers,
     ensemble_curve,
     load_questions,
@@ -102,6 +103,33 @@ def mk_record(rep, answer, failure=None):
 
 def num(x):
     return Answer(AnswerType.NUMBER, float(x))
+
+
+class TestTraceWriter:
+    @pytest.mark.parametrize("qid", ["../x", "a/b", "..", ".", "", "a\\b"])
+    def test_unsafe_ids_stay_under_the_root(self, tmp_path, qid):
+        root = tmp_path / "trace"
+        writer = TraceWriter(str(root))
+        writer.write(qid, 0, "a.txt", "hi")
+        writer.write_question(qid, "votes.json", {})
+        written = [p for p in tmp_path.rglob("*") if p.is_file()]
+        assert len(written) == 2
+        for path in written:
+            assert path.parent.resolve().is_relative_to(root.resolve())
+            assert len(path.relative_to(root).parts) in (2, 3)
+
+    def test_distinct_ids_keep_distinct_directories(self, tmp_path):
+        writer = TraceWriter(str(tmp_path))
+        ids = ["a/b", "a%2Fb", "..", "%..", "q1", ""]
+        for qid in ids:
+            writer.write_question(qid, "votes.json", {"id": qid})
+        assert len(list(tmp_path.iterdir())) == len(ids)
+
+    def test_safe_ids_map_to_themselves(self, tmp_path):
+        writer = TraceWriter(str(tmp_path))
+        for qid in ["q1", "pregunta-2_b.v3", "número 7"]:
+            writer.write(qid, 1, "a.txt", "x")
+            assert (tmp_path / qid / "rep1" / "a.txt").read_text() == "x"
 
 
 class TestVote:

@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+from tableqa import profiler
 from tableqa.llm_client import MockClient
 from tableqa.profiler import (
     ColumnProfile,
@@ -42,6 +45,11 @@ class TestProfileTable:
     def test_example_count_configurable(self):
         [p] = profile_table(one_col("c", ["a", "b", "c", "d"]), example_count=2)
         assert len(p.example_values) == 2
+
+    def test_fills_no_column_view(self, survey_table):
+        profile_table(survey_table)
+        for col in survey_table.columns:
+            assert not {"distinct", "lowered", "numbers"} & set(vars(col))
 
 
 class TestDescribeColumns:
@@ -100,3 +108,35 @@ class TestCache:
         (tmp_path / f"{fp}.json").write_text("{not json", encoding="utf-8")
         assert cache.get(fp) is None
         assert not (tmp_path / f"{fp}.json").exists()
+
+    def test_failed_put_keeps_the_old_entry(self, tmp_path, survey_table, monkeypatch):
+        cache_dir = tmp_path / "cache"
+        cache = ProfileCache(str(cache_dir))
+        fp = table_fingerprint(b"x")
+        profiles = profile_table(survey_table)
+        cache.put(fp, profiles)
+
+        def half_dump(obj, fh, **kwargs):
+            fh.write("[{")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(profiler.json, "dump", half_dump)
+        with pytest.raises(OSError, match="disk full"):
+            cache.put(fp, profiles[:1])
+        monkeypatch.undo()
+        assert cache.get(fp) == profiles
+        assert [p.name for p in cache_dir.iterdir()] == [f"{fp}.json"]
+
+    def test_corrupt_entry_evicted_by_another_reader(self, tmp_path, monkeypatch):
+        cache = ProfileCache(str(tmp_path))
+        fp = table_fingerprint(b"x")
+        path = tmp_path / f"{fp}.json"
+        path.write_text("{not json", encoding="utf-8")
+
+        def load_then_lose_race(fh):
+            path.unlink()  # the other reader's evict lands first
+            raise ValueError("corrupt")
+
+        monkeypatch.setattr(profiler.json, "load", load_then_lose_race)
+        assert cache.get(fp) is None
+        assert not path.exists()

@@ -3,8 +3,10 @@ import random
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from reference import ref_extract_numeric
+from conftest import random_table
+from reference import ref_extract_numeric, ref_render
 from tableqa.table_core import (
+    Column,
     ColumnKind,
     TableError,
     extract_numeric,
@@ -146,3 +148,56 @@ def test_table_is_immutable(survey_table):
     tablefns.sort_alphabetical(survey_table, "Partido")
     tablefns.filter_contains(survey_table, "Mes de realización", "enero")
     assert [c.cells for c in survey_table.columns] == before
+
+
+# ---------------------------------------------------------------------------
+# lazy per-column views
+
+
+def _fresh_views(cells):
+    """The three views recomputed row by row, without any memo."""
+    distinct = {}
+    for c in cells:
+        if c is not None:
+            first, count = distinct.get(ref_render(c), (c, 0))
+            distinct[ref_render(c)] = (first, count + 1)
+    lowered = tuple(ref_render(c).lower() for c in cells)
+    numbers = tuple(ref_extract_numeric(c) for c in cells)
+    return distinct, lowered, numbers
+
+
+class TestColumnViews:
+    def test_typed_cells_stay_apart(self):
+        col = Column("c", ColumnKind.CATEGORICAL, (True, 1.0, "1"))
+        assert col.lowered == ("true", "1", "1")
+        assert col.numbers == (1.0, 1.0, 1.0)
+        assert col.distinct == {"true": (True, 1), "1": (1.0, 2)}
+        assert col.distinct["1"][0] is col.cells[1]
+
+    def test_equal_cells_share_one_derived_object(self):
+        col = Column("c", ColumnKind.CATEGORICAL, ("Ab", None, "Ab", "Ab"))
+        assert col.lowered == ("ab", "", "ab", "ab")
+        assert col.lowered[0] is col.lowered[2] is col.lowered[3]
+        assert col.distinct == {"Ab": ("Ab", 3)}
+
+    def test_first_seen_order_and_first_cell(self):
+        col = Column("c", ColumnKind.CATEGORICAL, ("b", 2.0, "a", "2", "b", None))
+        assert list(col.distinct.items()) == [
+            ("b", ("b", 2)), ("2", (2.0, 2)), ("a", ("a", 1))]
+
+    def test_load_computes_no_view(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("a,b\nx,1\ny,2\n", encoding="utf-8")
+        for col in load_csv(str(path)).columns:
+            assert not {"distinct", "lowered", "numbers"} & set(vars(col))
+
+    def test_take_rows_views_match_fresh_recomputation(self):
+        rng = random.Random(11)
+        for _ in range(200):
+            t = random_table(rng, max_rows=30)
+            for col in t.columns:  # fill the parent's views first
+                col.distinct, col.lowered, col.numbers
+            indices = [rng.randrange(t.row_count) for _ in range(rng.randint(0, 40))] \
+                if t.row_count else []
+            for col in t.take_rows(indices).columns:
+                assert (col.distinct, col.lowered, col.numbers) == _fresh_views(col.cells)

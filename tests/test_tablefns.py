@@ -5,7 +5,7 @@ import pytest
 import reference as ref
 from conftest import random_table
 from tableqa import tablefns
-from tableqa.table_core import Column, Table
+from tableqa.table_core import Column, ColumnKind, Table
 from tableqa.tablefns import NO_MATCHING_RECORDS, TableFnError
 
 
@@ -161,6 +161,28 @@ class TestCounts:
         assert tablefns.count_containing(one_col("c", []), "c", "x") == 0
 
 
+class TestTypedCells:
+    """Cells that compare or hash equal across types: True, 1.0 and "1"."""
+
+    VALUES = [True, False, 1.0, 1, "1", "1.0", " 1 ", "true", "True", None, 2.0]
+
+    def table(self):
+        return Table("t", (Column("c", ColumnKind.CATEGORICAL, (True, 1.0, "1", None)),))
+
+    def test_count_equal_agrees_with_reference(self):
+        t = self.table()
+        for value in self.VALUES:
+            expected = sum(ref.ref_cells_equal(c, value) for c in t.column("c").cells)
+            assert tablefns.count_equal(t, "c", value) == expected, value
+
+    def test_delete_rows_agrees_with_reference(self):
+        t = self.table()
+        for value in self.VALUES:
+            expected = ref.ref_delete_rows(ref.rows_of(t), "c", value)
+            got = tablefns.delete_rows_by_column_value(t, "c", value)
+            assert ref.rows_of(got) == expected, value
+
+
 class TestMostFrequent:
     def test_mode(self):
         t = one_col("c", ["a", "b", "a"])
@@ -176,6 +198,23 @@ class TestMostFrequent:
     def test_all_missing_errors(self):
         with pytest.raises(TableFnError, match="no values"):
             tablefns.most_frequent(one_col("c", [None, None]), "c")
+
+    def test_many_tied_values_keep_first_seen_order(self):
+        rng = random.Random(3)
+        names = [f"town{i:04d}" for i in range(5000)]
+        rng.shuffle(names)
+        # Every value twice, a few three times; ties span thousands of values.
+        cells = names + names[::-1] + names[:7] + [None] * 10
+        rng.shuffle(cells)
+        t = one_col("c", cells)
+        rows = ref.rows_of(t)
+        assert tablefns.most_frequent(t, "c") == ref.ref_most_frequent(rows, "c")
+        for n in (1, 10, 4000, 5000, 6000):
+            got = tablefns.most_frequent(t, "c", n)
+            assert got == ref.ref_most_frequent(rows, "c", n)
+        first_seen = list(dict.fromkeys(c for c in cells if c is not None))
+        twice = [c for c in first_seen if c not in names[:7]]
+        assert tablefns.most_frequent(t, "c", 5000)[7:] == twice
 
 
 class TestMostFrequentInSubset:
