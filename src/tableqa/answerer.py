@@ -11,17 +11,21 @@ from __future__ import annotations
 
 import enum
 import json
-import math
-import re
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 from .llm_client import ChatRequest, Message
-from .runner import RuntimeValue
-from .table_core import Cell, Table, extract_numeric, is_number, render_cell
-
-BOOLEAN_TRUE_WORDS = {"si", "sí", "yes", "true"}
-BOOLEAN_FALSE_WORDS = {"no", "false"}
+from .planlang import strip_llm_wrapping
+from .runner import RuntimeValue, render_value
+from .table_core import (
+    BOOLEAN_FALSE,
+    BOOLEAN_TRUE,
+    Cell,
+    Table,
+    extract_numeric,
+    is_number,
+    render_cell,
+)
 
 
 class AnswerType(enum.Enum):
@@ -90,9 +94,9 @@ def _coerce_boolean(v: Cell) -> bool:
         raise FormatError(f"number {v!r} is not a boolean")
     if isinstance(v, str):
         word = v.strip().lower()
-        if word in BOOLEAN_TRUE_WORDS:
+        if word in BOOLEAN_TRUE:
             return True
-        if word in BOOLEAN_FALSE_WORDS:
+        if word in BOOLEAN_FALSE:
             return False
     raise FormatError(f"cannot coerce {v!r} to Boolean")
 
@@ -148,21 +152,19 @@ INTERPRETER_SYSTEM = (
 )
 
 
-def _render_runtime(v: RuntimeValue) -> str:
-    if isinstance(v, Table):
-        cols = {c.name: [render_cell(x) for x in c.cells] for c in v.columns}
-        return json.dumps(cols, ensure_ascii=False)
-    if isinstance(v, list):
-        return json.dumps([render_cell(x) for x in v], ensure_ascii=False)
-    return render_cell(v)
-
-
 def interpret_answer(question: str, v: RuntimeValue, at: AnswerType, llm) -> Answer:
     """LLM-based coercion; falls back to format_answer on any parse
     failure."""
+    # A table as {column: [cells]} JSON, a list as a JSON array, a scalar
+    # as its cell text.
+    result = render_value(v)
+    if isinstance(v, Table):
+        result = result["table"]
+    if not isinstance(result, str):
+        result = json.dumps(result, ensure_ascii=False)
     prompt = (
         f"Question: {question}\n"
-        f"Query result: {_render_runtime(v)}\n"
+        f"Query result: {result}\n"
         f"Expected answer type: {at.value}\n"
         f"Reply with a single JSON value of that type."
     )
@@ -171,8 +173,7 @@ def interpret_answer(question: str, v: RuntimeValue, at: AnswerType, llm) -> Ans
             messages=(Message("system", INTERPRETER_SYSTEM), Message("user", prompt)),
             stage_tag="interpreter",
         ))
-        text = re.sub(r"```[a-zA-Z]*", "", reply).strip()
-        value = json.loads(text)
+        value = json.loads(strip_llm_wrapping(reply))
         return Answer(at, _normalize_value(value, at))
     except (Exception,):
         return format_answer(v, at)

@@ -15,18 +15,18 @@ import sys
 import click
 import yaml
 
-from .answerer import Answer, AnswerType, CompareConfig, format_answer
+from .answerer import Answer, AnswerType
 from .llm_client import HTTPClient, LLMConfig, MockClient
 from .pipeline import (
     EnsembleConfig,
     PipelineContext,
     Question,
+    RunRecord,
     ensemble_answers,
     ensemble_curve,
     load_questions,
     load_table_profiles,
     score,
-    vote,
 )
 from .planlang import dsl_reference, parse_plan, validate_plan
 from .runner import execute_plan, render_value
@@ -151,17 +151,7 @@ def bench(questions_path, tables_dir, repetitions, out_dir, config_path,
                 }
                 for q in questions
             ],
-            "runs": {
-                qid: [
-                    {
-                        "repetition": r.repetition,
-                        "answer": r.answer.to_dict() if r.answer else None,
-                        "failure": r.failure,
-                    }
-                    for r in recs
-                ]
-                for qid, recs in records.items()
-            },
+            "runs": {qid: [r.to_dict() for r in recs] for qid, recs in records.items()},
         }, fh, ensure_ascii=False, indent=2)
 
     if any(q.gold is not None for q in questions):
@@ -191,8 +181,6 @@ def plan_run(table_path, plan_path):
 def ensemble_curve_cmd(bench_dir, max_n):
     """Recompute voting accuracy for n=1..max-n from a bench run; emits
     CSV (n,accuracy) on stdout."""
-    from .pipeline import RunRecord
-
     with open(os.path.join(bench_dir, "repetitions.json"), encoding="utf-8") as fh:
         data = json.load(fh)
     questions = []
@@ -202,17 +190,8 @@ def ensemble_curve_cmd(bench_dir, max_n):
         if qd["gold"] is not None:
             gold = Answer.from_dict({"type": at.value, "value": qd["gold"]})
         questions.append(Question(qd["id"], "", "", at, gold))
-    records = {}
-    for qid, runs in data["runs"].items():
-        records[qid] = [
-            RunRecord(
-                question_id=qid,
-                repetition=r["repetition"],
-                answer=Answer.from_dict(r["answer"]) if r["answer"] else None,
-                failure=r["failure"],
-            )
-            for r in runs
-        ]
+    records = {qid: [RunRecord.from_dict(qid, r) for r in runs]
+               for qid, runs in data["runs"].items()}
     click.echo("n,accuracy")
     for n, acc in ensemble_curve(records, questions, max_n):
         click.echo(f"{n},{acc:.4f}")

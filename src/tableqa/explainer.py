@@ -10,13 +10,11 @@ templates that downstream prompts and tests anchor on.
 
 from __future__ import annotations
 
-import json
-import re
 from dataclasses import dataclass, field
 from typing import Optional
 
 from .fuzzy import FuzzyConfig, best_fuzzy_match, correct_name
-from .llm_client import ChatRequest, Message
+from .llm_client import ChatRequest, Message, first_json
 from .profiler import ColumnProfile
 from .table_core import ColumnKind, Table, render_cell
 
@@ -84,24 +82,10 @@ def build_explainer_prompt(question: str, selected: list[ColumnProfile],
     return "\n".join(lines)
 
 
-def _strip_fences(text: str) -> str:
-    return re.sub(r"```[a-zA-Z]*", "", text)
-
-
 def parse_instruction_set(reply: str) -> InstructionSet:
     """Extract the first JSON object from the reply (tolerating fences
     and surrounding prose) and validate the three fields."""
-    text = _strip_fences(reply)
-    decoder = json.JSONDecoder()
-    obj = None
-    for m in re.finditer(r"\{", text):
-        try:
-            candidate, _ = decoder.raw_decode(text[m.start():])
-        except ValueError:
-            continue
-        if isinstance(candidate, dict):
-            obj = candidate
-            break
+    obj = first_json(reply, dict)
     if obj is None:
         raise InstructionParseError("no JSON object found in explainer reply")
     instructions = obj.get("instructions")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import threading
 import time
 from dataclasses import dataclass, field
@@ -29,6 +30,21 @@ class UnscriptedRequestError(LLMError):
     """Mock backend got a request no script entry matches (test aid)."""
 
 
+def first_json(reply: str, kind: type) -> Optional[object]:
+    """The first JSON value of `kind` (dict or list) in an LLM reply,
+    wherever it starts: prose and code fences around it are skipped.
+    None when the reply holds no such value."""
+    decoder = json.JSONDecoder()
+    for m in re.finditer(r"\{" if kind is dict else r"\[", reply):
+        try:
+            value, _ = decoder.raw_decode(reply, m.start())
+        except ValueError:
+            continue
+        if isinstance(value, kind):
+            return value
+    return None
+
+
 @dataclass(frozen=True)
 class Message:
     role: str  # system | user | assistant
@@ -39,9 +55,6 @@ class Message:
 class ChatRequest:
     messages: tuple[Message, ...]
     stage_tag: str
-    temperature: Optional[float] = None  # None: the client's configured value
-    max_tokens: Optional[int] = None  # None: the client's configured value
-    model: str = ""
 
     def __post_init__(self) -> None:
         if not self.messages:
@@ -50,10 +63,6 @@ class ChatRequest:
             raise ValueError("first message must be system or user")
         if self.stage_tag not in STAGES:
             raise ValueError(f"unknown stage tag {self.stage_tag!r}")
-        if self.temperature is not None and self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
-        if self.max_tokens is not None and self.max_tokens < 1:
-            raise ValueError("max_tokens must be >= 1")
 
     @property
     def last_user_content(self) -> str:
@@ -77,20 +86,33 @@ class LLMConfig:
     retry_base_seconds: float = 1.0
     deterministic: bool = False
 
+    def __post_init__(self) -> None:
+        if self.temperature < 0:
+            raise ValueError("temperature must be >= 0")
+        if self.max_tokens < 1:
+            raise ValueError("max_tokens must be >= 1")
+        if self.concurrency < 1:
+            raise ValueError("concurrency must be >= 1")
+        if self.retries < 0:
+            raise ValueError("retries must be >= 0")
+
     @staticmethod
     def from_dict(data: dict) -> "LLMConfig":
-        cfg = LLMConfig()
+        """The config from a parsed config file; out-of-range settings
+        raise ValueError."""
+        defaults = LLMConfig()
         model = data.get("model", {})
-        cfg.base_url = data.get("base_url", cfg.base_url)
-        cfg.api_key_env = data.get("api_key", cfg.api_key_env)
-        cfg.model_general = model.get("general", cfg.model_general)
-        cfg.model_coder = model.get("coder", cfg.model_coder)
-        cfg.model_explainer_override = model.get("explainer_override")
-        cfg.temperature = data.get("temperature", cfg.temperature)
-        cfg.max_tokens = data.get("max_tokens", cfg.max_tokens)
-        cfg.concurrency = data.get("concurrency", cfg.concurrency)
-        cfg.retries = data.get("retries", cfg.retries)
-        return cfg
+        return LLMConfig(
+            base_url=data.get("base_url", defaults.base_url),
+            api_key_env=data.get("api_key", defaults.api_key_env),
+            model_general=model.get("general", defaults.model_general),
+            model_coder=model.get("coder", defaults.model_coder),
+            model_explainer_override=model.get("explainer_override"),
+            temperature=data.get("temperature", defaults.temperature),
+            max_tokens=data.get("max_tokens", defaults.max_tokens),
+            concurrency=data.get("concurrency", defaults.concurrency),
+            retries=data.get("retries", defaults.retries),
+        )
 
 
 def route_model(stage_tag: str, config: LLMConfig) -> str:
@@ -116,13 +138,11 @@ class HTTPClient:
         self._semaphore = threading.Semaphore(config.concurrency)
 
     def _body(self, req: ChatRequest) -> dict:
-        temperature = 0.0 if self.config.deterministic else (
-            req.temperature if req.temperature is not None else self.config.temperature)
         return {
-            "model": req.model or route_model(req.stage_tag, self.config),
+            "model": route_model(req.stage_tag, self.config),
             "messages": [{"role": m.role, "content": m.content} for m in req.messages],
-            "temperature": temperature,
-            "max_tokens": req.max_tokens or self.config.max_tokens,
+            "temperature": 0.0 if self.config.deterministic else self.config.temperature,
+            "max_tokens": self.config.max_tokens,
         }
 
     def complete(self, req: ChatRequest) -> str:

@@ -93,6 +93,19 @@ class RunRecord:
     def succeeded(self) -> bool:
         return self.answer is not None
 
+    def to_dict(self) -> dict:
+        """The run as votes.json and repetitions.json store it."""
+        return {
+            "repetition": self.repetition,
+            "answer": self.answer.to_dict() if self.answer else None,
+            "failure": self.failure,
+        }
+
+    @staticmethod
+    def from_dict(question_id: str, d: dict) -> "RunRecord":
+        answer = Answer.from_dict(d["answer"]) if d["answer"] else None
+        return RunRecord(question_id, d["repetition"], answer, d["failure"])
+
 
 # What could take a question id out of its trace directory, plus the
 # escape character itself, so distinct ids keep distinct directories.
@@ -332,14 +345,7 @@ def ensemble_answers(questions: list[Question], tables_dir: str,
     for q in questions:
         finals[q.id] = vote(all_records[q.id], cfg)
         trace.write_question(q.id, "votes.json", {
-            "runs": [
-                {
-                    "repetition": r.repetition,
-                    "answer": r.answer.to_dict() if r.answer else None,
-                    "failure": r.failure,
-                }
-                for r in all_records[q.id]
-            ],
+            "runs": [r.to_dict() for r in all_records[q.id]],
             "final": finals[q.id].to_dict() if finals[q.id] else None,
         })
     return finals, all_records

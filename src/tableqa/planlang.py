@@ -1,5 +1,5 @@
-"""The loop-free plan DSL: grammar, parser, validator and canonical
-printer.
+"""The loop-free plan DSL: grammar, parser, validator, canonical printer
+and the registry of builtins.
 
 A plan is a straight-line sequence of bindings ending in an `answer =`
 line.  There are no loops, conditionals or user-defined functions, so
@@ -14,16 +14,26 @@ Grammar:
              | IDENT
 Comments start with '#'; blank lines are ignored.  Code fences and a
 leading language tag in LLM output are stripped before parsing.
+
+Each builtin is declared once in BUILTINS, by its signature line, its doc
+and its implementation.  The parameter names in the signature decide the
+arity, which arguments the validator snaps to the schema and how each
+argument is coerced before the implementation runs.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 import re
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+import statistics
+from dataclasses import dataclass
+from typing import Callable, Optional, Sequence, Union
 
-from .fuzzy import correct_name, similarity
-from .table_core import Cell
+from . import tablefns
+from .fuzzy import FuzzyConfig, correct_name, similarity
+from .table_core import Cell, Table, cells_equal, extract_numeric, render_cell
+from .tablefns import TableFnError
 
 
 class PlanSyntaxError(Exception):
@@ -35,6 +45,10 @@ class PlanSyntaxError(Exception):
 
 class PlanValidationError(Exception):
     pass
+
+
+class PlanRuntimeError(Exception):
+    """A builtin failed during evaluation; message names the builtin."""
 
 
 @dataclass(frozen=True)
@@ -62,95 +76,257 @@ class Plan:
     answer: Expr
 
 
-@dataclass(frozen=True)
+# Argument coercions, one per parameter kind.  Each returns the value
+# the implementation sees, or raises TypeError/ValueError with a message
+# that Builtin.call prefixes with the builtin's name.
+
+def _kind_name(v) -> str:
+    if isinstance(v, Table):
+        return "table"
+    if isinstance(v, list):
+        return "list"
+    return "scalar"
+
+
+def _table(v) -> Table:
+    if not isinstance(v, Table):
+        raise TypeError(f"expected a table, got a {_kind_name(v)}")
+    return v
+
+
+def _cell(v) -> Cell:
+    if isinstance(v, (Table, list)):
+        raise TypeError(f"expected a scalar, got a {_kind_name(v)}")
+    return v
+
+
+def _text(v) -> str:
+    return render_cell(_cell(v))
+
+
+def _number(v) -> float:
+    if isinstance(v, (Table, list)):
+        raise TypeError(f"expected a number, got a {_kind_name(v)}")
+    x = extract_numeric(v)
+    if x is None:
+        raise ValueError(f"value {render_cell(v)!r} is not numeric")
+    return x
+
+
+def _count(v) -> int:
+    x = _number(v)
+    if not math.isfinite(x):
+        raise ValueError(f"n must be a finite number, got {x}")
+    return int(x)
+
+
+def _list(v) -> list:
+    if isinstance(v, Table):
+        raise TypeError("expected a list, got a table")
+    return v if isinstance(v, list) else [v]
+
+
+def _boolean(v) -> bool:
+    if not isinstance(v, bool):
+        raise TypeError("expected a boolean")
+    return v
+
+
+# Parameter name in a signature -> coercion of that argument.
+_COERCIONS: dict[str, Callable] = {
+    "table": _table,
+    "column": _text, "target_column": _text, "subset_column": _text,
+    "value": _cell, "filter_value": _cell, "scalar": _cell,
+    "n": _count,
+    "number": _number,
+    "list": _list,
+    "boolean": _boolean,
+}
+
+
 class Builtin:
-    name: str
-    arity: int
-    signature: str
-    doc: str
-    # Argument indices holding a column name (string literal) for the
-    # validator to snap to the schema.
-    column_args: tuple[int, ...] = ()
+    """One builtin: its signature line, its doc and its implementation.
+    The signature's parameter names give the arity, the arguments the
+    validator snaps to the schema (those named `*column`) and the
+    coercion of each argument.  `impl` takes the fuzzy config, then the
+    coerced arguments."""
+
+    def __init__(self, signature: str, doc: str, impl: Callable):
+        self.signature = signature
+        self.doc = doc
+        self.impl = impl
+        self.name, rest = signature.split("(", 1)
+        params = rest.split(")", 1)[0].split(", ")
+        self.arity = len(params)
+        self.column_args = tuple(i for i, p in enumerate(params) if p.endswith("column"))
+        self._coercions = tuple(_COERCIONS[p] for p in params)
+
+    def call(self, args: Sequence, fuzzy_cfg: FuzzyConfig):
+        """Coerce the arguments and run the implementation; a failure
+        becomes a PlanRuntimeError that names the builtin."""
+        try:
+            return self.impl(fuzzy_cfg, *(coerce(a) for coerce, a
+                                          in zip(self._coercions, args, strict=True)))
+        except (TableFnError, TypeError, ValueError) as exc:
+            raise PlanRuntimeError(f"{self.name}: {exc}") from exc
 
 
-_BUILTINS: list[Builtin] = [
-    Builtin("flatten_column_values", 2, "flatten_column_values(table, column) -> table",
+def _numbers(items: list) -> list[float]:
+    return [x for x in map(extract_numeric, items) if x is not None]
+
+
+def _of_numbers(reduce: Callable) -> Callable:
+    def impl(_, items: list) -> float:
+        numbers = _numbers(items)
+        if not numbers:
+            raise ValueError("no numeric values")
+        return reduce(numbers)
+    return impl
+
+
+def _unique(_, items: list) -> list:
+    seen, out = set(), []
+    for e in items:
+        if e is None:
+            continue
+        key = render_cell(e)
+        if key not in seen:
+            seen.add(key)
+            out.append(e)
+    return out
+
+
+def _head(_, items: list, n: int) -> list:
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    return items[:n]
+
+
+def _sorted(items: list) -> list:
+    present = [e for e in items if e is not None]
+    if present and all(extract_numeric(e) is not None for e in present):
+        ordered = sorted(present, key=extract_numeric)
+    else:
+        ordered = sorted(present, key=lambda e: render_cell(e).lower())
+    return ordered + [None] * (len(items) - len(present))
+
+
+def _div(_, x: float, y: float) -> float:
+    if y == 0:
+        raise ValueError("division by zero")
+    return x / y
+
+
+def _compare(op: Callable) -> Callable:
+    """Numbers when both sides have one, else their text renderings."""
+    def impl(_, a: Cell, b: Cell) -> bool:
+        x, y = extract_numeric(a), extract_numeric(b)
+        if x is None or y is None:
+            x, y = render_cell(a), render_cell(b)
+        return op(x, y)
+    return impl
+
+
+def _first(_, items: list) -> Cell:
+    if not items:
+        raise ValueError("empty list")
+    return items[0]
+
+
+# Implementations look tablefns functions up at call time, so a function
+# replaced on the module (by a tracer, say) is the one that runs.
+BUILTINS: dict[str, Builtin] = {b.name: b for b in [
+    Builtin("flatten_column_values(table, column) -> table",
             "Split multi-valued cells (';', ',' or '|' separated) into one row per value.",
-            (1,)),
-    Builtin("top_n_non_missing", 3, "top_n_non_missing(table, column, n) -> table",
-            "First n rows whose cell in the column is not missing, original order.", (1,)),
-    Builtin("tail_n_non_missing", 3, "tail_n_non_missing(table, column, n) -> table",
-            "Last n rows whose cell in the column is not missing, original order.", (1,)),
-    Builtin("delete_rows_by_column_value", 3,
-            "delete_rows_by_column_value(table, column, value) -> table",
-            "Remove rows whose cell equals the value exactly.", (1,)),
-    Builtin("sort_alphabetical", 2, "sort_alphabetical(table, column) -> table",
-            "Sort rows alphabetically (case-insensitive) by the column; missing last.", (1,)),
-    Builtin("filter_le", 3, "filter_le(table, column, number) -> table",
-            "Keep rows whose numeric value in the column is <= the number.", (1,)),
-    Builtin("filter_lt", 3, "filter_lt(table, column, number) -> table",
-            "Keep rows whose numeric value in the column is < the number.", (1,)),
-    Builtin("filter_ge", 3, "filter_ge(table, column, number) -> table",
-            "Keep rows whose numeric value in the column is >= the number.", (1,)),
-    Builtin("filter_gt", 3, "filter_gt(table, column, number) -> table",
-            "Keep rows whose numeric value in the column is > the number.", (1,)),
-    Builtin("filter_contains", 3, "filter_contains(table, column, value) -> table",
+            lambda _, t, c: tablefns.flatten_column_values(t, c)),
+    *(Builtin(f"{name}_n_non_missing(table, column, n) -> table",
+              f"{which} n rows whose cell in the column is not missing, original order.",
+              lambda _, t, c, n, end=end: tablefns.top_n_non_missing(t, c, n, end))
+      for name, which, end in (("top", "First", "head"), ("tail", "Last", "tail"))),
+    Builtin("delete_rows_by_column_value(table, column, value) -> table",
+            "Remove rows whose cell equals the value exactly.",
+            lambda _, t, c, v: tablefns.delete_rows_by_column_value(t, c, v)),
+    Builtin("sort_alphabetical(table, column) -> table",
+            "Sort rows alphabetically (case-insensitive) by the column; missing last.",
+            lambda _, t, c: tablefns.sort_alphabetical(t, c)),
+    *(Builtin(f"filter_{cmp}(table, column, number) -> table",
+              f"Keep rows whose numeric value in the column is {symbol} the number.",
+              lambda _, t, c, x, cmp=cmp: tablefns.filter_numeric(t, c, cmp, x))
+      for cmp, symbol in (("le", "<="), ("lt", "<"), ("ge", ">="), ("gt", ">"))),
+    Builtin("filter_contains(table, column, value) -> table",
             "Keep rows whose cell contains the value (case-insensitive substring; "
-            "falls back to fuzzy matching of the stored value).", (1,)),
-    Builtin("filter_not_contains", 3, "filter_not_contains(table, column, value) -> table",
-            "Keep rows whose cell does NOT contain the value.", (1,)),
-    Builtin("exists_value", 3, "exists_value(table, column, value) -> boolean",
-            "Whether any row's cell contains the value.", (1,)),
-    Builtin("count_equal", 3, "count_equal(table, column, value) -> number",
-            "Count cells exactly equal to the value (case-sensitive).", (1,)),
-    Builtin("count_containing", 3, "count_containing(table, column, value) -> number",
-            "Count rows whose cell contains the value.", (1,)),
-    Builtin("most_frequent", 2, "most_frequent(table, column) -> value",
-            "The most frequent value in the column.", (1,)),
-    Builtin("most_frequent_n", 3, "most_frequent_n(table, column, n) -> list",
-            "The n most frequent values in the column, most frequent first.", (1,)),
-    Builtin("most_frequent_in_subset", 4,
-            "most_frequent_in_subset(table, target_column, subset_column, filter_value) -> value",
+            "falls back to fuzzy matching of the stored value).",
+            lambda fuzzy, t, c, v: tablefns.filter_contains(t, c, v, fuzzy)),
+    Builtin("filter_not_contains(table, column, value) -> table",
+            "Keep rows whose cell does NOT contain the value.",
+            lambda _, t, c, v: tablefns.filter_not_contains(t, c, v)),
+    Builtin("exists_value(table, column, value) -> boolean",
+            "Whether any row's cell contains the value.",
+            lambda fuzzy, t, c, v: tablefns.exists_value(t, c, v, fuzzy)),
+    Builtin("count_equal(table, column, value) -> number",
+            "Count cells exactly equal to the value (case-sensitive).",
+            lambda _, t, c, v: float(tablefns.count_equal(t, c, v))),
+    Builtin("count_containing(table, column, value) -> number",
+            "Count rows whose cell contains the value.",
+            lambda fuzzy, t, c, v: float(tablefns.count_containing(t, c, v, fuzzy))),
+    Builtin("most_frequent(table, column) -> value",
+            "The most frequent value in the column.",
+            lambda _, t, c: tablefns.most_frequent(t, c)),
+    Builtin("most_frequent_n(table, column, n) -> list",
+            "The n most frequent values in the column, most frequent first.",
+            lambda _, t, c, n: tablefns.most_frequent(t, c, n)),
+    Builtin("most_frequent_in_subset(table, target_column, subset_column, filter_value)"
+            " -> value",
             "Most frequent value in target_column among rows matching filter_value.",
-            (1, 2)),
-    Builtin("most_frequent_n_in_subset", 5,
-            "most_frequent_n_in_subset(table, target_column, subset_column, filter_value, n) -> list",
-            "The n most frequent values in target_column among matching rows.", (1, 2)),
-    Builtin("column", 2, "column(table, column) -> list",
-            "The list of cell values of the column.", (1,)),
-    Builtin("count_rows", 1, "count_rows(table) -> number",
-            "Number of rows in the table."),
-    Builtin("unique", 1, "unique(list) -> list",
-            "Distinct values, first occurrence order, missing dropped."),
-    Builtin("length", 1, "length(list) -> number", "Number of elements."),
-    Builtin("sum", 1, "sum(list) -> number",
-            "Sum of the numeric values of the elements (missing skipped)."),
-    Builtin("mean", 1, "mean(list) -> number",
-            "Mean of the numeric values of the elements (missing skipped)."),
-    Builtin("min_of", 1, "min_of(list) -> number",
-            "Minimum numeric value among the elements."),
-    Builtin("max_of", 1, "max_of(list) -> number",
-            "Maximum numeric value among the elements."),
-    Builtin("head_n", 2, "head_n(list, n) -> list", "First n elements."),
-    Builtin("sort_asc", 1, "sort_asc(list) -> list", "Sort ascending."),
-    Builtin("sort_desc", 1, "sort_desc(list) -> list", "Sort descending."),
-    Builtin("add", 2, "add(number, number) -> number", "Addition."),
-    Builtin("sub", 2, "sub(number, number) -> number", "Subtraction."),
-    Builtin("mul", 2, "mul(number, number) -> number", "Multiplication."),
-    Builtin("div", 2, "div(number, number) -> number",
-            "Division; dividing by zero is a runtime error."),
-    Builtin("gt", 2, "gt(scalar, scalar) -> boolean", "Greater than."),
-    Builtin("ge", 2, "ge(scalar, scalar) -> boolean", "Greater or equal."),
-    Builtin("lt", 2, "lt(scalar, scalar) -> boolean", "Less than."),
-    Builtin("le", 2, "le(scalar, scalar) -> boolean", "Less or equal."),
-    Builtin("eq", 2, "eq(scalar, scalar) -> boolean", "Equality."),
-    Builtin("not_", 1, "not_(boolean) -> boolean", "Logical negation."),
-    Builtin("to_number", 1, "to_number(scalar) -> number",
-            "Extract a number from a scalar (first number in a string)."),
-    Builtin("first", 1, "first(list) -> value", "First element of a list."),
-]
-
-BUILTINS: dict[str, Builtin] = {b.name: b for b in _BUILTINS}
+            lambda fuzzy, t, tc, sc, fv: tablefns.most_frequent_in_subset(
+                t, tc, sc, fv, None, fuzzy)),
+    Builtin("most_frequent_n_in_subset(table, target_column, subset_column, filter_value, n)"
+            " -> list",
+            "The n most frequent values in target_column among matching rows.",
+            lambda fuzzy, t, tc, sc, fv, n: tablefns.most_frequent_in_subset(
+                t, tc, sc, fv, n, fuzzy)),
+    Builtin("column(table, column) -> list",
+            "The list of cell values of the column.",
+            lambda _, t, c: list(tablefns._resolve(t, c).cells)),
+    Builtin("count_rows(table) -> number", "Number of rows in the table.",
+            lambda _, t: float(t.row_count)),
+    Builtin("unique(list) -> list",
+            "Distinct values, first occurrence order, missing dropped.", _unique),
+    Builtin("length(list) -> number", "Number of elements.",
+            lambda _, items: float(len(items))),
+    Builtin("sum(list) -> number",
+            "Sum of the numeric values of the elements (missing skipped).",
+            lambda _, items: float(sum(_numbers(items)))),
+    Builtin("mean(list) -> number",
+            "Mean of the numeric values of the elements (missing skipped).",
+            _of_numbers(statistics.fmean)),
+    Builtin("min_of(list) -> number", "Minimum numeric value among the elements.",
+            _of_numbers(min)),
+    Builtin("max_of(list) -> number", "Maximum numeric value among the elements.",
+            _of_numbers(max)),
+    Builtin("head_n(list, n) -> list", "First n elements.", _head),
+    Builtin("sort_asc(list) -> list", "Sort ascending.",
+            lambda _, items: _sorted(items)),
+    Builtin("sort_desc(list) -> list", "Sort descending.",
+            lambda _, items: list(reversed(_sorted(items)))),
+    Builtin("add(number, number) -> number", "Addition.", lambda _, x, y: x + y),
+    Builtin("sub(number, number) -> number", "Subtraction.", lambda _, x, y: x - y),
+    Builtin("mul(number, number) -> number", "Multiplication.", lambda _, x, y: x * y),
+    Builtin("div(number, number) -> number",
+            "Division; dividing by zero is a runtime error.", _div),
+    *(Builtin(f"{name}(scalar, scalar) -> boolean", doc, _compare(op))
+      for name, doc, op in (("gt", "Greater than.", operator.gt),
+                            ("ge", "Greater or equal.", operator.ge),
+                            ("lt", "Less than.", operator.lt),
+                            ("le", "Less or equal.", operator.le))),
+    Builtin("eq(scalar, scalar) -> boolean", "Equality.",
+            lambda _, a, b: cells_equal(a, b)),
+    Builtin("not_(boolean) -> boolean", "Logical negation.", lambda _, v: not v),
+    Builtin("to_number(scalar) -> number",
+            "Extract a number from a scalar (first number in a string).",
+            lambda _, v: _number(v)),
+    Builtin("first(list) -> value", "First element of a list.", _first),
+]}
 
 
 def dsl_reference() -> str:
@@ -172,7 +348,7 @@ def dsl_reference() -> str:
         "",
         "Builtins:",
     ]
-    for b in _BUILTINS:
+    for b in BUILTINS.values():
         lines.append(f"  {b.signature}")
         lines.append(f"      {b.doc}")
     return "\n".join(lines)

@@ -11,12 +11,11 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import re
 import tempfile
 from dataclasses import dataclass, field, asdict
 from typing import Optional
 
-from .llm_client import ChatRequest, Message
+from .llm_client import ChatRequest, Message, first_json
 from .table_core import (
     ColumnKind,
     Table,
@@ -108,18 +107,6 @@ def _describe_prompt(profiles: list[ColumnProfile]) -> str:
     return "\n".join(lines)
 
 
-def _extract_json_object(text: str) -> Optional[dict]:
-    decoder = json.JSONDecoder()
-    for m in re.finditer(r"\{", text):
-        try:
-            obj, _ = decoder.raw_decode(text[m.start():])
-        except ValueError:
-            continue
-        if isinstance(obj, dict):
-            return obj
-    return None
-
-
 def describe_columns(profiles: list[ColumnProfile], t: Table, llm=None,
                      chunk_size: int = 25) -> list[ColumnProfile]:
     """Fill each profile's description, batching at most `chunk_size`
@@ -136,7 +123,7 @@ def describe_columns(profiles: list[ColumnProfile], t: Table, llm=None,
                           Message("user", _describe_prompt(chunk))),
                 stage_tag="descriptor",
             ))
-            parsed = _extract_json_object(reply)
+            parsed = first_json(reply, dict)
         except Exception:
             parsed = None
         if not parsed:

@@ -9,13 +9,12 @@ no-op selection.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
 from typing import Optional
 
 from .fuzzy import correct_name
-from .llm_client import ChatRequest, LLMError, Message
+from .llm_client import ChatRequest, LLMError, Message, first_json
 from .profiler import ColumnProfile
 
 DEFAULT_DENYLIST = [r"^N_R"]
@@ -80,18 +79,6 @@ def _chunk_prompt(question: str, chunk: list[ColumnProfile]) -> str:
     return "\n".join(lines)
 
 
-def _extract_json_array(text: str) -> Optional[list]:
-    decoder = json.JSONDecoder()
-    for m in re.finditer(r"\[", text):
-        try:
-            obj, _ = decoder.raw_decode(text[m.start():])
-        except ValueError:
-            continue
-        if isinstance(obj, list):
-            return obj
-    return None
-
-
 def select_columns(question: str, profiles: list[ColumnProfile], llm,
                    cfg: SelectorConfig = SelectorConfig(),
                    warnings: Optional[list[str]] = None) -> list[ColumnProfile]:
@@ -117,7 +104,7 @@ def select_columns(question: str, profiles: list[ColumnProfile], llm,
             except LLMError as exc:
                 warnings.append(f"selector transport failure, keeping all columns: {exc}")
                 return list(profiles)
-            names = _extract_json_array(reply)
+            names = first_json(reply, list)
             if names is not None:
                 break
         if names is None:

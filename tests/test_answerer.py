@@ -76,6 +76,27 @@ class TestInterpretAnswer:
         assert interpret_answer("q?", 2.0, AnswerType.NUMBER, mock) == \
             format_answer(2.0, AnswerType.NUMBER)
 
+    @pytest.mark.parametrize("value, rendered", [
+        (Table("t", (Column.from_cells("Año", [2020, None]),
+                     Column.from_cells("Sí", [True, "ñ"]))),
+         '{"Año": ["2020", ""], "Sí": ["true", "ñ"]}'),
+        ([1.5, None, "x"], '["1.5", "", "x"]'),
+        (3.0, "3"),
+        ("PP (Partido Popular)", "PP (Partido Popular)"),
+    ], ids=["table", "list", "number", "text"])
+    def test_prompt_text(self, value, rendered):
+        mock = MockClient.from_list([{"stage": "interpreter", "reply": "1"}])
+        interpret_answer("q?", value, AnswerType.NUMBER, mock)
+        assert mock.calls[0].last_user_content == (
+            f"Question: q?\nQuery result: {rendered}\nExpected answer type: Number\n"
+            "Reply with a single JSON value of that type.")
+
+    def test_fenced_reply_with_prose(self):
+        mock = MockClient.from_list([
+            {"stage": "interpreter", "reply": "Here it is:\n```json\n7\n```"},
+        ])
+        assert interpret_answer("q?", 2.0, AnswerType.NUMBER, mock).value == 7.0
+
 
 class TestCompareAnswers:
     def test_strict_category(self):

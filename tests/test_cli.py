@@ -129,6 +129,36 @@ class TestBench:
         # deterministic mock: flat curve equal to the bench accuracy
         assert all(float(acc) == pytest.approx(5 / 6, abs=1e-4) for _, acc in rows)
 
+    def test_repetitions_round_trip_with_failed_run_and_abstain(
+            self, runner, fixture_paths, tmp_path):
+        tables_dir, questions_path, mock_path = fixture_paths
+        out_dir = str(tmp_path / "bench_out")
+        result = runner.invoke(main, [
+            "bench", questions_path, "--tables-dir", tables_dir,
+            "--mock", mock_path, "--repetitions", "2", "--out-dir", out_dir,
+        ])
+        assert result.exit_code == 0, result.output
+        reps_path = os.path.join(out_dir, "repetitions.json")
+        with open(reps_path, encoding="utf-8") as fh:
+            reps = json.load(fh)
+        # Every run is written as in the question's votes.json.
+        for qid, runs in reps["runs"].items():
+            with open(os.path.join(out_dir, "trace", qid, "votes.json"),
+                      encoding="utf-8") as fh:
+                assert json.load(fh)["runs"] == runs
+        # q6 is the designed solve failure: failed runs, then an abstain.
+        assert [r["answer"] for r in reps["runs"]["q6"]] == [None, None]
+        assert all(r["failure"].startswith("solve: ") for r in reps["runs"]["q6"])
+        assert reps["runs"]["q2"][1]["answer"] == {"type": "Number", "value": 3.0}
+        # A failed first repetition of q2 abstains q2 at n=1 only.
+        reps["runs"]["q2"][0] = {"repetition": 0, "answer": None,
+                                 "failure": "explain: no JSON object"}
+        with open(reps_path, "w", encoding="utf-8") as fh:
+            json.dump(reps, fh)
+        curve = runner.invoke(main, ["ensemble-curve", out_dir, "--max-n", "2"])
+        assert curve.exit_code == 0, curve.output
+        assert curve.output.splitlines() == ["n,accuracy", "1,0.6667", "2,0.8333"]
+
 
 class TestPlanRun:
     def test_execute_plan_file(self, runner, fixture_paths, tmp_path):

@@ -13,6 +13,7 @@ from tableqa.llm_client import (
     Message,
     MockClient,
     UnscriptedRequestError,
+    first_json,
     route_model,
 )
 
@@ -29,12 +30,18 @@ class TestChatRequest:
             ChatRequest(messages=(Message("assistant", "x"),), stage_tag="coder")
         with pytest.raises(ValueError):
             req("nope", "x")
-        with pytest.raises(ValueError):
-            ChatRequest(messages=(Message("user", "x"),), stage_tag="coder",
-                        temperature=-0.1)
-        with pytest.raises(ValueError):
-            ChatRequest(messages=(Message("user", "x"),), stage_tag="coder",
-                        max_tokens=0)
+
+
+@pytest.mark.parametrize("reply, kind, expected", [
+    ('Sure:\n```json\n{"a": [1]}\n```', dict, {"a": [1]}),
+    ('Sure:\n```json\n{"a": [1]}\n```', list, [1]),
+    ('{not json} then {"b": 2}', dict, {"b": 2}),
+    ('["x"] {"b": 2}', dict, {"b": 2}),
+    ("[1, 2", list, None),
+    ("no json here", dict, None),
+])
+def test_first_json(reply, kind, expected):
+    assert first_json(reply, kind) == expected
 
 
 class TestRouting:
@@ -183,15 +190,6 @@ class TestHTTPClient:
         assert _StubHandler.last_body["temperature"] == 0.1
         assert _StubHandler.last_body["max_tokens"] == 100
 
-    def test_request_settings_override_config(self, stub_server):
-        cfg = LLMConfig(base_url=stub_server, retries=0, temperature=0.1,
-                        max_tokens=100)
-        request = ChatRequest(messages=(Message("user", "x"),), stage_tag="coder",
-                              temperature=0.0, max_tokens=7)
-        HTTPClient(cfg).complete(request)
-        assert _StubHandler.last_body["temperature"] == 0.0
-        assert _StubHandler.last_body["max_tokens"] == 7
-
     @pytest.mark.parametrize("body", [
         b"{}",
         b"<html>upstream busy</html>",
@@ -231,3 +229,16 @@ def test_config_from_dict():
     assert cfg.model_coder == "c"
     assert cfg.model_explainer_override == "e"
     assert cfg.concurrency == 2
+
+
+@pytest.mark.parametrize("setting, value", [
+    ("temperature", -0.1),
+    ("max_tokens", 0),
+    ("concurrency", 0),
+    ("retries", -1),
+])
+def test_config_rejects_out_of_range_settings(setting, value):
+    with pytest.raises(ValueError, match=f"{setting} must be"):
+        LLMConfig.from_dict({setting: value})
+    with pytest.raises(ValueError, match=f"{setting} must be"):
+        LLMConfig(**{setting: value})

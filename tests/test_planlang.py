@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -162,6 +163,27 @@ def test_dsl_reference_lists_every_builtin():
     for name in BUILTINS:
         assert name + "(" in text
     assert "answer =" in text
+
+
+def test_dsl_reference_is_byte_identical():
+    # The coder prompt embeds this text; any change to it changes every
+    # coder prompt and so every recorded benchmark prompt size.
+    text = dsl_reference()
+    assert len(text) == 4111
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == \
+        "bfb57bad0ac1030896c31af9eabc640f7e775d4c5acb39a45116209622e62c63"
+
+
+@pytest.mark.parametrize("name", list(BUILTINS))
+def test_validator_snaps_exactly_the_column_parameters(name):
+    builtin = BUILTINS[name]
+    params = builtin.signature[builtin.signature.index("(") + 1:
+                               builtin.signature.index(")")].split(", ")
+    assert builtin.arity == len(params)
+    call = Call(name, tuple(Literal("Edda") for _ in params))
+    out = validate_plan(Plan((), call), ["Edad"])
+    snapped = [i for i, arg in enumerate(out.answer.args) if arg.value == "Edad"]
+    assert snapped == [i for i, p in enumerate(params) if p.endswith("column")]
 
 
 def test_strip_llm_wrapping_variants():

@@ -50,6 +50,11 @@ class TestExecutePlan:
         assert run("answer = mean([1, 2, 3])", mes_table) == 2.0
         assert run('answer = sum(["1 - No", "2 - Si"])', mes_table) == 3.0
 
+    def test_head_n_rejects_negative_n(self, mes_table):
+        with pytest.raises(PlanRuntimeError) as info:
+            run('answer = head_n(column(df, "Mes"), -1)', mes_table)
+        assert str(info.value) == "head_n: n must be >= 0, got -1"
+
     def test_runtime_error_names_builtin(self, mes_table):
         with pytest.raises(PlanRuntimeError, match="most_frequent"):
             run('e = filter_contains(df, "Mes", "zzzz")\n'
@@ -136,9 +141,52 @@ class TestSolve:
         assert trace.attempts[0].error_stage == "execute"
         assert "division by zero" in mock.calls[1].last_user_content
 
+    def test_non_finite_n_is_repaired(self, mes_table):
+        huge = "9" * 400  # parses to inf
+        mock = MockClient.from_list([
+            {"stage": "coder", "reply": f'answer = head_n(column(df, "Mes"), {huge})',
+             "consume_once": True},
+            {"stage": "coder", "reply": VALID_PLAN},
+        ])
+        trace = solve(self.make_inst(), mes_table, [], mock, max_attempts=5)
+        assert trace.succeeded
+        assert trace.attempts_used == 2
+        assert trace.attempts[0].error_stage == "execute"
+        assert trace.attempts[0].error_message == "head_n: n must be a finite number, got inf"
+
     def test_trace_serializes(self, mes_table):
         import json
         mock = MockClient.from_list([{"stage": "coder", "reply": VALID_PLAN}])
         trace = solve(self.make_inst(), mes_table, [], mock)
         payload = json.dumps(trace.to_dict())
         assert "count_rows" in payload
+
+
+@pytest.mark.parametrize("source, message", [
+    ('answer = count_rows(column(df, "Mes"))', "count_rows: expected a table, got a list"),
+    ("answer = count_rows(3)", "count_rows: expected a table, got a scalar"),
+    ('answer = sort_alphabetical(df, column(df, "Mes"))',
+     "sort_alphabetical: expected a scalar, got a list"),
+    ('answer = count_equal(df, "Mes", column(df, "Mes"))',
+     "count_equal: expected a scalar, got a list"),
+    ('answer = most_frequent_in_subset(df, "Mes", "Mes", df)',
+     "most_frequent_in_subset: expected a scalar, got a table"),
+    ("answer = head_n([1, 2], df)", "head_n: expected a number, got a table"),
+    ('answer = top_n_non_missing(df, "Mes", "two")',
+     "top_n_non_missing: value 'two' is not numeric"),
+    ('answer = add(1, column(df, "Mes"))', "add: expected a number, got a list"),
+    ('answer = mul(1, "x")', "mul: value 'x' is not numeric"),
+    ("answer = length(df)", "length: expected a list, got a table"),
+    ("answer = gt(df, 1)", "gt: expected a scalar, got a table"),
+    ('answer = le(1, column(df, "Mes"))', "le: expected a scalar, got a list"),
+    ('answer = eq(column(df, "Mes"), 1)', "eq: expected a scalar, got a list"),
+    ('answer = to_number(column(df, "Mes"))', "to_number: expected a scalar, got a list"),
+    ('answer = to_number("x")', "to_number: value 'x' is not numeric"),
+    ("answer = not_(1)", "not_: expected a boolean"),
+], ids=["table", "table-scalar", "column", "value", "filter_value", "n", "n-text",
+        "number", "number-text", "list", "scalar", "scalar-second", "scalar-eq",
+        "scalar-to_number", "scalar-to_number-text", "boolean"])
+def test_wrong_kind_error_text(source, message, mes_table):
+    with pytest.raises(PlanRuntimeError) as info:
+        run(source, mes_table)
+    assert str(info.value) == message
