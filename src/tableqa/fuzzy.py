@@ -13,11 +13,22 @@ per-character bitmask over Python ints, and each character of the other
 string costs a constant number of integer operations, whatever the
 lengths.  `best_fuzzy_match` builds the target's masks once and reuses
 them for every value.
+
+Levenshtein distance is bit-parallel too, over the same `_match_masks`:
+the bit-vector algorithm of Myers (J. ACM 46(3), 1999), in the global
+edit-distance form given by Hyyrö ("Explaining and extending the
+bit-parallel approximate string matching algorithm of Myers", 2001).
+The columns of the DP matrix are kept as vertical +1/-1 delta vectors,
+a 1 is shifted in at row 0 (which makes the match global rather than a
+substring search), and the distance is tracked at the last row.
+`correct_name` builds the name's masks once and reuses them for every
+candidate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Optional, Sequence
 
 from .table_core import Cell, render_cell
@@ -71,17 +82,33 @@ def similarity(a: str, b: str) -> float:
     return _indel_similarity(_match_masks(b), len(b), a)
 
 
+def _edit_distance(masks: dict[str, int], length: int, other: str) -> int:
+    """levenshtein(text, other) for the text that `masks` and `length`
+    describe."""
+    if length == 0:
+        return len(other)
+    full = (1 << length) - 1
+    last = 1 << (length - 1)
+    vp, vn, dist = full, 0, length
+    for ch in other:
+        x = masks.get(ch, 0) | vn
+        d0 = (((x & vp) + vp) ^ vp) | x
+        hp = vn | (~(d0 | vp) & full)
+        hn = vp & d0
+        if hp & last:
+            dist += 1
+        elif hn & last:
+            dist -= 1
+        hp = ((hp << 1) | 1) & full
+        hn = (hn << 1) & full
+        vp = hn | (~(d0 | hp) & full)
+        vn = hp & d0
+    return dist
+
+
 def levenshtein(a: str, b: str) -> int:
     """Classic edit distance with unit-cost insert/delete/substitute."""
-    if len(a) < len(b):
-        a, b = b, a
-    prev = list(range(len(b) + 1))
-    for i, ca in enumerate(a, start=1):
-        cur = [i]
-        for j, cb in enumerate(b, start=1):
-            cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (ca != cb)))
-        prev = cur
-    return prev[-1]
+    return _edit_distance(_match_masks(a), len(a), b)
 
 
 def best_fuzzy_match(values: Sequence[Cell], target: str, threshold: int) -> Optional[Cell]:
@@ -121,10 +148,18 @@ def correct_name(name: str, candidates: Sequence[str]) -> str:
         raise ValueError("correct_name requires at least one candidate")
     if name in candidates:
         return name
+    masks, length = _match_masks(name), len(name)
     best = candidates[0]
-    best_dist = levenshtein(name, best)
-    for cand in candidates[1:]:
-        dist = levenshtein(name, cand)
+    best_dist = _edit_distance(masks, length, best)
+    for cand in islice(candidates, 1, None):
+        if best_dist == 1:
+            # Every candidate differs from `name`, and ties keep the
+            # earlier one.
+            break
+        # The distance is at least the length difference.
+        if abs(length - len(cand)) >= best_dist:
+            continue
+        dist = _edit_distance(masks, length, cand)
         if dist < best_dist:
             best, best_dist = cand, dist
     return best

@@ -10,6 +10,7 @@ an optional explainer override slot.
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 import threading
@@ -87,6 +88,16 @@ class LLMConfig:
     deterministic: bool = False
 
     def __post_init__(self) -> None:
+        # bool is an int subclass, and YAML reads `true` as one.
+        for key in ("temperature", "retry_base_seconds"):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, (int, float)) \
+                    or not math.isfinite(value):
+                raise ValueError(f"{key} must be a finite number, not {value!r}")
+        for key in ("max_tokens", "concurrency", "retries"):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{key} must be an integer, not {value!r}")
         if self.temperature < 0:
             raise ValueError("temperature must be >= 0")
         if self.max_tokens < 1:
@@ -98,10 +109,16 @@ class LLMConfig:
 
     @staticmethod
     def from_dict(data: dict) -> "LLMConfig":
-        """The config from a parsed config file; out-of-range settings
-        raise ValueError."""
+        """The config from a parsed config file; a setting of the wrong
+        shape, type or range raises ValueError naming it."""
+        if not isinstance(data, dict):
+            raise ValueError(f"config must be a mapping, not {data!r}")
         defaults = LLMConfig()
-        model = data.get("model", {})
+        model = data.get("model")
+        if model is None:  # `model:` with nothing under it
+            model = {}
+        elif not isinstance(model, dict):
+            raise ValueError(f"model must be a mapping of model names, not {model!r}")
         return LLMConfig(
             base_url=data.get("base_url", defaults.base_url),
             api_key_env=data.get("api_key", defaults.api_key_env),

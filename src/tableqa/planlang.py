@@ -541,7 +541,7 @@ def _walk_validate(expr: Expr, defined: set[str], schema: Sequence[str]) -> Expr
         arg = _walk_validate(arg, defined, schema)
         if i in builtin.column_args and isinstance(arg, Literal) \
                 and isinstance(arg.value, str) and schema:
-            arg = Literal(correct_name(arg.value, list(schema)))
+            arg = Literal(correct_name(arg.value, schema))
         args.append(arg)
     return Call(expr.fn, tuple(args))
 

@@ -91,6 +91,15 @@ def ref_levenshtein(a: str, b: str) -> int:
     return dp[len(a)][len(b)]
 
 
+def ref_correct_name(name, candidates):
+    """Exhaustive argmin over (Levenshtein distance, candidate index); an
+    exact match passes through."""
+    if name in candidates:
+        return name
+    return min(enumerate(candidates),
+               key=lambda ic: (ref_levenshtein(name, ic[1]), ic[0]))[1]
+
+
 def ref_best_fuzzy_match(values, target, threshold):
     """Exhaustive argmax over the deduplicated values."""
     seen = set()

@@ -5,10 +5,12 @@ from hypothesis import given, strategies as st
 
 from reference import (
     ref_best_fuzzy_match,
+    ref_correct_name,
     ref_indel_distance,
     ref_levenshtein,
     ref_similarity,
 )
+from tableqa import fuzzy
 from tableqa.fuzzy import (
     FuzzyConfig,
     best_fuzzy_match,
@@ -58,6 +60,28 @@ class TestLevenshtein:
     @given(words, words)
     def test_matches_reference(self, a, b):
         assert levenshtein(a, b) == ref_levenshtein(a, b)
+
+    @given(long_words, long_words)
+    def test_matches_reference_past_one_word(self, a, b):
+        assert levenshtein(a, b) == ref_levenshtein(a, b)
+
+    @pytest.mark.parametrize("x", ["a", "ñé😀", "b" * 70])
+    def test_against_empty(self, x):
+        assert levenshtein("", x) == len(x)
+        assert levenshtein(x, "") == len(x)
+        assert levenshtein("", "") == 0
+
+    def test_65_characters(self):
+        # One substitution in the 65th character, past the first 64-bit
+        # word, plus a trailing insertion.
+        a = "a" * 64 + "b"
+        assert levenshtein(a, "a" * 65) == 1
+        assert levenshtein(a, "a" * 64 + "bc") == 1
+        assert levenshtein(a, "c" + "a" * 63 + "b") == 1
+        assert levenshtein(a, "b" * 65) == 64
+        # Global, not substring, distance: a prefix costs its length.
+        assert levenshtein(a, "xyz" + a) == 3
+        assert levenshtein("xyz" + a, a) == 3
 
 
 class TestBestFuzzyMatch:
@@ -119,6 +143,48 @@ class TestCorrectName:
 
     def test_tie_broken_by_candidate_order(self):
         assert correct_name("ab", ["ax", "bx"]) == "ax"
+
+    def test_tie_after_a_longer_candidate(self):
+        # "abcd" is as far from "abc" as "abx" is, and comes first.
+        assert correct_name("abc", ["abcd", "abx", "ab"]) == "abcd"
+
+    def test_closer_candidate_of_different_length(self):
+        assert correct_name("abc", ["xyz", "abcde", "abcd"]) == "abcd"
+        assert correct_name("colunm", ["col", "column_b", "column"]) == "column"
+
+    def test_tie_at_distance_two_keeps_the_first(self):
+        assert correct_name("abcd", ["xycd", "abxy", "axcy"]) == "xycd"
+
+    def test_scores_only_candidates_that_can_win(self, monkeypatch):
+        scored = []
+
+        def counting(masks, length, other):
+            scored.append(other)
+            return edit_distance(masks, length, other)
+
+        edit_distance = fuzzy._edit_distance
+        monkeypatch.setattr(fuzzy, "_edit_distance", counting)
+        # Length differences of 2 and 3 cannot beat distance 2.
+        assert correct_name("abcd", ["abxy", "ab", "abcdef", "a", "xbcd"]) == "xbcd"
+        assert scored == ["abxy", "xbcd"]
+        # Nothing after a candidate at distance 1 can win.
+        scored.clear()
+        assert correct_name("abcd", ["xbcd", "abce", "abc"]) == "xbcd"
+        assert scored == ["xbcd"]
+
+    @given(words, st.lists(st.one_of(st.just(""), words), min_size=1, max_size=8)
+           .flatmap(lambda cs: st.permutations(cs + cs[:2])))
+    def test_matches_exhaustive_reference(self, name, candidates):
+        assert correct_name(name, candidates) == ref_correct_name(name, candidates)
+
+    @given(st.text(alphabet="ab", max_size=5),
+           st.lists(st.text(alphabet="ab", max_size=5), min_size=1, max_size=10))
+    def test_matches_reference_with_many_ties(self, name, candidates):
+        assert correct_name(name, candidates) == ref_correct_name(name, candidates)
+
+    @given(long_words, st.lists(long_words, min_size=1, max_size=4))
+    def test_matches_reference_past_one_word(self, name, candidates):
+        assert correct_name(name, candidates) == ref_correct_name(name, candidates)
 
     @given(words, st.lists(words, min_size=1, max_size=6))
     def test_result_in_candidates(self, name, candidates):

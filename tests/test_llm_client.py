@@ -242,3 +242,43 @@ def test_config_rejects_out_of_range_settings(setting, value):
         LLMConfig.from_dict({setting: value})
     with pytest.raises(ValueError, match=f"{setting} must be"):
         LLMConfig(**{setting: value})
+
+
+def test_config_model_key_with_nothing_under_it():
+    cfg = LLMConfig.from_dict({"model": None})
+    assert cfg.model_general == LLMConfig().model_general
+    assert cfg.model_explainer_override is None
+
+
+@pytest.mark.parametrize("data, key", [
+    ({"model": "qwen"}, "model"),
+    ({"model": ["general"]}, "model"),
+    ({"temperature": "hot"}, "temperature"),
+    ({"temperature": True}, "temperature"),
+    ({"temperature": float("nan")}, "temperature"),
+    ({"temperature": None}, "temperature"),
+    ({"max_tokens": "2048"}, "max_tokens"),
+    ({"max_tokens": 2048.0}, "max_tokens"),
+    ({"concurrency": 2.5}, "concurrency"),
+    ({"concurrency": True}, "concurrency"),
+    ({"retries": False}, "retries"),
+    ({"retries": "3"}, "retries"),
+])
+def test_config_rejects_wrong_shape_or_type(data, key):
+    with pytest.raises(ValueError, match=f"^{key} must be"):
+        LLMConfig.from_dict(data)
+
+
+@pytest.mark.parametrize("value", ["1", True, float("inf")])
+def test_config_rejects_bad_retry_base_seconds(value):
+    with pytest.raises(ValueError, match="^retry_base_seconds must be"):
+        LLMConfig(retry_base_seconds=value)
+
+
+def test_config_must_be_a_mapping():
+    with pytest.raises(ValueError, match="config must be a mapping"):
+        LLMConfig.from_dict(["temperature", 0.5])
+
+
+def test_config_accepts_an_integer_temperature():
+    assert LLMConfig.from_dict({"temperature": 1}).temperature == 1
