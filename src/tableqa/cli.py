@@ -39,7 +39,6 @@ def _build_context(config_path, mock_path, deterministic, use_interpreter,
     if config_path:
         with open(config_path, encoding="utf-8") as fh:
             cfg = LLMConfig.from_dict(yaml.safe_load(fh) or {})
-    cfg.deterministic = deterministic
     if deterministic:
         cfg.temperature = 0.0
     llm = MockClient.from_file(mock_path) if mock_path else HTTPClient(cfg)

@@ -85,7 +85,6 @@ class LLMConfig:
     concurrency: int = 4
     retries: int = 3
     retry_base_seconds: float = 1.0
-    deterministic: bool = False
 
     def __post_init__(self) -> None:
         # bool is an int subclass, and YAML reads `true` as one.
@@ -158,7 +157,7 @@ class HTTPClient:
         return {
             "model": route_model(req.stage_tag, self.config),
             "messages": [{"role": m.role, "content": m.content} for m in req.messages],
-            "temperature": 0.0 if self.config.deterministic else self.config.temperature,
+            "temperature": self.config.temperature,
             "max_tokens": self.config.max_tokens,
         }
 

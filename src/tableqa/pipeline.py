@@ -126,26 +126,21 @@ class TraceWriter:
     def __init__(self, root: Optional[str]):
         self.root = root
 
-    def write(self, question_id: str, repetition: int, name: str, payload) -> None:
-        if self.root is None:
-            return
-        directory = os.path.join(self.root, _path_component(question_id), f"rep{repetition}")
-        os.makedirs(directory, exist_ok=True)
-        path = os.path.join(directory, name)
-        if isinstance(payload, str):
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(payload)
-        else:
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh, ensure_ascii=False, indent=2)
-
-    def write_question(self, question_id: str, name: str, payload) -> None:
+    def write(self, question_id: str, repetition: Optional[int], name: str,
+              payload) -> None:
+        """Write one artifact under the question's repetition directory,
+        or under the question's own directory when repetition is None."""
         if self.root is None:
             return
         directory = os.path.join(self.root, _path_component(question_id))
+        if repetition is not None:
+            directory = os.path.join(directory, f"rep{repetition}")
         os.makedirs(directory, exist_ok=True)
         with open(os.path.join(directory, name), "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, ensure_ascii=False, indent=2)
+            if isinstance(payload, str):
+                fh.write(payload)
+            else:
+                json.dump(payload, fh, ensure_ascii=False, indent=2)
 
 
 @dataclass
@@ -344,7 +339,7 @@ def ensemble_answers(questions: list[Question], tables_dir: str,
     trace = TraceWriter(ctx.trace_dir)
     for q in questions:
         finals[q.id] = vote(all_records[q.id], cfg)
-        trace.write_question(q.id, "votes.json", {
+        trace.write(q.id, None, "votes.json", {
             "runs": [r.to_dict() for r in all_records[q.id]],
             "final": finals[q.id].to_dict() if finals[q.id] else None,
         })

@@ -1,19 +1,17 @@
-"""The loop-free plan DSL: grammar, parser, validator, canonical printer
-and the registry of builtins.
+"""The loop-free plan DSL: parser, validator, canonical printer and the
+registry of builtins.
 
 A plan is a straight-line sequence of bindings ending in an `answer =`
 line.  There are no loops, conditionals or user-defined functions, so
 every plan terminates after at most bindings+1 builtin calls.
 
-Grammar:
-    program := line+
-    line    := IDENT "=" expr
-    expr    := IDENT "(" [expr ("," expr)*] ")"
-             | NUMBER | STRING | true | false
-             | "[" [literal ("," literal)*] "]"
-             | IDENT
-Comments start with '#'; blank lines are ignored.  Code fences and a
-leading language tag in LLM output are stripped before parsing.
+The language is a checked subset of Python, read by `ast.parse`: each
+statement is one assignment to a single name, and an expression is a
+call of a name with positional arguments, a name, a str/int/float
+constant (a number may carry one unary - or +), a list of constants, or
+true/false/True/False.  Every number is a float.  Anything else is a
+PlanSyntaxError at its position.  Leading whitespace on a line is
+ignored, and code fences in LLM output are stripped before parsing.
 
 Each builtin is declared once in BUILTINS, by its signature line, its doc
 and its implementation.  The parameter names in the signature decide the
@@ -23,6 +21,8 @@ argument is coerced before the implementation runs.
 
 from __future__ import annotations
 
+import ast
+import json
 import math
 import operator
 import re
@@ -354,40 +354,6 @@ def dsl_reference() -> str:
     return "\n".join(lines)
 
 
-_TOKEN_RE = re.compile(r"""
-    (?P<ws>\s+)
-  | (?P<comment>\#.*)
-  | (?P<number>[+-]?(?:\d+\.\d*|\.\d+|\d+))
-  | (?P<string>"(?:[^"\\]|\\.)*")
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<punct>[=(),\[\]])
-""", re.VERBOSE)
-
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    line: int
-    column: int
-
-
-def _tokenize_line(text: str, lineno: int) -> list[_Token]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise PlanSyntaxError(f"unexpected character {text[pos]!r}", lineno, pos + 1)
-        kind = m.lastgroup
-        if kind == "comment":
-            break
-        if kind != "ws":
-            tokens.append(_Token(kind, m.group(0), lineno, pos + 1))
-        pos = m.end()
-    return tokens
-
-
 def strip_llm_wrapping(text: str) -> str:
     """Remove markdown code fences and a leading language tag."""
     text = text.strip()
@@ -397,127 +363,74 @@ def strip_llm_wrapping(text: str) -> str:
     return text.strip()
 
 
-class _LineParser:
-    def __init__(self, tokens: list[_Token], lineno: int):
-        self.tokens = tokens
-        self.lineno = lineno
-        self.pos = 0
-
-    def peek(self) -> Optional[_Token]:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def next(self, expected: Optional[str] = None) -> _Token:
-        tok = self.peek()
-        if tok is None:
-            last_col = self.tokens[-1].column if self.tokens else 1
-            raise PlanSyntaxError("unexpected end of line", self.lineno, last_col)
-        if expected is not None and tok.text != expected:
-            raise PlanSyntaxError(f"expected {expected!r}, got {tok.text!r}",
-                                  self.lineno, tok.column)
-        self.pos += 1
-        return tok
-
-    def parse_expr(self) -> Expr:
-        tok = self.next()
-        if tok.kind == "number":
-            return Literal(float(tok.text))
-        if tok.kind == "string":
-            return Literal(_unquote(tok.text))
-        if tok.kind == "ident":
-            if tok.text == "true":
-                return Literal(True)
-            if tok.text == "false":
-                return Literal(False)
-            nxt = self.peek()
-            if nxt is not None and nxt.text == "(":
-                return self.parse_call(tok.text)
-            return Ref(tok.text)
-        if tok.text == "[":
-            return self.parse_list()
-        raise PlanSyntaxError(f"unexpected token {tok.text!r}", self.lineno, tok.column)
-
-    def parse_call(self, fn: str) -> Call:
-        self.next("(")
-        args: list[Expr] = []
-        nxt = self.peek()
-        if nxt is not None and nxt.text == ")":
-            self.next(")")
-            return Call(fn, ())
-        while True:
-            args.append(self.parse_expr())
-            tok = self.next()
-            if tok.text == ")":
-                return Call(fn, tuple(args))
-            if tok.text != ",":
-                raise PlanSyntaxError(f"expected ',' or ')', got {tok.text!r}",
-                                      self.lineno, tok.column)
-
-    def parse_list(self) -> Literal:
-        items: list[Cell] = []
-        nxt = self.peek()
-        if nxt is not None and nxt.text == "]":
-            self.next("]")
-            return Literal(())
-        while True:
-            tok = self.next()
-            if tok.kind == "number":
-                items.append(float(tok.text))
-            elif tok.kind == "string":
-                items.append(_unquote(tok.text))
-            elif tok.kind == "ident" and tok.text in ("true", "false"):
-                items.append(tok.text == "true")
-            else:
-                raise PlanSyntaxError(
-                    f"only literals are allowed inside lists, got {tok.text!r}",
-                    self.lineno, tok.column)
-            tok = self.next()
-            if tok.text == "]":
-                return Literal(tuple(items))
-            if tok.text != ",":
-                raise PlanSyntaxError(f"expected ',' or ']', got {tok.text!r}",
-                                      self.lineno, tok.column)
-
-
-def _unquote(text: str) -> str:
-    return re.sub(r"\\(.)", r"\1", text[1:-1])
-
-
-def _quote(text: str) -> str:
-    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
-
-
 def parse_plan(text: str) -> Plan:
     """Parse plan source into a Plan; raises PlanSyntaxError with
     line/column and a one-line message suitable for repair prompts."""
-    text = strip_llm_wrapping(text)
+    raw = re.split(r"\r\n?|\n", strip_llm_wrapping(text))  # Python's line breaks
+    # Leading whitespace is not indentation in a plan: it is dropped
+    # before Python reads a line and added back to reported columns.
+    lines = [line.lstrip(" \t") for line in raw]
+
+    def error(message: str, lineno: int, column: int) -> PlanSyntaxError:
+        if 1 <= lineno <= len(raw):
+            column += len(raw[lineno - 1]) - len(lines[lineno - 1])
+        return PlanSyntaxError(message, lineno, column)
+
+    def reject(node: ast.AST, message: str = "") -> PlanSyntaxError:
+        # col_offset counts UTF-8 bytes; columns count characters.
+        prefix = lines[node.lineno - 1].encode()[:node.col_offset]
+        what = f"constant {node.value!r:.40}" if isinstance(node, ast.Constant) \
+            else type(node).__name__
+        return error(message or f"{what} is not allowed in a plan",
+                     node.lineno, len(prefix.decode(errors="ignore")) + 1)
+
+    def literal(node: ast.AST) -> Cell:
+        if isinstance(node, ast.Name) and node.id in ("true", "false"):
+            return node.id == "true"
+        if isinstance(node, ast.Constant) and isinstance(node.value, (str, bool)):
+            return node.value
+        number, sign = node, 1.0
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+            number, sign = node.operand, -1.0 if isinstance(node.op, ast.USub) else 1.0
+        if isinstance(number, ast.Constant) and type(number.value) in (int, float):
+            # via str: float() of an int too large for a float raises
+            return sign * float(str(number.value))
+        raise reject(node)
+
+    def expr(node: ast.AST) -> Expr:
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            if node.keywords:
+                raise reject(node.keywords[0], "keyword arguments are not allowed")
+            return Call(node.func.id, tuple(expr(a) for a in node.args))
+        if isinstance(node, ast.Name) and node.id not in ("true", "false"):
+            return Ref(node.id)
+        if isinstance(node, ast.List):
+            return Literal(tuple(literal(e) for e in node.elts))
+        return Literal(literal(node))
+
+    try:
+        module = ast.parse("\n".join(lines))
+    except SyntaxError as exc:
+        raise error(exc.msg, exc.lineno or 1, exc.offset or 1) from None
+    except (ValueError, MemoryError, RecursionError) as exc:
+        # a NUL byte (before Python 3.12), a lone surrogate, or a plan
+        # nested too deeply for Python's parser
+        raise PlanSyntaxError(f"cannot parse the plan ({type(exc).__name__})", 1) from None
     bindings: list[tuple[str, Expr]] = []
     answer: Optional[Expr] = None
-    answer_line = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        tokens = _tokenize_line(raw, lineno)
-        if not tokens:
-            continue
+    for stmt in module.body:
         if answer is not None:
-            raise PlanSyntaxError("no lines allowed after the answer line", lineno)
-        if tokens[0].kind != "ident":
-            raise PlanSyntaxError(f"line must start with a name, got {tokens[0].text!r}",
-                                  lineno, tokens[0].column)
-        parser = _LineParser(tokens, lineno)
-        name_tok = parser.next()
-        parser.next("=")
-        expr = parser.parse_expr()
-        trailing = parser.peek()
-        if trailing is not None:
-            raise PlanSyntaxError(f"unexpected trailing token {trailing.text!r}",
-                                  lineno, trailing.column)
-        if name_tok.text == "answer":
-            answer = expr
-            answer_line = lineno
+            raise PlanSyntaxError("no lines allowed after the answer line", stmt.lineno)
+        if not (isinstance(stmt, ast.Assign) and len(stmt.targets) == 1
+                and isinstance(stmt.targets[0], ast.Name)):
+            raise reject(stmt, "each line must be one assignment `name = expression`")
+        name, value = stmt.targets[0].id, expr(stmt.value)
+        if name == "answer":
+            answer = value
         else:
-            bindings.append((name_tok.text, expr))
+            bindings.append((name, value))
     if answer is None:
-        raise PlanSyntaxError("plan must end with an 'answer =' line",
-                              answer_line or 1)
+        raise PlanSyntaxError("plan must end with an 'answer =' line", 1)
     return Plan(tuple(bindings), answer)
 
 
@@ -574,8 +487,8 @@ def _render_literal(value: Cell) -> str:
         return "true" if value else "false"
     if isinstance(value, (int, float)):
         f = float(value)
-        return str(int(f)) if f.is_integer() else repr(f)
-    return _quote(str(value))
+        return str(int(f)) if f.is_integer() else repr(f).replace("inf", "1e999")
+    return json.dumps(str(value), ensure_ascii=False)  # escapes as Python reads them
 
 
 def render_plan(plan: Plan) -> str:

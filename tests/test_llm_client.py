@@ -5,6 +5,7 @@ import threading
 
 import pytest
 
+from tableqa import cli
 from tableqa.llm_client import (
     ChatRequest,
     HTTPClient,
@@ -212,10 +213,12 @@ class TestHTTPClient:
             assert HTTPClient(cfg).complete(req("coder", "x")) == "fine"
         assert handler.hits == 3
 
-    def test_deterministic_flag_zeroes_temperature(self, stub_server):
-        cfg = LLMConfig(base_url=stub_server, deterministic=True)
-        body = HTTPClient(cfg)._body(req("coder", "x"))
-        assert body["temperature"] == 0.0
+    def test_deterministic_flag_zeroes_temperature(self, stub_server, tmp_path):
+        config = tmp_path / "config.yaml"
+        config.write_text(f"base_url: {stub_server}\ntemperature: 0.7\nretries: 0\n")
+        ctx = cli._build_context(str(config), None, True, False, None)
+        ctx.llm.complete(req("coder", "x"))
+        assert _StubHandler.last_body["temperature"] == 0.0
 
 
 def test_config_from_dict():

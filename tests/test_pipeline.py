@@ -111,7 +111,7 @@ class TestTraceWriter:
         root = tmp_path / "trace"
         writer = TraceWriter(str(root))
         writer.write(qid, 0, "a.txt", "hi")
-        writer.write_question(qid, "votes.json", {})
+        writer.write(qid, None, "votes.json", {})
         written = [p for p in tmp_path.rglob("*") if p.is_file()]
         assert len(written) == 2
         for path in written:
@@ -122,7 +122,7 @@ class TestTraceWriter:
         writer = TraceWriter(str(tmp_path))
         ids = ["a/b", "a%2Fb", "..", "%..", "q1", ""]
         for qid in ids:
-            writer.write_question(qid, "votes.json", {"id": qid})
+            writer.write(qid, None, "votes.json", {"id": qid})
         assert len(list(tmp_path.iterdir())) == len(ids)
 
     def test_safe_ids_map_to_themselves(self, tmp_path):

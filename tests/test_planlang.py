@@ -1,7 +1,9 @@
 import hashlib
+import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tableqa.planlang import (
     BUILTINS,
@@ -116,13 +118,17 @@ class TestRender:
 # random plan generation
 
 NAMES = ["x", "y", "z", "t0", "result"]
-STRINGS = ["Enero", "Mes de realización", 'with "quote"', "back\\slash", "", "ñé"]
+STRINGS = ["Enero", "Mes de realización", 'with "quote"', "back\\slash", "", "ñé",
+           "a\nb", "tab\t", "x\u2028y", "form\x0cfeed"]
+NUMBERS = [1e-05, 2.5e-07, -0.5, math.inf, -math.inf]
 
 
 def random_literal(rng):
     roll = rng.random()
-    if roll < 0.4:
+    if roll < 0.3:
         return Literal(float(rng.randint(-10, 100)))
+    if roll < 0.4:
+        return Literal(rng.choice(NUMBERS))
     if roll < 0.7:
         return Literal(rng.choice(STRINGS))
     if roll < 0.8:
@@ -190,3 +196,162 @@ def test_strip_llm_wrapping_variants():
     assert strip_llm_wrapping("```\nanswer = count_rows(df)\n```") == \
         "answer = count_rows(df)"
     assert strip_llm_wrapping("answer = count_rows(df)") == "answer = count_rows(df)"
+
+
+@given(st.text())
+def test_any_string_literal_round_trips(text):
+    p = Plan((), Literal(text))
+    assert parse_plan(render_plan(p)) == p
+
+
+# ---------------------------------------------------------------------------
+# the front end: a checked subset of Python
+
+DF = Ref("df")
+COUNT_MES_ENERO = Call("count_containing", (DF, Literal("Mes"), Literal("Enero")))
+
+
+@pytest.mark.parametrize("text, answer", [
+    ("answer = count_containing(df, 'Mes', 'Enero')", COUNT_MES_ENERO),
+    ("answer = [True, False, true, false]", Literal((True, False, True, False))),
+    ("answer = [1e3, 1_000, 0x10]", Literal((1000.0, 1000.0, 16.0))),
+    ('answer = count_containing(df, "M" "es", "Enero")', COUNT_MES_ENERO),
+    ('answer = count_containing(\n    df,\n    "Mes",\n    "Enero"\n)', COUNT_MES_ENERO),
+    ('answer = count_containing(df, "Mes", "Enero",)', COUNT_MES_ENERO),
+    ("answer = [- 1, +2.5, (3)]", Literal((-1.0, 2.5, 3.0))),
+], ids=["single-quotes", "python-booleans", "number-forms", "implicit-concatenation",
+        "call-over-several-lines", "trailing-comma", "signs-and-parentheses"])
+def test_python_forms_parse(text, answer):
+    assert parse_plan(text) == Plan((), answer)
+
+
+def test_statements_separated_by_a_semicolon():
+    assert parse_plan("a = 1; answer = a") == Plan((("a", Literal(1.0)),), Ref("a"))
+
+
+@pytest.mark.parametrize("text, value", [
+    (r'answer = "a\nb"', "a\nb"),
+    (r'answer = "\u00e9"', "é"),
+    (r'answer = "tab\there"', "tab\there"),
+    (r'answer = "say \"hi\" \\o/"', 'say "hi" \\o/'),
+], ids=["newline", "unicode-escape", "tab", "quote-and-backslash"])
+def test_string_escapes_have_their_python_meaning(text, value):
+    assert parse_plan(text) == Plan((), Literal(value))
+
+
+def test_indented_lines_parse():
+    # The plan language reference shows its example indented by 4 spaces.
+    assert parse_plan('    x = filter_contains(df, "Mes", "Enero")\n'
+                      "    answer = count_rows(x)") == \
+        Plan((("x", Call("filter_contains", (DF, Literal("Mes"), Literal("Enero")))),),
+             Call("count_rows", (Ref("x"),)))
+    assert parse_plan("x = 1\n\t  answer = x") == Plan((("x", Literal(1.0)),), Ref("x"))
+
+
+@pytest.mark.parametrize("digits, value", [("9" * 400, math.inf), ("-" + "9" * 400, -math.inf)],
+                         ids=["positive", "negative"])
+def test_integer_too_large_for_a_float_is_infinite(digits, value):
+    assert parse_plan(f"answer = {digits}") == Plan((), Literal(value))
+
+
+def test_every_number_is_a_float():
+    answer = parse_plan("answer = [1, -2, 0x10, 1_0]").answer
+    assert [type(v) for v in answer.value] == [float] * 4
+
+
+@pytest.mark.parametrize("text, message", [
+    ("answer = count_rows(df)\nx = count_rows(df)",
+     "line 2, column 1: no lines allowed after the answer line"),
+    ("x = count_rows(df)", "line 1, column 1: plan must end with an 'answer =' line"),
+    ("# only a comment", "line 1, column 1: plan must end with an 'answer =' line"),
+])
+def test_own_messages_keep_their_text(text, message):
+    with pytest.raises(PlanSyntaxError) as info:
+        parse_plan(text)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("text, line, column", [
+    ("answer = None", 1, 10),
+    ("answer = 1j", 1, 10),
+    ("answer = head_n(x, n=1)", 1, 20),
+    ("answer = df.rows", 1, 10),
+    ("answer = df.count_rows()", 1, 10),
+    ("answer = x[0]", 1, 10),
+    ("answer = add(1, 2 + 3)", 1, 17),
+    ("answer = [count_rows(df)]", 1, 11),
+    ("answer = [[1]]", 1, 11),
+    ("answer = --1", 1, 10),
+    ("answer = -true", 1, 10),
+    ("answer = head_n(*x)", 1, 17),
+    ("x = y = 1\nanswer = x", 1, 1),
+    ("count_rows(df)\nanswer = 1", 1, 1),
+    ("x = 1\nx += 1\nanswer = x", 2, 1),
+    ('answer = head_n("ñé€", None)', 1, 24),
+    ("x = 1\n    answer = None", 2, 14),
+    ("x = 1\ranswer = None", 2, 10),
+    ("x = 1\r\nanswer = None", 2, 10),
+], ids=["none", "complex", "keyword-argument", "attribute", "method-call", "subscript",
+        "operator", "call-in-list", "nested-list", "double-sign", "signed-boolean",
+        "starred", "chained-assignment", "bare-expression", "augmented-assignment",
+        "column-counts-characters", "column-counts-indentation", "cr-line-break",
+        "crlf-line-break"])
+def test_outside_the_subset_is_a_parse_error_at_the_node(text, line, column):
+    with pytest.raises(PlanSyntaxError) as info:
+        parse_plan(text)
+    assert (info.value.line, info.value.column) == (line, column)
+
+
+@pytest.mark.parametrize("text, line", [
+    ("in = count_rows(df)\nanswer = in", 1),
+    ("x = 1\nanswer = not(x)", 2),
+    ('x = 1\nanswer = count_containing(df, "Mes", "Enero"', 2),
+    ("Sure! Here is the plan.\nanswer = count_rows(df)", 1),
+], ids=["keyword-binding", "keyword-call", "unclosed-call", "prose"])
+def test_python_syntax_errors_keep_their_line(text, line):
+    with pytest.raises(PlanSyntaxError) as info:
+        parse_plan(text)
+    assert info.value.line == line
+
+
+@pytest.mark.parametrize("text", [
+    "answer = " + "head_n(" * 2000 + "1" + ", 1)" * 2000,
+    "answer = " + "-" * 100000 + "1",
+    "answer = " + "+".join(["1"] * 100000),
+    'answer = "a\0b"',
+    'answer = "\ud800"',
+], ids=["2000-nested-calls", "100000-signs", "100000-term-sum", "nul-byte", "lone-surrogate"])
+def test_hostile_input_is_a_parse_error(text):
+    with pytest.raises(PlanSyntaxError) as info:
+        parse_plan(text)
+    assert info.value.line == 1
+
+
+def test_hex_literal_is_a_number():
+    assert parse_plan("answer = 0x10") == Plan((), Literal(16.0))
+
+
+def test_deepest_nesting_python_accepts_parses():
+    plan = parse_plan("answer = " + "head_n(" * 190 + "[1]" + ", 1)" * 190)
+    depth, expr = 0, plan.answer
+    while isinstance(expr, Call):
+        depth, expr = depth + 1, expr.args[0]
+    assert depth == 190
+
+
+PLAN_PIECES = ["answer", "x", "df", " = ", "=", "(", ")", "[", "]", ",", '"', "'", "\\",
+               "\n", "\r", "\0", "\u2028", "\x0c", "\t", "    ", "#", "-", "+", "1", "1e3",
+               "0x", "_", ".", ":", ";", "true", "True", "None", "in", "not", "lambda",
+               "count_rows", "head_n(", "é", "\ud800", "```"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(), st.lists(st.one_of(st.sampled_from(PLAN_PIECES),
+                                               st.text(max_size=2)), max_size=40).map("".join)))
+def test_parse_plan_returns_a_plan_or_raises_plan_syntax_error(text):
+    try:
+        plan = parse_plan(text)
+    except PlanSyntaxError as exc:
+        assert exc.line >= 1 and exc.column >= 1
+    else:
+        assert isinstance(plan, Plan)

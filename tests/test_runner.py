@@ -141,6 +141,16 @@ class TestSolve:
         assert trace.attempts[0].error_stage == "execute"
         assert "division by zero" in mock.calls[1].last_user_content
 
+    def test_unparseable_reply_is_repaired_not_raised(self, mes_table):
+        deep = "answer = " + "head_n(" * 2000 + "1" + ", 1)" * 2000
+        mock = MockClient.from_list([
+            {"stage": "coder", "reply": deep, "consume_once": True},
+            {"stage": "coder", "reply": VALID_PLAN},
+        ])
+        trace = solve(self.make_inst(), mes_table, [], mock, max_attempts=5)
+        assert trace.succeeded
+        assert trace.attempts[0].error_stage == "parse"
+
     def test_non_finite_n_is_repaired(self, mes_table):
         huge = "9" * 400  # parses to inf
         mock = MockClient.from_list([
