@@ -27,6 +27,7 @@ import math
 import operator
 import re
 import statistics
+import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
@@ -34,6 +35,11 @@ from . import tablefns
 from .fuzzy import FuzzyConfig, correct_name, similarity
 from .table_core import Cell, Table, cells_equal, extract_numeric, render_cell
 from .tablefns import TableFnError
+
+# `ast.parse` warns on stderr about some malformed replies (`1if`, "\d").
+# One filter, installed once: switching filters per call is not
+# thread-safe under the concurrent ensemble.
+warnings.filterwarnings("ignore", module="<plan>")
 
 
 class PlanSyntaxError(Exception):
@@ -409,7 +415,7 @@ def parse_plan(text: str) -> Plan:
         return Literal(literal(node))
 
     try:
-        module = ast.parse("\n".join(lines))
+        module = ast.parse("\n".join(lines), "<plan>")
     except SyntaxError as exc:
         raise error(exc.msg, exc.lineno or 1, exc.offset or 1) from None
     except (ValueError, MemoryError, RecursionError) as exc:

@@ -16,13 +16,7 @@ from dataclasses import dataclass, field, asdict
 from typing import Optional
 
 from .llm_client import ChatRequest, Message, first_json
-from .table_core import (
-    ColumnKind,
-    Table,
-    distinct_cells,
-    extract_numeric,
-    map_cells,
-)
+from .table_core import ColumnKind, Table
 
 PROFILER_VERSION = "1"
 DEFAULT_EXAMPLE_COUNT = 3
@@ -61,17 +55,17 @@ def profile_table(t: Table, example_count: int = DEFAULT_EXAMPLE_COUNT) -> list[
     """One profile per column; descriptions stay empty here and are
     filled by describe_columns (or its fallback template).
 
-    The pass is transient: it fills none of the Columns' cached views, so
-    a high-cardinality column the questions never touch does not keep a
-    distinct map alive for as long as its table is loaded."""
+    The pass fills each Column's `distinct` view, which the explainer and
+    the builtins read again, and works once per distinct cell."""
     profiles = []
     for col in t.columns:
-        distinct = distinct_cells(col.cells)
+        distinct = col.distinct
         # A stable sort keeps first-seen order among equal counts.
         examples = sorted(distinct, key=lambda k: -distinct[k][1])[:example_count]
         lo = hi = None
         if col.kind in (ColumnKind.NUMERIC, ColumnKind.MIXED_NUMERIC):
-            numbers = [x for x in map_cells(col.cells, extract_numeric) if x is not None]
+            per_code = col.unique_numbers
+            numbers = [per_code[code] for code in col.counts if per_code[code] is not None]
             if numbers:
                 lo, hi = min(numbers), max(numbers)
         profiles.append(ColumnProfile(

@@ -6,20 +6,26 @@ A cell is one of: a number (float), a boolean, a text string, or None
 Tables are never mutated after load; every transforming operation
 returns a new Table.
 
-Because a Column never changes, per-cell work done for it can be kept on
-it.  Three lazy views are computed on first use and then shared by every
-caller of that Column (one loaded table serves all the questions and
-repetitions of an ensemble):
+Columns are dictionary-coded.  A *root* column holds its `cells`,
+`uniques` (one cell per distinct `(type(c), c)`, or for a loaded column
+per distinct raw text) and `codes` (per row, the position of its cell in
+`uniques`).  A *derived* column, made by `Table.take_rows`, holds its
+root and a tuple of root row numbers, one tuple shared by the table's
+columns; it gathers its `cells` and `codes` from the root when first
+read and shares the root's `uniques`.  A filter therefore builds one
+index tuple and copies no column.
 
-- `distinct`: rendering -> (first cell, count) over the non-missing
-  cells, in first-seen order;
-- `lowered`: the lowercased rendering of each row ("" for missing);
-- `numbers`: `extract_numeric` of each row.
+Columns never change, so derived values are cached on them:
 
-A view derives each distinct cell once, keyed by `(type(c), c)`: equal
-cells share one derived object, so a per-row view costs one pointer per
-row, and True, 1 and 1.0 are still derived apart.  Loading computes no
-view.
+- per unique, on the root: `unique_lowered` (lowercased rendering) and
+  `unique_numbers` (`extract_numeric`), computed once per loaded table;
+- per column: `counts` (code -> rows, first-seen order), `distinct`
+  (rendering -> (first cell, count) over the non-missing cells, in
+  first-seen order), and the per-row `lowered` and `numbers`, gathered
+  through `codes`.
+
+Loading computes `cells`, `uniques` and `codes` and no other view;
+`profile_table` fills `distinct`.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 Cell = Union[float, bool, str, None]
 
@@ -123,16 +129,9 @@ def cells_equal(a: Cell, b: Cell) -> bool:
     return str(a).strip() == str(b).strip()
 
 
-def infer_column_kind(cells: Sequence[Cell]) -> ColumnKind:
-    """Deterministic kind inference over a cell list.
-
-    Numeric when every non-missing cell is (or fully parses as) a number;
-    Boolean when every non-missing cell sits in the boolean lexicon;
-    MixedNumeric when at least half the non-missing cells carry an
-    extractable number but not all parse fully; Categorical otherwise.
-    Empty or all-missing columns are Categorical.
-    """
-    present = [c for c in cells if c is not None]
+def _infer_kind(weighted: Iterable[tuple[Cell, int]]) -> ColumnKind:
+    """`infer_column_kind` over (cell, row count) pairs."""
+    present = [(c, n) for c, n in weighted if c is not None]
     if not present:
         return ColumnKind.CATEGORICAL
 
@@ -143,7 +142,7 @@ def infer_column_kind(cells: Sequence[Cell]) -> ColumnKind:
             return True
         return isinstance(c, str) and parse_full_number(c) is not None
 
-    if all(fully_numeric(c) for c in present):
+    if all(fully_numeric(c) for c, _ in present):
         return ColumnKind.NUMERIC
 
     def boolean_token(c: Cell) -> bool:
@@ -151,19 +150,33 @@ def infer_column_kind(cells: Sequence[Cell]) -> ColumnKind:
             return True
         return isinstance(c, str) and c.strip().lower() in BOOLEAN_LEXICON
 
-    if all(boolean_token(c) for c in present):
+    if all(boolean_token(c) for c, _ in present):
         return ColumnKind.BOOLEAN
 
-    extractable = sum(1 for c in present if extract_numeric(c) is not None)
-    if extractable * 2 >= len(present):
+    # The majority is over rows, not over distinct cells.
+    extractable = sum(n for c, n in present if extract_numeric(c) is not None)
+    if extractable * 2 >= sum(n for _, n in present):
         return ColumnKind.MIXED_NUMERIC
     return ColumnKind.CATEGORICAL
 
 
+def infer_column_kind(cells: Sequence[Cell]) -> ColumnKind:
+    """Deterministic kind inference over a cell list.
+
+    Numeric when every non-missing cell is (or fully parses as) a number;
+    Boolean when every non-missing cell sits in the boolean lexicon;
+    MixedNumeric when at least half the non-missing cells carry an
+    extractable number but not all parse fully; Categorical otherwise.
+    Empty or all-missing columns are Categorical.
+    """
+    counts = Counter(zip(map(type, cells), cells))
+    return _infer_kind((cell, n) for (_, cell), n in counts.items())
+
+
 def _coerce_cells(cells: list[Cell], kind: ColumnKind) -> list[Cell]:
-    if kind is ColumnKind.NUMERIC:
-        return [None if c is None else parse_full_number(c) if isinstance(c, str) else float(c)
-                for c in cells]
+    if kind is ColumnKind.NUMERIC:  # then every text cell is a full number
+        return [None if c is None else float(c.strip().replace(",", ".")) if isinstance(c, str)
+                else float(c) for c in cells]
     if kind is ColumnKind.BOOLEAN:
         out: list[Cell] = []
         for c in cells:
@@ -175,49 +188,92 @@ def _coerce_cells(cells: list[Cell], kind: ColumnKind) -> list[Cell]:
     return cells
 
 
-def map_cells(cells: Sequence[Cell], fn: Callable[[Cell], object]) -> tuple:
-    """`fn` of each cell, calling `fn` once per distinct (type, cell)."""
-    keys = list(zip(map(type, cells), cells))
-    derived = {key: fn(key[1]) for key in dict.fromkeys(keys)}
-    return tuple(map(derived.__getitem__, keys))
-
-
-def distinct_cells(cells: Sequence[Cell]) -> dict[str, tuple[Cell, int]]:
-    """Rendering -> (first cell, count) over the non-missing cells, in
-    first-seen order."""
-    out: dict[str, tuple[Cell, int]] = {}
-    for (_, cell), n in Counter(zip(map(type, cells), cells)).items():
-        if cell is None:
-            continue
-        key = render_cell(cell)
-        first, count = out.get(key, (cell, 0))
-        out[key] = (first, count + n)
-    return out
-
-
-@dataclass(frozen=True)
 class Column:
-    name: str
-    kind: ColumnKind
-    cells: tuple[Cell, ...]
+    """A named, typed column: a root, or a row selection of a root (see
+    the module docstring).  Equal by (name, kind, cells)."""
+
+    def __init__(self, name: str, kind: ColumnKind, cells: Iterable[Cell] = (), *,
+                 root: Optional["Column"] = None, index: Optional[tuple[int, ...]] = None):
+        self.name = name
+        self.kind = kind
+        self.root = root  # None on a root: pointing at itself would be a reference
+        # cycle, which frees the loaded table only at a cyclic collection
+        self.index = index
+        if root is None:
+            self.cells = tuple(cells)
 
     @staticmethod
     def from_cells(name: str, cells: Iterable[Cell]) -> "Column":
         raw = list(cells)
         kind = infer_column_kind(raw)
-        return Column(name, kind, tuple(_coerce_cells(raw, kind)))
+        return Column(name, kind, _coerce_cells(raw, kind))
+
+    def __len__(self) -> int:
+        return len(self.cells if self.index is None else self.index)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Column):
+            return NotImplemented
+        return (self.name, self.kind, self.cells) == (other.name, other.kind, other.cells)
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.kind, self.cells))
+
+    def __repr__(self) -> str:
+        return f"Column(name={self.name!r}, kind={self.kind!r}, cells={self.cells!r})"
+
+    @cached_property
+    def cells(self) -> tuple[Cell, ...]:
+        return tuple(map(self.root.cells.__getitem__, self.index))
+
+    @cached_property
+    def uniques(self) -> tuple[Cell, ...]:
+        if self.root is not None:
+            return self.root.uniques
+        return tuple(c for _, c in dict.fromkeys(zip(map(type, self.cells), self.cells)))
+
+    @cached_property
+    def codes(self) -> tuple[int, ...]:
+        if self.root is not None:
+            return tuple(map(self.root.codes.__getitem__, self.index))
+        code = {(type(c), c): i for i, c in enumerate(self.uniques)}
+        return tuple(map(code.__getitem__, zip(map(type, self.cells), self.cells)))
+
+    @cached_property
+    def unique_lowered(self) -> tuple[str, ...]:
+        if self.root is not None:
+            return self.root.unique_lowered
+        return tuple(render_cell(c).lower() for c in self.uniques)
+
+    @cached_property
+    def unique_numbers(self) -> tuple[Optional[float], ...]:
+        if self.root is not None:
+            return self.root.unique_numbers
+        return tuple(map(extract_numeric, self.uniques))
+
+    @cached_property
+    def counts(self) -> Counter:
+        return Counter(self.codes)
 
     @cached_property
     def distinct(self) -> dict[str, tuple[Cell, int]]:
-        return distinct_cells(self.cells)
+        out: dict[str, tuple[Cell, int]] = {}
+        for code, n in self.counts.items():
+            cell = self.uniques[code]
+            if cell is None:
+                continue
+            key = render_cell(cell)
+            first, count = out.get(key, (cell, 0))
+            out[key] = (first, count + n)
+        return out
 
     @cached_property
     def lowered(self) -> tuple[str, ...]:
-        return map_cells(self.cells, lambda c: render_cell(c).lower())
+        return tuple(map(self.unique_lowered.__getitem__, self.codes))
 
     @cached_property
     def numbers(self) -> tuple[Optional[float], ...]:
-        return map_cells(self.cells, extract_numeric)
+        return tuple(map(self.unique_numbers.__getitem__, self.codes))
 
 
 @dataclass(frozen=True)
@@ -226,13 +282,13 @@ class Table:
     columns: tuple[Column, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
-        lengths = {len(c.cells) for c in self.columns}
+        lengths = {len(c) for c in self.columns}
         if len(lengths) > 1:
             raise TableError(f"ragged table {self.name!r}: column lengths {sorted(lengths)}")
 
     @property
     def row_count(self) -> int:
-        return len(self.columns[0].cells) if self.columns else 0
+        return len(self.columns[0]) if self.columns else 0
 
     @property
     def column_names(self) -> list[str]:
@@ -245,11 +301,17 @@ class Table:
         raise TableError(f"no column named {name!r}")
 
     def take_rows(self, indices: Sequence[int]) -> "Table":
-        cols = tuple(
-            Column(c.name, c.kind, tuple(map(c.cells.__getitem__, indices)))
-            for c in self.columns
-        )
-        return Table(self.name, cols)
+        """The given rows, in the given order, as derived columns."""
+        indices = tuple(indices)
+        composed: dict[int, tuple[int, ...]] = {}  # one root index per source index
+        cols = []
+        for c in self.columns:
+            key = id(c.index)
+            if key not in composed:
+                composed[key] = indices if c.index is None else tuple(map(c.index.__getitem__, indices))
+            cols.append(Column(c.name, c.kind, root=c if c.root is None else c.root,
+                               index=composed[key]))
+        return Table(self.name, tuple(cols))
 
     def row(self, i: int) -> list[Cell]:
         return [c.cells[i] for c in self.columns]
@@ -293,22 +355,34 @@ def load_csv(path: str, options: LoadOptions = LoadOptions()) -> Table:
 
     header = _dedupe_names([h.strip() for h in rows[0]])
     width = len(header)
-    data: list[list[Cell]] = [[] for _ in header]
+    body = []
     for rownum, row in enumerate(rows[1:], start=2):
         if not row:
             continue
         if len(row) != width:
             raise TableError(
                 f"{path!r} row {rownum}: expected {width} fields, got {len(row)}")
-        for i, raw in enumerate(row):
-            value = raw.strip()
-            data[i].append(value if value != "" else None)
+        body.append(row)
 
     name = path.rsplit("/", 1)[-1]
     if name.endswith(".csv"):
         name = name[:-4]
-    columns = tuple(Column.from_cells(h, cells) for h, cells in zip(header, data))
-    return Table(name, columns)
+    return Table(name, tuple(_load_column(h, raw)
+                             for h, raw in zip(header, list(zip(*body)) or [()] * width)))
+
+
+def _load_column(name: str, raw: Sequence[str]) -> Column:
+    """Strip, infer and coerce once per distinct raw text, then code the
+    rows by it."""
+    counts = Counter(raw)
+    stripped = [text.strip() or None for text in counts]
+    kind = _infer_kind(zip(stripped, counts.values()))
+    code = {text: i for i, text in enumerate(counts)}
+    codes = tuple(map(code.__getitem__, raw))
+    uniques = tuple(_coerce_cells(stripped, kind))
+    col = Column(name, kind, map(uniques.__getitem__, codes))
+    col.uniques, col.codes = uniques, codes
+    return col
 
 
 def write_csv(table: Table, path: str, options: LoadOptions = LoadOptions()) -> None:

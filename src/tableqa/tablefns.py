@@ -13,8 +13,8 @@ family (count_equal, delete_rows_by_column_value) never goes fuzzy.
 
 from __future__ import annotations
 
-from itertools import compress, repeat
-from typing import Optional, Union
+from itertools import compress
+from typing import Callable, Optional, Union
 
 from .fuzzy import FuzzyConfig, best_fuzzy_match, correct_name
 from .table_core import (
@@ -23,7 +23,6 @@ from .table_core import (
     ColumnKind,
     Table,
     cells_equal,
-    map_cells,
     render_cell,
 )
 
@@ -51,6 +50,12 @@ def _split_cell(cell: Cell) -> tuple[Cell, ...]:
     return (cell,)
 
 
+def _rows_where(col: Column, test: Callable[[int], bool]) -> list[int]:
+    """The rows whose code passes `test`, calling it once per code present."""
+    hit = {code: test(code) for code in col.counts}
+    return list(compress(range(len(col)), map(hit.__getitem__, col.codes)))
+
+
 def flatten_column_values(t: Table, column: str) -> Table:
     """Explode multi-valued text cells into one row per value.
 
@@ -58,9 +63,12 @@ def flatten_column_values(t: Table, column: str) -> Table:
     values are trimmed.  Single-valued rows pass through.
     """
     col = _resolve(t, column)
-    parts = map_cells(col.cells, _split_cell)
+    split = {code: _split_cell(col.uniques[code]) for code in col.counts}
+    parts = list(map(split.__getitem__, col.codes))
     out = t.take_rows([i for i, ps in enumerate(parts) for _ in ps]).columns
-    flat = Column(col.name, col.kind, tuple(p for ps in parts for p in ps))
+    # An unsplit row keeps its own cell: 0.0 and -0.0 share a code.
+    flat = Column(col.name, col.kind, [p for ps, cell in zip(parts, col.cells)
+                                       for p in (ps if len(ps) > 1 else (cell,))])
     j = t.column_names.index(col.name)
     return Table(t.name, out[:j] + (flat,) + out[j + 1:])
 
@@ -73,32 +81,29 @@ def top_n_non_missing(t: Table, column: str, n: int, end: str = "head") -> Table
     if end not in ("head", "tail"):
         raise TableFnError(f"end must be 'head' or 'tail', got {end!r}")
     col = _resolve(t, column)
-    idx = [i for i in range(t.row_count) if col.cells[i] is not None]
+    idx = _rows_where(col, lambda code: col.uniques[code] is not None)
     chosen = idx[:n] if end == "head" else idx[len(idx) - min(n, len(idx)):]
     return t.take_rows(chosen)
-
-
-def _equal_mask(col: Column, value: Cell) -> tuple[bool, ...]:
-    """cells_equal(cell, value) per row, evaluated once per distinct
-    (type, cell)."""
-    return map_cells(col.cells, lambda c: cells_equal(c, value))
 
 
 def delete_rows_by_column_value(t: Table, column: str, value: Cell) -> Table:
     """Drop rows whose cell equals `value` exactly (numeric equality for
     numbers; value=None drops missing-valued rows).  No fuzzy fallback."""
     col = _resolve(t, column)
-    keep = [i for i, hit in enumerate(_equal_mask(col, value)) if not hit]
-    return t.take_rows(keep)
+    return t.take_rows(_rows_where(col, lambda code: not cells_equal(col.uniques[code], value)))
 
 
 def sort_alphabetical(t: Table, column: str) -> Table:
     """Stable ascending sort by case-insensitive text rendering; missing
     cells sort last."""
     col = _resolve(t, column)
-    order = sorted(range(t.row_count), key=col.lowered.__getitem__)
-    return t.take_rows([i for i in order if col.cells[i] is not None]
-                       + [i for i in order if col.cells[i] is None])
+    lowered = col.unique_lowered
+    texts = sorted({lowered[code] for code in col.counts if col.uniques[code] is not None})
+    rank = dict(zip(texts, range(len(texts))))
+    code_rank = {code: len(texts) if col.uniques[code] is None else rank[lowered[code]]
+                 for code in col.counts}
+    keys = list(map(code_rank.__getitem__, col.codes))
+    return t.take_rows(sorted(range(len(col)), key=keys.__getitem__))
 
 
 _COMPARATORS = {
@@ -115,21 +120,21 @@ def filter_numeric(t: Table, column: str, cmp: str, value: float) -> Table:
     if cmp not in _COMPARATORS:
         raise TableFnError(f"unknown comparator {cmp!r}")
     col = _resolve(t, column)
-    extracted = col.numbers
-    if all(x is None for x in extracted) and any(c is not None for c in col.cells):
+    numbers = col.unique_numbers
+    if all(numbers[code] is None for code in col.counts) \
+            and any(col.uniques[code] is not None for code in col.counts):
         raise TableFnError(f"non-numeric column {col.name!r}")
-    op = _COMPARATORS[cmp]
-    keep = [i for i, x in enumerate(extracted) if x is not None and op(x, float(value))]
-    return t.take_rows(keep)
+    op, v = _COMPARATORS[cmp], float(value)
+    return t.take_rows(_rows_where(
+        col, lambda code: numbers[code] is not None and op(numbers[code], v)))
 
 
-def _contains_round1(col: Column, value: Cell) -> list[int]:
+def _contains(col: Column, value: Cell) -> Callable[[int], bool]:
+    """Round-1 containment, per code: the cell is present and its
+    lowercased rendering contains the value's."""
     needle = render_cell(value).strip().lower()
-    if needle:
-        hits = map(str.__contains__, col.lowered, repeat(needle))
-    else:  # the empty needle is in every text but matches no missing cell
-        hits = (c is not None for c in col.cells)
-    return list(compress(range(len(col.cells)), hits))
+    lowered = col.unique_lowered
+    return lambda code: col.uniques[code] is not None and needle in lowered[code]
 
 
 def filter_contains(t: Table, column: str, value: Cell,
@@ -143,7 +148,7 @@ def filter_contains(t: Table, column: str, value: Cell,
     the matched value.
     """
     col = _resolve(t, column)
-    keep = _contains_round1(col, value)
+    keep = _rows_where(col, _contains(col, value))
     if keep:
         return t.take_rows(keep)
     textual = col.kind in (ColumnKind.CATEGORICAL, ColumnKind.MIXED_NUMERIC)
@@ -151,7 +156,7 @@ def filter_contains(t: Table, column: str, value: Cell,
         firsts = [first for first, _ in col.distinct.values()]
         match = best_fuzzy_match(firsts, value, fuzzy_cfg.filter_threshold)
         if match is not None:
-            fuzzy_keep = list(compress(range(t.row_count), _equal_mask(col, match)))
+            fuzzy_keep = _rows_where(col, lambda code: cells_equal(col.uniques[code], match))
             if fuzzy_keep:
                 return t.take_rows(fuzzy_keep)
     return t.take_rows(keep)
@@ -161,8 +166,8 @@ def filter_not_contains(t: Table, column: str, value: Cell) -> Table:
     """Complement of round-1 containment; the fuzzy round never applies
     to negation."""
     col = _resolve(t, column)
-    hit = set(_contains_round1(col, value))
-    return t.take_rows([i for i in range(t.row_count) if i not in hit])
+    hit = _contains(col, value)
+    return t.take_rows(_rows_where(col, lambda code: not hit(code)))
 
 
 def exists_value(t: Table, column: str, value: Cell,
@@ -173,7 +178,7 @@ def exists_value(t: Table, column: str, value: Cell,
 def count_equal(t: Table, column: str, value: Cell) -> int:
     """Exact, case-sensitive count; no fuzzy fallback."""
     col = _resolve(t, column)
-    return sum(_equal_mask(col, value))
+    return sum(n for code, n in col.counts.items() if cells_equal(col.uniques[code], value))
 
 
 def count_containing(t: Table, column: str, value: Cell,

@@ -9,9 +9,10 @@ randomized tests assert.
 
 from __future__ import annotations
 
+import csv
 from collections import Counter
 
-from tableqa.table_core import ColumnKind, Table
+from tableqa.table_core import Column, ColumnKind, Table
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +141,65 @@ def ref_cells_equal(a, b) -> bool:
     if (na is None) != (nb is None):
         return False
     return str(a).strip() == str(b).strip()
+
+
+# ---------------------------------------------------------------------------
+# the row-by-row CSV loader
+
+_REF_TRUE = ("si", "sí", "yes", "true")
+_REF_FALSE = ("no", "false")
+
+
+def ref_full_number(text):
+    """`text` as a complete number ("1", "-2", "1,5", ".5"), else None."""
+    body = text.strip()
+    digits = body[1:] if body[:1] in ("+", "-") else body
+    if digits.startswith("."):
+        ok = digits[1:].isdecimal()
+    else:
+        head, sep, tail = digits.replace(",", ".", 1).partition(".")
+        ok = head.isdecimal() and (not sep or tail.isdecimal())
+    return float(body.replace(",", ".")) if ok else None
+
+
+def ref_infer_kind(cells):
+    """The kind rules, applied cell by cell."""
+    present = [c for c in cells if c is not None]
+    if not present:
+        return ColumnKind.CATEGORICAL
+    if all(ref_full_number(c) is not None for c in present):
+        return ColumnKind.NUMERIC
+    if all(c.lower() in _REF_TRUE + _REF_FALSE for c in present):
+        return ColumnKind.BOOLEAN
+    extractable = [c for c in present if ref_extract_numeric(c) is not None]
+    if 2 * len(extractable) >= len(present):
+        return ColumnKind.MIXED_NUMERIC
+    return ColumnKind.CATEGORICAL
+
+
+def ref_load_csv(path) -> Table:
+    """Read every row, strip every cell, then infer and coerce each column
+    cell by cell."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    header, seen = [], Counter()
+    for h in (h.strip() for h in rows[0]):
+        seen[h] += 1
+        header.append(h if seen[h] == 1 else f"{h}#{seen[h]}")
+    data = [[] for _ in header]
+    for row in rows[1:]:
+        for i, raw in enumerate(row):
+            data[i].append(raw.strip() or None)
+    columns = []
+    for name, cells in zip(header, data):
+        kind = ref_infer_kind(cells)
+        if kind is ColumnKind.NUMERIC:
+            cells = [None if c is None else ref_full_number(c) for c in cells]
+        elif kind is ColumnKind.BOOLEAN:
+            cells = [None if c is None else c.lower() in _REF_TRUE for c in cells]
+        columns.append(Column(name, kind, cells))
+    stem = path.rsplit("/", 1)[-1]
+    return Table(stem[:-4] if stem.endswith(".csv") else stem, tuple(columns))
 
 
 # ---------------------------------------------------------------------------

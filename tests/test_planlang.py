@@ -1,6 +1,9 @@
 import hashlib
 import math
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -355,3 +358,20 @@ def test_parse_plan_returns_a_plan_or_raises_plan_syntax_error(text):
         assert exc.line >= 1 and exc.column >= 1
     else:
         assert isinstance(plan, Plan)
+
+
+def test_malformed_replies_print_no_parser_warnings(capfd):
+    """CPython's parser warns about `1if` and an unknown escape; with every
+    warning shown (`-W default`), parsing such replies still leaves stderr
+    empty.  A child process is used because pytest records warnings
+    instead of printing them."""
+    code = ("from tableqa.planlang import parse_plan, PlanSyntaxError\n"
+            "for reply in ['answer = 1if x else 2', 'answer = \"\\\\d\"']:\n"
+            "    try:\n"
+            "        parse_plan(reply)\n"
+            "    except PlanSyntaxError:\n"
+            "        pass\n")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    subprocess.run([sys.executable, "-W", "default", "-c", code], env=env, check=True, timeout=60)
+    assert capfd.readouterr().err == ""

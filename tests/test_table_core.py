@@ -1,10 +1,13 @@
+import csv
+import os
 import random
+import tempfile
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import random_table
-from reference import ref_extract_numeric, ref_render
+from reference import ref_extract_numeric, ref_load_csv, ref_render
 from tableqa.table_core import (
     Column,
     ColumnKind,
@@ -15,6 +18,35 @@ from tableqa.table_core import (
     render_cell,
     write_csv,
 )
+
+
+# padded, equal-valued and boolean-cased texts, and numbers with and
+# without text, so that a column lands near the MixedNumeric line
+_LOAD_TEXTS = ["1", "1.0", " 1 ", "1,5", "-0", "0", ".5", "+65", "Sí", "si", "SI", "no",
+               "true", "", "  ", "a", " a", "10 - Le votaría siempre", "texto", "x;y"]
+
+
+@st.composite
+def csv_files(draw):
+    width = draw(st.integers(1, 4))
+    header = draw(st.lists(st.sampled_from(["a", "b", " a", ""]), min_size=width, max_size=width))
+    pools = [draw(st.lists(st.sampled_from(_LOAD_TEXTS), min_size=1, max_size=3))
+             for _ in range(width)]
+    rows = draw(st.lists(st.tuples(*(st.sampled_from(p) for p in pools)), max_size=12))
+    return [header] + [list(r) for r in rows]
+
+
+@settings(max_examples=300, deadline=None)
+@given(csv_files())
+def test_load_csv_matches_the_row_by_row_loader(rows):
+    def shape(t):
+        return t.name, [(c.name, c.kind, [repr(x) for x in c.cells]) for c in t.columns]
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "t.csv")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        assert shape(load_csv(path)) == shape(ref_load_csv(path))
 
 
 class TestLoadCsv:

@@ -23,6 +23,11 @@ class TestFlattenColumnValues:
         out = tablefns.flatten_column_values(t, "c")
         assert col_values(out, "c") == ["a", "b"]
 
+    def test_unsplit_cells_are_kept_as_they_are(self):
+        t = Table("t", (Column("c", ColumnKind.NUMERIC, (-0.0, 0.0, -0.0)),))
+        out = tablefns.flatten_column_values(t, "c")
+        assert [repr(c) for c in col_values(out, "c")] == ["-0.0", "0.0", "-0.0"]
+
     def test_no_delimiters_noop(self, survey_table):
         out = tablefns.flatten_column_values(survey_table, "Mes de realización")
         assert ref.rows_of(out) == ref.rows_of(survey_table)
@@ -315,3 +320,46 @@ def test_randomized_reference_agreement_smoke():
     rng = random.Random(20240824)
     for _ in range(150):
         check_one_table(rng, random_table(rng))
+
+
+# ---------------------------------------------------------------------------
+# chains of row-selecting builtins over derived tables
+
+CHAIN_STEPS = {
+    "filter_contains": lambda rng, t, c: (_random_value(rng, t, c),),
+    "filter_not_contains": lambda rng, t, c: (_random_value(rng, t, c),),
+    "delete_rows_by_column_value": lambda rng, t, c: (_random_value(rng, t, c),),
+    "sort_alphabetical": lambda rng, t, c: (),
+    "top_n_non_missing": lambda rng, t, c: (rng.randint(0, 12), rng.choice(["head", "tail"])),
+    "filter_numeric": lambda rng, t, c: (rng.choice(["le", "lt", "ge", "gt"]),
+                                         float(rng.randint(0, 30))),
+    "flatten_column_values": lambda rng, t, c: (),
+}
+
+
+def _materialized(t):
+    return Table(t.name, tuple(Column(c.name, c.kind, c.cells) for c in t.columns))
+
+
+def test_chained_derived_tables_match_materialized_ones():
+    """Every table along a chain of 1-4 builtins reads like a fresh table
+    built from its cells: the same views, counts and containment rows."""
+    rng = random.Random(7)
+    for _ in range(150):
+        t = random_table(rng)
+        for _ in range(rng.randint(1, 4)):
+            name = rng.choice(sorted(CHAIN_STEPS))
+            column = rng.choice(t.column_names)
+            try:
+                t = getattr(tablefns, name)(t, column, *CHAIN_STEPS[name](rng, t, column))
+            except TableFnError:  # filter_numeric on a non-numeric column
+                continue
+            fresh = _materialized(t)
+            for col, want in zip(t.columns, fresh.columns):
+                assert (col.cells, col.distinct, col.lowered, col.numbers) == \
+                    (want.cells, want.distinct, want.lowered, want.numbers)
+                value = _random_value(rng, t, col.name)
+                for fn in (tablefns.count_equal, tablefns.filter_not_contains,
+                           tablefns.filter_contains):
+                    assert fn(t, col.name, value) == fn(fresh, col.name, value)
+            check_one_table(rng, t)
