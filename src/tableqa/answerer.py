@@ -5,6 +5,9 @@ The formatter is rule-based and the default; the interpreter asks the
 LLM and falls back to the formatter.  Category formatting is the
 identity on text scalars: "+65", "18-24" and "PP (Partido Popular)" come
 out byte-identical, never stripped or normalized.
+
+The comparator matches numbers within ABS_TOL or REL_TOL of the gold,
+categories up to case and surrounding spaces, and lists as multisets.
 """
 
 from __future__ import annotations
@@ -179,42 +182,36 @@ def interpret_answer(question: str, v: RuntimeValue, at: AnswerType, llm) -> Ans
         return format_answer(v, at)
 
 
-@dataclass(frozen=True)
-class CompareConfig:
-    abs_tol: float = 1e-9
-    rel_tol: float = 1e-6
-    ordered_lists: bool = False
+ABS_TOL = 1e-9
+REL_TOL = 1e-6
 
 
-def _numbers_close(a: float, b: float, cfg: CompareConfig) -> bool:
-    return abs(a - b) <= max(cfg.abs_tol, cfg.rel_tol * abs(b))
+def _numbers_close(a: float, b: float) -> bool:
+    return abs(a - b) <= max(ABS_TOL, REL_TOL * abs(b))
 
 
 def _category_equal(a: str, b: str) -> bool:
     return a.strip().lower() == b.strip().lower()
 
 
-def compare_answers(pred: Answer, gold: Answer,
-                    cfg: CompareConfig = CompareConfig()) -> bool:
+def compare_answers(pred: Answer, gold: Answer) -> bool:
     """Strict benchmark comparison; a type mismatch is a mismatch, never
-    an exception."""
+    an exception.  Lists compare as multisets."""
     if pred.type is not gold.type:
         return False
     at = gold.type
     if at is AnswerType.BOOLEAN:
         return bool(pred.value) is bool(gold.value)
     if at is AnswerType.NUMBER:
-        return _numbers_close(float(pred.value), float(gold.value), cfg)
+        return _numbers_close(float(pred.value), float(gold.value))
     if at is AnswerType.CATEGORY:
         return _category_equal(str(pred.value), str(gold.value))
     pv, gv = list(pred.value), list(gold.value)
     if len(pv) != len(gv):
         return False
     if at is AnswerType.LIST_NUMBER:
-        if not cfg.ordered_lists:
-            pv, gv = sorted(map(float, pv)), sorted(map(float, gv))
-        return all(_numbers_close(float(a), float(b), cfg) for a, b in zip(pv, gv))
-    if not cfg.ordered_lists:
-        pv = sorted(pv, key=lambda s: str(s).strip().lower())
-        gv = sorted(gv, key=lambda s: str(s).strip().lower())
+        pv, gv = sorted(map(float, pv)), sorted(map(float, gv))
+        return all(_numbers_close(a, b) for a, b in zip(pv, gv))
+    pv = sorted(pv, key=lambda s: str(s).strip().lower())
+    gv = sorted(gv, key=lambda s: str(s).strip().lower())
     return all(_category_equal(str(a), str(b)) for a, b in zip(pv, gv))

@@ -80,7 +80,7 @@ def describe(table_path, config_path, mock_path, deterministic,
                          use_interpreter, cache_dir)
     if mock_path is None and config_path is None:
         ctx.llm = None  # offline: template descriptions
-    _, profiles, _ = load_table_profiles(table_path, ctx)
+    _, profiles = load_table_profiles(table_path, ctx)
     click.echo(json.dumps([p.to_dict() for p in profiles],
                           ensure_ascii=False, indent=2))
 

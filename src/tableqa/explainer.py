@@ -13,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .fuzzy import FuzzyConfig, best_fuzzy_match, correct_name
+from .fuzzy import MATCH_THRESHOLD, best_fuzzy_match, correct_name
 from .llm_client import ChatRequest, Message, first_json
-from .profiler import ColumnProfile
+from .profiler import EXAMPLE_COUNT, ColumnProfile
 from .table_core import ColumnKind, Table, render_cell
 
 BE_CAREFUL_TEMPLATE = (
@@ -55,6 +55,8 @@ class InstructionSet:
         }
 
 
+EXPLAINER_ATTEMPTS = 3  # explainer replies asked for before giving up
+
 EXPLAINER_SYSTEM = (
     "You write step-by-step natural language instructions for answering "
     "a question over a table. Do not write code. Reply with a JSON object "
@@ -65,13 +67,12 @@ EXPLAINER_SYSTEM = (
 )
 
 
-def build_explainer_prompt(question: str, selected: list[ColumnProfile],
-                           example_count: int = 3) -> str:
+def build_explainer_prompt(question: str, selected: list[ColumnProfile]) -> str:
     if not selected:
         raise ValueError("explainer needs at least one selected column")
     lines = [f"Question: {question}", "", "Available columns:"]
     for p in selected:
-        examples = ", ".join(p.example_values[:example_count]) or "(none)"
+        examples = ", ".join(p.example_values[:EXAMPLE_COUNT]) or "(none)"
         lines.append(
             f"- {p.name} (type {p.kind.value}): {p.description} "
             f"Example values: {examples}")
@@ -106,13 +107,12 @@ def parse_instruction_set(reply: str) -> InstructionSet:
     return InstructionSet(instructions, columns, filter_values)
 
 
-def request_instructions(question: str, selected: list[ColumnProfile], llm,
-                         max_attempts: int = 3) -> InstructionSet:
+def request_instructions(question: str, selected: list[ColumnProfile], llm) -> InstructionSet:
     """Prompt the explainer, re-asking on parse failure up to
-    max_attempts total attempts."""
+    EXPLAINER_ATTEMPTS total attempts."""
     prompt = build_explainer_prompt(question, selected)
     last_error: Optional[Exception] = None
-    for _ in range(max_attempts):
+    for _ in range(EXPLAINER_ATTEMPTS):
         reply = llm.complete(ChatRequest(
             messages=(Message("system", EXPLAINER_SYSTEM), Message("user", prompt)),
             stage_tag="explainer",
@@ -121,12 +121,11 @@ def request_instructions(question: str, selected: list[ColumnProfile], llm,
             return parse_instruction_set(reply)
         except InstructionParseError as exc:
             last_error = exc
-    raise InstructionParseError(f"explainer failed after {max_attempts} attempts: {last_error}")
+    raise InstructionParseError(
+        f"explainer failed after {EXPLAINER_ATTEMPTS} attempts: {last_error}")
 
 
-def clarify(inst: InstructionSet, t: Table, profiles: list[ColumnProfile],
-            fuzzy_cfg: FuzzyConfig = FuzzyConfig(),
-            example_count: int = 3) -> InstructionSet:
+def clarify(inst: InstructionSet, t: Table, profiles: list[ColumnProfile]) -> InstructionSet:
     """Correct column names and append clarification instructions.
 
     Never removes or reorders the original instructions.  Appends all
@@ -147,7 +146,7 @@ def clarify(inst: InstructionSet, t: Table, profiles: list[ColumnProfile],
             if value in distinct:
                 break
             firsts = [first for first, _ in distinct.values()]
-            match = best_fuzzy_match(firsts, value, fuzzy_cfg.match_threshold)
+            match = best_fuzzy_match(firsts, value, MATCH_THRESHOLD)
             if match is not None:
                 stored = render_cell(match)
                 if stored != value:
@@ -161,7 +160,7 @@ def clarify(inst: InstructionSet, t: Table, profiles: list[ColumnProfile],
             continue
         if profile.kind is ColumnKind.NUMERIC:
             continue
-        examples = ", ".join(profile.example_values[:example_count])
+        examples = ", ".join(profile.example_values[:EXAMPLE_COUNT])
         type_lines.append(TYPE_LINE_TEMPLATE.format(
             column=name, kind=KIND_RENDERING[profile.kind], examples=examples))
 

@@ -3,7 +3,9 @@
 Two different distances are used on purpose: value matching uses the
 normalized indel ratio (insertions/deletions only, substitutions cost 2),
 while column-name correction uses plain Levenshtein distance with unit
-costs.
+costs.  Value matches use the paper's two fixed, inclusive thresholds:
+MATCH_THRESHOLD (90) for clarify's stored-format hints and
+FILTER_THRESHOLD (75) for the fuzzy round of filter_contains.
 
 Indel similarity goes through the length of the longest common
 subsequence, since D_indel(a, b) = |a| + |b| - 2 * LCS(a, b).  The LCS
@@ -27,22 +29,14 @@ candidate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
 from typing import Optional, Sequence
 
 from .table_core import Cell, render_cell
 
 
-@dataclass(frozen=True)
-class FuzzyConfig:
-    match_threshold: int = 90
-    filter_threshold: int = 75
-
-    def __post_init__(self) -> None:
-        for t in (self.match_threshold, self.filter_threshold):
-            if not 0 <= t <= 100:
-                raise ValueError(f"threshold {t} outside 0..100")
+MATCH_THRESHOLD = 90
+FILTER_THRESHOLD = 75
 
 
 def _match_masks(text: str) -> dict[str, int]:

@@ -151,7 +151,6 @@ class HTTPClient:
 
     def __init__(self, config: LLMConfig):
         self.config = config
-        self._semaphore = threading.Semaphore(config.concurrency)
 
     def _body(self, req: ChatRequest) -> dict:
         return {
@@ -169,29 +168,28 @@ class HTTPClient:
             headers["Authorization"] = f"Bearer {api_key}"
         body = self._body(req)
         last_exc: Optional[Exception] = None
-        with self._semaphore:
-            for attempt in range(self.config.retries + 1):
-                try:
-                    resp = requests.post(url, json=body, headers=headers, timeout=120)
-                except requests.RequestException as exc:
-                    last_exc = exc
+        for attempt in range(self.config.retries + 1):
+            try:
+                resp = requests.post(url, json=body, headers=headers, timeout=120)
+            except requests.RequestException as exc:
+                last_exc = exc
+            else:
+                if resp.status_code < 400:
+                    try:
+                        content = resp.json()["choices"][0]["message"]["content"]
+                    except (ValueError, LookupError, TypeError):
+                        content = None
+                    if isinstance(content, str):
+                        return content
+                    last_exc = LLMError(
+                        f"HTTP {resp.status_code} without a choices[0].message.content "
+                        f"string: {resp.text[:200]}")
+                elif resp.status_code < 500:
+                    raise LLMError(f"HTTP {resp.status_code}: {resp.text[:200]}")
                 else:
-                    if resp.status_code < 400:
-                        try:
-                            content = resp.json()["choices"][0]["message"]["content"]
-                        except (ValueError, LookupError, TypeError):
-                            content = None
-                        if isinstance(content, str):
-                            return content
-                        last_exc = LLMError(
-                            f"HTTP {resp.status_code} without a choices[0].message.content "
-                            f"string: {resp.text[:200]}")
-                    elif resp.status_code < 500:
-                        raise LLMError(f"HTTP {resp.status_code}: {resp.text[:200]}")
-                    else:
-                        last_exc = LLMError(f"HTTP {resp.status_code}")
-                if attempt < self.config.retries:
-                    time.sleep(self.config.retry_base_seconds * (2 ** attempt))
+                    last_exc = LLMError(f"HTTP {resp.status_code}")
+            if attempt < self.config.retries:
+                time.sleep(self.config.retry_base_seconds * (2 ** attempt))
         raise LLMError(f"transport failure after {self.config.retries} retries: {last_exc}")
 
 

@@ -30,6 +30,7 @@ import os
 import re
 import threading
 import traceback
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Optional
@@ -37,7 +38,6 @@ from typing import Optional
 from .answerer import (
     Answer,
     AnswerType,
-    CompareConfig,
     compare_answers,
     format_answer,
     interpret_answer,
@@ -47,7 +47,6 @@ from .explainer import (
     clarify,
     request_instructions,
 )
-from .fuzzy import FuzzyConfig
 from .profiler import (
     ProfileCache,
     describe_columns,
@@ -55,8 +54,8 @@ from .profiler import (
     table_fingerprint,
 )
 from .runner import build_coder_prompt, solve
-from .selector import SelectorConfig, prune_uninformative, select_columns
-from .table_core import LoadOptions, load_csv, render_cell
+from .selector import prune_uninformative, select_columns
+from .table_core import load_csv, render_cell
 
 DEFAULT_SENTINELS = ["No matching records were found"]
 
@@ -87,7 +86,6 @@ class RunRecord:
     repetition: int
     answer: Optional[Answer] = None
     failure: Optional[str] = None
-    trace: dict = field(default_factory=dict)
 
     @property
     def succeeded(self) -> bool:
@@ -149,10 +147,6 @@ class PipelineContext:
     cache_dir: Optional[str] = None
     trace_dir: Optional[str] = None
     use_interpreter: bool = False
-    fuzzy: FuzzyConfig = field(default_factory=FuzzyConfig)
-    selector: SelectorConfig = field(default_factory=SelectorConfig)
-    max_attempts: int = 5
-    load_options: LoadOptions = field(default_factory=LoadOptions)
     concurrency: int = 4  # runs in flight at once
 
     def __post_init__(self) -> None:
@@ -163,18 +157,17 @@ class PipelineContext:
 def load_table_profiles(path: str, ctx: PipelineContext):
     """Load a CSV and profile it, reusing the on-disk cache when the
     file bytes are unchanged."""
-    table = load_csv(path, ctx.load_options)
+    table = load_csv(path)
     with open(path, "rb") as fh:
         fingerprint = table_fingerprint(fh.read())
     cache = ProfileCache(ctx.cache_dir) if ctx.cache_dir else None
     profiles = cache.get(fingerprint) if cache else None
-    cached = profiles is not None
     if profiles is None:
         profiles = profile_table(table)
-        profiles = describe_columns(profiles, table, ctx.llm)
+        profiles = describe_columns(profiles, ctx.llm)
         if cache:
             cache.put(fingerprint, profiles)
-    return table, profiles, cached
+    return table, profiles
 
 
 class _TurnTakingLLM:
@@ -208,9 +201,9 @@ def _run_one(q: Question, repetition: int, loaded, ctx: PipelineContext,
     table, profiles = loaded
     stage = "select"
     try:
-        kept, dropped = prune_uninformative(profiles, ctx.selector)
+        kept, dropped = prune_uninformative(profiles)
         warnings: list[str] = []
-        chosen = select_columns(q.text, kept, ctx.llm, ctx.selector, warnings)
+        chosen = select_columns(q.text, kept, ctx.llm, warnings)
         trace.write(q.id, repetition, "selector.json", {
             "dropped_by_rule": dropped,
             "selected": [p.name for p in chosen],
@@ -221,15 +214,14 @@ def _run_one(q: Question, repetition: int, loaded, ctx: PipelineContext,
         trace.write(q.id, repetition, "explainer_prompt.txt",
                     build_explainer_prompt(q.text, chosen))
         inst = request_instructions(q.text, chosen, ctx.llm)
-        inst = clarify(inst, table, profiles, ctx.fuzzy)
+        inst = clarify(inst, table, profiles)
         trace.write(q.id, repetition, "instruction_set.json", inst.to_dict())
 
         stage = "solve"
         trace.write(q.id, repetition, "coder_prompt.txt",
                     build_coder_prompt(inst, chosen))
-        run = solve(inst, table, chosen, ctx.llm, ctx.max_attempts, ctx.fuzzy)
-        rec.trace = run.to_dict()
-        trace.write(q.id, repetition, "run_trace.json", rec.trace)
+        run = solve(inst, table, chosen, ctx.llm)
+        trace.write(q.id, repetition, "run_trace.json", run.to_dict())
         if not run.succeeded:
             last = run.attempts[-1] if run.attempts else None
             rec.failure = f"solve: {last.error_message if last else 'no attempts'}"
@@ -260,7 +252,7 @@ def _run_repetitions(questions: list[Question], tables_dir: str,
             continue
         path = os.path.join(tables_dir, f"{q.table_id}.csv")
         try:
-            table, profiles, _ = load_table_profiles(path, ctx)
+            table, profiles = load_table_profiles(path, ctx)
         except Exception as exc:
             loaded[q.table_id] = f"profile: {exc}"
         else:
@@ -312,18 +304,11 @@ def vote(records: list[RunRecord], cfg: EnsembleConfig) -> Optional[Answer]:
     ]
     if not survivors:
         return None
-    counts: dict[str, int] = {}
-    first_rep: dict[str, int] = {}
-    by_key: dict[str, Answer] = {}
-    for r in survivors:
-        key = r.answer.canonical_key()
-        if key not in counts:
-            counts[key] = 0
-            first_rep[key] = r.repetition
-            by_key[key] = r.answer
-        counts[key] += 1
-    best = min(counts, key=lambda k: (-counts[k], first_rep[k]))
-    return by_key[best]
+    # Keys in survivor order, and `max` keeps the first of equal counts:
+    # a tie goes to the answer of the earliest repetition.
+    keys = [r.answer.canonical_key() for r in survivors]
+    counts = Counter(keys)
+    return survivors[keys.index(max(counts, key=counts.get))].answer
 
 
 def ensemble_answers(questions: list[Question], tables_dir: str,
@@ -378,8 +363,7 @@ class ScoreReport:
         return "\n".join(lines)
 
 
-def score(predictions: list[tuple[Question, Optional[Answer]]],
-          cfg: CompareConfig = CompareConfig()) -> ScoreReport:
+def score(predictions: list[tuple[Question, Optional[Answer]]]) -> ScoreReport:
     """Accuracy overall and per answer type; abstains count as wrong,
     questions without gold are excluded with a warning."""
     totals: dict[str, list[int]] = {}
@@ -390,7 +374,7 @@ def score(predictions: list[tuple[Question, Optional[Answer]]],
         if q.gold is None:
             skipped.append(q.id)
             continue
-        ok = pred is not None and compare_answers(pred, q.gold, cfg)
+        ok = pred is not None and compare_answers(pred, q.gold)
         count_all += 1
         correct_all += int(ok)
         bucket = totals.setdefault(q.answer_type.value, [0, 0])
@@ -406,9 +390,7 @@ def score(predictions: list[tuple[Question, Optional[Answer]]],
 
 def ensemble_curve(records_by_question: dict[str, list[RunRecord]],
                    questions: list[Question], max_n: int,
-                   cfg: EnsembleConfig = EnsembleConfig(),
-                   compare_cfg: CompareConfig = CompareConfig()
-                   ) -> list[tuple[int, float]]:
+                   cfg: EnsembleConfig = EnsembleConfig()) -> list[tuple[int, float]]:
     """Accuracy when voting over only the first n repetitions, for
     n = 1..max_n."""
     by_id = {q.id: q for q in questions}
@@ -424,7 +406,7 @@ def ensemble_curve(records_by_question: dict[str, list[RunRecord]],
         for qid, recs in records_by_question.items():
             subset = [r for r in recs if r.repetition < n]
             preds.append((by_id[qid], vote(subset, cfg)))
-        points.append((n, score(preds, compare_cfg).overall_accuracy))
+        points.append((n, score(preds).overall_accuracy))
     return points
 
 

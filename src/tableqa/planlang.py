@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 from . import tablefns
-from .fuzzy import FuzzyConfig, correct_name, similarity
+from .fuzzy import correct_name, similarity
 from .table_core import Cell, Table, cells_equal, extract_numeric, render_cell
 from .tablefns import TableFnError
 
@@ -154,8 +154,7 @@ class Builtin:
     """One builtin: its signature line, its doc and its implementation.
     The signature's parameter names give the arity, the arguments the
     validator snaps to the schema (those named `*column`) and the
-    coercion of each argument.  `impl` takes the fuzzy config, then the
-    coerced arguments."""
+    coercion of each argument.  `impl` takes the coerced arguments."""
 
     def __init__(self, signature: str, doc: str, impl: Callable):
         self.signature = signature
@@ -167,12 +166,12 @@ class Builtin:
         self.column_args = tuple(i for i, p in enumerate(params) if p.endswith("column"))
         self._coercions = tuple(_COERCIONS[p] for p in params)
 
-    def call(self, args: Sequence, fuzzy_cfg: FuzzyConfig):
+    def call(self, args: Sequence):
         """Coerce the arguments and run the implementation; a failure
         becomes a PlanRuntimeError that names the builtin."""
         try:
-            return self.impl(fuzzy_cfg, *(coerce(a) for coerce, a
-                                          in zip(self._coercions, args, strict=True)))
+            return self.impl(*(coerce(a) for coerce, a
+                               in zip(self._coercions, args, strict=True)))
         except (TableFnError, TypeError, ValueError) as exc:
             raise PlanRuntimeError(f"{self.name}: {exc}") from exc
 
@@ -182,7 +181,7 @@ def _numbers(items: list) -> list[float]:
 
 
 def _of_numbers(reduce: Callable) -> Callable:
-    def impl(_, items: list) -> float:
+    def impl(items: list) -> float:
         numbers = _numbers(items)
         if not numbers:
             raise ValueError("no numeric values")
@@ -190,7 +189,7 @@ def _of_numbers(reduce: Callable) -> Callable:
     return impl
 
 
-def _unique(_, items: list) -> list:
+def _unique(items: list) -> list:
     seen, out = set(), []
     for e in items:
         if e is None:
@@ -202,7 +201,7 @@ def _unique(_, items: list) -> list:
     return out
 
 
-def _head(_, items: list, n: int) -> list:
+def _head(items: list, n: int) -> list:
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     return items[:n]
@@ -217,7 +216,7 @@ def _sorted(items: list) -> list:
     return ordered + [None] * (len(items) - len(present))
 
 
-def _div(_, x: float, y: float) -> float:
+def _div(x: float, y: float) -> float:
     if y == 0:
         raise ValueError("division by zero")
     return x / y
@@ -225,7 +224,7 @@ def _div(_, x: float, y: float) -> float:
 
 def _compare(op: Callable) -> Callable:
     """Numbers when both sides have one, else their text renderings."""
-    def impl(_, a: Cell, b: Cell) -> bool:
+    def impl(a: Cell, b: Cell) -> bool:
         x, y = extract_numeric(a), extract_numeric(b)
         if x is None or y is None:
             x, y = render_cell(a), render_cell(b)
@@ -233,7 +232,7 @@ def _compare(op: Callable) -> Callable:
     return impl
 
 
-def _first(_, items: list) -> Cell:
+def _first(items: list) -> Cell:
     if not items:
         raise ValueError("empty list")
     return items[0]
@@ -244,65 +243,63 @@ def _first(_, items: list) -> Cell:
 BUILTINS: dict[str, Builtin] = {b.name: b for b in [
     Builtin("flatten_column_values(table, column) -> table",
             "Split multi-valued cells (';', ',' or '|' separated) into one row per value.",
-            lambda _, t, c: tablefns.flatten_column_values(t, c)),
+            lambda t, c: tablefns.flatten_column_values(t, c)),
     *(Builtin(f"{name}_n_non_missing(table, column, n) -> table",
               f"{which} n rows whose cell in the column is not missing, original order.",
-              lambda _, t, c, n, end=end: tablefns.top_n_non_missing(t, c, n, end))
+              lambda t, c, n, end=end: tablefns.top_n_non_missing(t, c, n, end))
       for name, which, end in (("top", "First", "head"), ("tail", "Last", "tail"))),
     Builtin("delete_rows_by_column_value(table, column, value) -> table",
             "Remove rows whose cell equals the value exactly.",
-            lambda _, t, c, v: tablefns.delete_rows_by_column_value(t, c, v)),
+            lambda t, c, v: tablefns.delete_rows_by_column_value(t, c, v)),
     Builtin("sort_alphabetical(table, column) -> table",
             "Sort rows alphabetically (case-insensitive) by the column; missing last.",
-            lambda _, t, c: tablefns.sort_alphabetical(t, c)),
+            lambda t, c: tablefns.sort_alphabetical(t, c)),
     *(Builtin(f"filter_{cmp}(table, column, number) -> table",
               f"Keep rows whose numeric value in the column is {symbol} the number.",
-              lambda _, t, c, x, cmp=cmp: tablefns.filter_numeric(t, c, cmp, x))
+              lambda t, c, x, cmp=cmp: tablefns.filter_numeric(t, c, cmp, x))
       for cmp, symbol in (("le", "<="), ("lt", "<"), ("ge", ">="), ("gt", ">"))),
     Builtin("filter_contains(table, column, value) -> table",
             "Keep rows whose cell contains the value (case-insensitive substring; "
             "falls back to fuzzy matching of the stored value).",
-            lambda fuzzy, t, c, v: tablefns.filter_contains(t, c, v, fuzzy)),
+            lambda t, c, v: tablefns.filter_contains(t, c, v)),
     Builtin("filter_not_contains(table, column, value) -> table",
             "Keep rows whose cell does NOT contain the value.",
-            lambda _, t, c, v: tablefns.filter_not_contains(t, c, v)),
+            lambda t, c, v: tablefns.filter_not_contains(t, c, v)),
     Builtin("exists_value(table, column, value) -> boolean",
             "Whether any row's cell contains the value.",
-            lambda fuzzy, t, c, v: tablefns.exists_value(t, c, v, fuzzy)),
+            lambda t, c, v: tablefns.exists_value(t, c, v)),
     Builtin("count_equal(table, column, value) -> number",
             "Count cells exactly equal to the value (case-sensitive).",
-            lambda _, t, c, v: float(tablefns.count_equal(t, c, v))),
+            lambda t, c, v: float(tablefns.count_equal(t, c, v))),
     Builtin("count_containing(table, column, value) -> number",
             "Count rows whose cell contains the value.",
-            lambda fuzzy, t, c, v: float(tablefns.count_containing(t, c, v, fuzzy))),
+            lambda t, c, v: float(tablefns.count_containing(t, c, v))),
     Builtin("most_frequent(table, column) -> value",
             "The most frequent value in the column.",
-            lambda _, t, c: tablefns.most_frequent(t, c)),
+            lambda t, c: tablefns.most_frequent(t, c)),
     Builtin("most_frequent_n(table, column, n) -> list",
             "The n most frequent values in the column, most frequent first.",
-            lambda _, t, c, n: tablefns.most_frequent(t, c, n)),
+            lambda t, c, n: tablefns.most_frequent(t, c, n)),
     Builtin("most_frequent_in_subset(table, target_column, subset_column, filter_value)"
             " -> value",
             "Most frequent value in target_column among rows matching filter_value.",
-            lambda fuzzy, t, tc, sc, fv: tablefns.most_frequent_in_subset(
-                t, tc, sc, fv, None, fuzzy)),
+            lambda t, tc, sc, fv: tablefns.most_frequent_in_subset(t, tc, sc, fv)),
     Builtin("most_frequent_n_in_subset(table, target_column, subset_column, filter_value, n)"
             " -> list",
             "The n most frequent values in target_column among matching rows.",
-            lambda fuzzy, t, tc, sc, fv, n: tablefns.most_frequent_in_subset(
-                t, tc, sc, fv, n, fuzzy)),
+            lambda t, tc, sc, fv, n: tablefns.most_frequent_in_subset(t, tc, sc, fv, n)),
     Builtin("column(table, column) -> list",
             "The list of cell values of the column.",
-            lambda _, t, c: list(tablefns._resolve(t, c).cells)),
+            lambda t, c: list(tablefns._resolve(t, c).cells)),
     Builtin("count_rows(table) -> number", "Number of rows in the table.",
-            lambda _, t: float(t.row_count)),
+            lambda t: float(t.row_count)),
     Builtin("unique(list) -> list",
             "Distinct values, first occurrence order, missing dropped.", _unique),
     Builtin("length(list) -> number", "Number of elements.",
-            lambda _, items: float(len(items))),
+            lambda items: float(len(items))),
     Builtin("sum(list) -> number",
             "Sum of the numeric values of the elements (missing skipped).",
-            lambda _, items: float(sum(_numbers(items)))),
+            lambda items: float(sum(_numbers(items)))),
     Builtin("mean(list) -> number",
             "Mean of the numeric values of the elements (missing skipped).",
             _of_numbers(statistics.fmean)),
@@ -312,12 +309,12 @@ BUILTINS: dict[str, Builtin] = {b.name: b for b in [
             _of_numbers(max)),
     Builtin("head_n(list, n) -> list", "First n elements.", _head),
     Builtin("sort_asc(list) -> list", "Sort ascending.",
-            lambda _, items: _sorted(items)),
+            _sorted),
     Builtin("sort_desc(list) -> list", "Sort descending.",
-            lambda _, items: list(reversed(_sorted(items)))),
-    Builtin("add(number, number) -> number", "Addition.", lambda _, x, y: x + y),
-    Builtin("sub(number, number) -> number", "Subtraction.", lambda _, x, y: x - y),
-    Builtin("mul(number, number) -> number", "Multiplication.", lambda _, x, y: x * y),
+            lambda items: list(reversed(_sorted(items)))),
+    Builtin("add(number, number) -> number", "Addition.", lambda x, y: x + y),
+    Builtin("sub(number, number) -> number", "Subtraction.", lambda x, y: x - y),
+    Builtin("mul(number, number) -> number", "Multiplication.", lambda x, y: x * y),
     Builtin("div(number, number) -> number",
             "Division; dividing by zero is a runtime error.", _div),
     *(Builtin(f"{name}(scalar, scalar) -> boolean", doc, _compare(op))
@@ -326,11 +323,11 @@ BUILTINS: dict[str, Builtin] = {b.name: b for b in [
                             ("lt", "Less than.", operator.lt),
                             ("le", "Less or equal.", operator.le))),
     Builtin("eq(scalar, scalar) -> boolean", "Equality.",
-            lambda _, a, b: cells_equal(a, b)),
-    Builtin("not_(boolean) -> boolean", "Logical negation.", lambda _, v: not v),
+            cells_equal),
+    Builtin("not_(boolean) -> boolean", "Logical negation.", lambda v: not v),
     Builtin("to_number(scalar) -> number",
             "Extract a number from a scalar (first number in a string).",
-            lambda _, v: _number(v)),
+            _number),
     Builtin("first(list) -> value", "First element of a list.", _first),
 ]}
 

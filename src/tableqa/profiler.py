@@ -19,7 +19,8 @@ from .llm_client import ChatRequest, Message, first_json
 from .table_core import ColumnKind, Table
 
 PROFILER_VERSION = "1"
-DEFAULT_EXAMPLE_COUNT = 3
+EXAMPLE_COUNT = 3  # example values per column, in profiles and prompts
+DESCRIBE_CHUNK_SIZE = 25  # columns per descriptor prompt
 
 
 @dataclass
@@ -51,7 +52,7 @@ def fallback_description(profile: ColumnProfile) -> str:
             f"with example values: {examples}")
 
 
-def profile_table(t: Table, example_count: int = DEFAULT_EXAMPLE_COUNT) -> list[ColumnProfile]:
+def profile_table(t: Table) -> list[ColumnProfile]:
     """One profile per column; descriptions stay empty here and are
     filled by describe_columns (or its fallback template).
 
@@ -61,7 +62,7 @@ def profile_table(t: Table, example_count: int = DEFAULT_EXAMPLE_COUNT) -> list[
     for col in t.columns:
         distinct = col.distinct
         # A stable sort keeps first-seen order among equal counts.
-        examples = sorted(distinct, key=lambda k: -distinct[k][1])[:example_count]
+        examples = sorted(distinct, key=lambda k: -distinct[k][1])[:EXAMPLE_COUNT]
         lo = hi = None
         if col.kind in (ColumnKind.NUMERIC, ColumnKind.MIXED_NUMERIC):
             per_code = col.unique_numbers
@@ -101,16 +102,16 @@ def _describe_prompt(profiles: list[ColumnProfile]) -> str:
     return "\n".join(lines)
 
 
-def describe_columns(profiles: list[ColumnProfile], t: Table, llm=None,
-                     chunk_size: int = 25) -> list[ColumnProfile]:
-    """Fill each profile's description, batching at most `chunk_size`
-    columns per LLM prompt; any failure falls back to the template."""
+def describe_columns(profiles: list[ColumnProfile], llm=None) -> list[ColumnProfile]:
+    """Fill each profile's description, batching at most
+    DESCRIBE_CHUNK_SIZE columns per LLM prompt; any failure falls back
+    to the template."""
     for p in profiles:
         p.description = fallback_description(p)
     if llm is None:
         return profiles
-    for start in range(0, len(profiles), chunk_size):
-        chunk = profiles[start:start + chunk_size]
+    for start in range(0, len(profiles), DESCRIBE_CHUNK_SIZE):
+        chunk = profiles[start:start + DESCRIBE_CHUNK_SIZE]
         try:
             reply = llm.complete(ChatRequest(
                 messages=(Message("system", DESCRIBE_SYSTEM),

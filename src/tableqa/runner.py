@@ -8,11 +8,10 @@ whole history) and the loop continues until success or the attempt limit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional, Union
 
 from .explainer import InstructionSet
-from .fuzzy import FuzzyConfig
 from .llm_client import ChatRequest, LLMError, Message
 from .planlang import (
     BUILTINS,
@@ -43,12 +42,7 @@ class Attempt:
     error_message: Optional[str] = None
 
     def to_dict(self) -> dict:
-        return {
-            "plan_text": self.plan_text,
-            "stage": self.stage,
-            "error_stage": self.error_stage,
-            "error_message": self.error_message,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -80,8 +74,7 @@ def render_value(v: RuntimeValue) -> object:
     return render_cell(v)
 
 
-def execute_plan(plan: Plan, t: Table,
-                 fuzzy_cfg: FuzzyConfig = FuzzyConfig()) -> RuntimeValue:
+def execute_plan(plan: Plan, t: Table) -> RuntimeValue:
     """Evaluate the plan's bindings in order with `df` bound to t and
     return the answer expression's value."""
     env: dict[str, RuntimeValue] = {"df": t}
@@ -93,7 +86,7 @@ def execute_plan(plan: Plan, t: Table,
             if expr.name not in env:
                 raise PlanRuntimeError(f"undefined reference '{expr.name}'")
             return env[expr.name]
-        return BUILTINS[expr.fn].call([evaluate(a) for a in expr.args], fuzzy_cfg)
+        return BUILTINS[expr.fn].call([evaluate(a) for a in expr.args])
 
     for name, expr in plan.bindings:
         env[name] = evaluate(expr)
@@ -107,10 +100,7 @@ CODER_SYSTEM = (
 )
 
 
-def build_coder_prompt(inst: InstructionSet, schema: list[ColumnProfile],
-                       reference: Optional[str] = None) -> str:
-    if reference is None:
-        reference = dsl_reference()
+def build_coder_prompt(inst: InstructionSet, schema: list[ColumnProfile]) -> str:
     lines = ["Instructions:"]
     for i, step in enumerate(inst.instructions, start=1):
         lines.append(f"{i}) {step}")
@@ -120,7 +110,7 @@ def build_coder_prompt(inst: InstructionSet, schema: list[ColumnProfile],
         examples = ", ".join(p.example_values) or "(none)"
         lines.append(f"- \"{p.name}\" (type {p.kind.value}; example values: {examples})")
     lines.append("")
-    lines.append(reference)
+    lines.append(dsl_reference())
     lines.append("")
     lines.append("Write the plan now. Output only plan lines, ending with `answer =` "
                  "assigning the final result.")
@@ -137,17 +127,14 @@ def _repair_prompt(base_prompt: str, plan_text: str, stage: str, message: str) -
     )
 
 
-def solve(inst: InstructionSet, t: Table, schema: list[ColumnProfile], llm,
-          max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-          fuzzy_cfg: FuzzyConfig = FuzzyConfig()) -> RunTrace:
+def solve(inst: InstructionSet, t: Table, schema: list[ColumnProfile], llm) -> RunTrace:
     """Coder loop: prompt, parse, validate, execute; on any failure,
-    re-prompt with the failed plan and its error, up to max_attempts."""
-    if max_attempts < 1:
-        raise ValueError("max_attempts must be >= 1")
+    re-prompt with the failed plan and its error, up to
+    DEFAULT_MAX_ATTEMPTS attempts."""
     base_prompt = build_coder_prompt(inst, schema)
     trace = RunTrace()
     prompt = base_prompt
-    for _ in range(max_attempts):
+    for _ in range(DEFAULT_MAX_ATTEMPTS):
         try:
             plan_text = llm.complete(ChatRequest(
                 messages=(Message("system", CODER_SYSTEM), Message("user", prompt)),
@@ -160,7 +147,7 @@ def solve(inst: InstructionSet, t: Table, schema: list[ColumnProfile], llm,
         try:
             plan = parse_plan(plan_text)
             plan = validate_plan(plan, t.column_names)
-            value = execute_plan(plan, t, fuzzy_cfg)
+            value = execute_plan(plan, t)
         except PlanSyntaxError as exc:
             stage, message = "parse", str(exc)
         except PlanValidationError as exc:

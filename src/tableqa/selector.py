@@ -1,5 +1,5 @@
 """Column selection: rule-based pruning of uninformative columns, then an
-LLM relevance pass over chunks of at most 25 columns.
+LLM relevance pass over chunks of at most CHUNK_SIZE (25) columns.
 
 The selection is biased toward recall: the prompt tells the model to keep
 a column when in doubt, an unparseable chunk reply keeps the whole chunk,
@@ -10,38 +10,25 @@ no-op selection.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .fuzzy import correct_name
 from .llm_client import ChatRequest, LLMError, Message, first_json
 from .profiler import ColumnProfile
 
-DEFAULT_DENYLIST = [r"^N_R"]
+CHUNK_SIZE = 25  # columns per selector prompt
+DENYLIST = re.compile(r"^N_R")  # names of columns that are never informative
+SUFFIX_FAMILY_MIN = 5  # members from which a `stem_<digits>` family is dropped
+PARSE_ATTEMPTS = 2  # selector replies asked for per chunk before keeping it whole
 _SUFFIX_FAMILY_RE = re.compile(r"^(?P<stem>.+)_\d+$")
 
 
-@dataclass
-class SelectorConfig:
-    chunk_size: int = 25
-    denylist_patterns: list[str] = field(default_factory=lambda: list(DEFAULT_DENYLIST))
-    suffix_family_min: int = 5
-    max_parse_retries: int = 2
-
-    def __post_init__(self) -> None:
-        if self.chunk_size < 1:
-            raise ValueError("chunk_size must be >= 1")
-
-
-def prune_uninformative(profiles: list[ColumnProfile],
-                        cfg: SelectorConfig = SelectorConfig()
-                        ) -> tuple[list[ColumnProfile], list[str]]:
+def prune_uninformative(profiles: list[ColumnProfile]) -> tuple[list[ColumnProfile], list[str]]:
     """Drop denylisted names and large `stem_<digits>` suffix families.
 
-    A suffix family is dropped whole once it reaches suffix_family_min
+    A suffix family is dropped whole once it reaches SUFFIX_FAMILY_MIN
     members.  Dropped names are returned for the trace.
     """
-    patterns = [re.compile(p) for p in cfg.denylist_patterns]
     families: dict[str, list[str]] = {}
     for p in profiles:
         m = _SUFFIX_FAMILY_RE.match(p.name)
@@ -50,12 +37,12 @@ def prune_uninformative(profiles: list[ColumnProfile],
     family_drop = {
         name
         for members in families.values()
-        if len(members) >= cfg.suffix_family_min
+        if len(members) >= SUFFIX_FAMILY_MIN
         for name in members
     }
     kept, dropped = [], []
     for p in profiles:
-        if any(pat.search(p.name) for pat in patterns) or p.name in family_drop:
+        if DENYLIST.search(p.name) or p.name in family_drop:
             dropped.append(p.name)
         else:
             kept.append(p)
@@ -80,7 +67,6 @@ def _chunk_prompt(question: str, chunk: list[ColumnProfile]) -> str:
 
 
 def select_columns(question: str, profiles: list[ColumnProfile], llm,
-                   cfg: SelectorConfig = SelectorConfig(),
                    warnings: Optional[list[str]] = None) -> list[ColumnProfile]:
     """LLM relevance selection in chunks; the result is the union over
     chunks in original column order."""
@@ -89,12 +75,12 @@ def select_columns(question: str, profiles: list[ColumnProfile], llm,
     if not profiles:
         return []
     selected_names: set[str] = set()
-    for start in range(0, len(profiles), cfg.chunk_size):
-        chunk = profiles[start:start + cfg.chunk_size]
+    for start in range(0, len(profiles), CHUNK_SIZE):
+        chunk = profiles[start:start + CHUNK_SIZE]
         chunk_names = [p.name for p in chunk]
         prompt = _chunk_prompt(question, chunk)
         names: Optional[list] = None
-        for _ in range(cfg.max_parse_retries):
+        for _ in range(PARSE_ATTEMPTS):
             try:
                 reply = llm.complete(ChatRequest(
                     messages=(Message("system", SELECT_SYSTEM),

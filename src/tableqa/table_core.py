@@ -1,5 +1,6 @@
-"""Immutable columnar table model: CSV loading, column-kind inference,
-missing-value handling, and numeric extraction from mixed-type cells.
+"""Immutable columnar table model: CSV loading (UTF-8, `,` delimited,
+`"` quoted, one header row), column-kind inference, missing-value
+handling, and numeric extraction from mixed-type cells.
 
 A cell is one of: a number (float), a boolean, a text string, or None
 (missing).  Missing is distinct from the empty string and from 0.
@@ -313,16 +314,6 @@ class Table:
                                index=composed[key]))
         return Table(self.name, tuple(cols))
 
-    def row(self, i: int) -> list[Cell]:
-        return [c.cells[i] for c in self.columns]
-
-
-@dataclass(frozen=True)
-class LoadOptions:
-    delimiter: str = ","
-    quotechar: str = '"'
-    encoding: str = "utf-8"
-
 
 def _dedupe_names(names: list[str]) -> list[str]:
     seen: dict[str, int] = {}
@@ -337,17 +328,16 @@ def _dedupe_names(names: list[str]) -> list[str]:
     return out
 
 
-def load_csv(path: str, options: LoadOptions = LoadOptions()) -> Table:
-    """Load a UTF-8 CSV with a header row into an immutable Table.
+def load_csv(path: str) -> Table:
+    """Load a UTF-8, comma-separated, double-quoted CSV with a header row
+    into an immutable Table.
 
     Cell values are trimmed of surrounding whitespace and empty cells
     become missing.  Duplicate header names get #2, #3, ... suffixes.
     """
     try:
-        with open(path, encoding=options.encoding, newline="") as fh:
-            reader = csv.reader(fh, delimiter=options.delimiter,
-                                quotechar=options.quotechar)
-            rows = list(reader)
+        with open(path, encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
     except OSError as exc:
         raise TableError(f"cannot read {path!r}: {exc}") from exc
     if not rows:
@@ -383,13 +373,3 @@ def _load_column(name: str, raw: Sequence[str]) -> Column:
     col = Column(name, kind, map(uniques.__getitem__, codes))
     col.uniques, col.codes = uniques, codes
     return col
-
-
-def write_csv(table: Table, path: str, options: LoadOptions = LoadOptions()) -> None:
-    """Write a table back to CSV (missing cells as empty fields)."""
-    with open(path, "w", encoding=options.encoding, newline="") as fh:
-        writer = csv.writer(fh, delimiter=options.delimiter,
-                            quotechar=options.quotechar)
-        writer.writerow(table.column_names)
-        for i in range(table.row_count):
-            writer.writerow([render_cell(c) for c in table.row(i)])

@@ -16,7 +16,7 @@ from __future__ import annotations
 from itertools import compress
 from typing import Callable, Optional, Union
 
-from .fuzzy import FuzzyConfig, best_fuzzy_match, correct_name
+from .fuzzy import FILTER_THRESHOLD, best_fuzzy_match, correct_name
 from .table_core import (
     Cell,
     Column,
@@ -137,14 +137,13 @@ def _contains(col: Column, value: Cell) -> Callable[[int], bool]:
     return lambda code: col.uniques[code] is not None and needle in lowered[code]
 
 
-def filter_contains(t: Table, column: str, value: Cell,
-                    fuzzy_cfg: FuzzyConfig = FuzzyConfig()) -> Table:
+def filter_contains(t: Table, column: str, value: Cell) -> Table:
     """Two-round containment filter.
 
     Round 1 keeps rows whose cell text contains the value's text as a
     case-insensitive substring.  If that yields nothing and the column is
     textual, round 2 looks for the best fuzzy match over the column's
-    values (filter threshold, default 75) and keeps rows exactly equal to
+    values (FILTER_THRESHOLD, 75) and keeps rows exactly equal to
     the matched value.
     """
     col = _resolve(t, column)
@@ -154,7 +153,7 @@ def filter_contains(t: Table, column: str, value: Cell,
     textual = col.kind in (ColumnKind.CATEGORICAL, ColumnKind.MIXED_NUMERIC)
     if textual and isinstance(value, str) and value != "":
         firsts = [first for first, _ in col.distinct.values()]
-        match = best_fuzzy_match(firsts, value, fuzzy_cfg.filter_threshold)
+        match = best_fuzzy_match(firsts, value, FILTER_THRESHOLD)
         if match is not None:
             fuzzy_keep = _rows_where(col, lambda code: cells_equal(col.uniques[code], match))
             if fuzzy_keep:
@@ -170,9 +169,8 @@ def filter_not_contains(t: Table, column: str, value: Cell) -> Table:
     return t.take_rows(_rows_where(col, lambda code: not hit(code)))
 
 
-def exists_value(t: Table, column: str, value: Cell,
-                 fuzzy_cfg: FuzzyConfig = FuzzyConfig()) -> bool:
-    return filter_contains(t, column, value, fuzzy_cfg).row_count > 0
+def exists_value(t: Table, column: str, value: Cell) -> bool:
+    return filter_contains(t, column, value).row_count > 0
 
 
 def count_equal(t: Table, column: str, value: Cell) -> int:
@@ -181,9 +179,8 @@ def count_equal(t: Table, column: str, value: Cell) -> int:
     return sum(n for code, n in col.counts.items() if cells_equal(col.uniques[code], value))
 
 
-def count_containing(t: Table, column: str, value: Cell,
-                     fuzzy_cfg: FuzzyConfig = FuzzyConfig()) -> int:
-    return filter_contains(t, column, value, fuzzy_cfg).row_count
+def count_containing(t: Table, column: str, value: Cell) -> int:
+    return filter_contains(t, column, value).row_count
 
 
 def most_frequent(t: Table, column: str,
@@ -203,13 +200,13 @@ def most_frequent(t: Table, column: str,
 
 
 def most_frequent_in_subset(t: Table, target_column: str, subset_column: str,
-                            filter_value: Cell, n: Optional[int] = None,
-                            fuzzy_cfg: FuzzyConfig = FuzzyConfig()) -> Union[Cell, list[Cell]]:
+                            filter_value: Cell,
+                            n: Optional[int] = None) -> Union[Cell, list[Cell]]:
     """most_frequent over the rows matching filter_value in subset_column
     (two-round contains semantics); an empty subset raises the sentinel
     message."""
     _resolve(t, target_column)
-    sub = filter_contains(t, subset_column, filter_value, fuzzy_cfg)
+    sub = filter_contains(t, subset_column, filter_value)
     if sub.row_count == 0:
         raise TableFnError(NO_MATCHING_RECORDS)
     return most_frequent(sub, target_column, n)

@@ -304,3 +304,25 @@ def ref_most_frequent(rows, column, n=None):
     if n is None:
         return first[ranked[0]]
     return [first[k] for k in ranked[:n]]
+
+
+# ---------------------------------------------------------------------------
+# ensemble vote
+
+def ref_vote(records, sentinels):
+    """Brute force: keep runs with an answer none of whose texts is a
+    sentinel, count each canonical answer, and among the most counted
+    pick the one seen at the lowest repetition; None with no run kept."""
+    def texts(answer):
+        values = answer.value if isinstance(answer.value, list) else [answer.value]
+        return [v if isinstance(v, str) else ref_render(v) for v in values]
+
+    kept = [r for r in records
+            if r.answer is not None and not set(texts(r.answer)) & set(sentinels)]
+    if not kept:
+        return None
+    keys = {r.repetition: r.answer.canonical_key() for r in kept}
+    counts = Counter(keys.values())
+    top = max(counts.values())
+    earliest = min(rep for rep, key in keys.items() if counts[key] == top)
+    return next(r.answer for r in kept if r.repetition == earliest)

@@ -147,13 +147,13 @@ def test_retry_loop_attempt_counts():
                     "consume_once": True} for _ in range(k)]
         entries.append({"stage": "coder", "reply": "answer = count_rows(df)"})
         mock = MockClient.from_list(entries)
-        trace = solve(inst, table, [], mock, max_attempts=5)
+        trace = solve(inst, table, [], mock)
         assert trace.succeeded and trace.final_value == 2.0
         coder_calls = [c for c in mock.calls if c.stage_tag == "coder"]
         assert len(coder_calls) == k + 1 and trace.attempts_used == k + 1
 
     mock = MockClient.from_list([{"stage": "coder", "reply": "answer = ("}])
-    trace = solve(inst, table, [], mock, max_attempts=5)
+    trace = solve(inst, table, [], mock)
     assert not trace.succeeded
     assert trace.final_value is None
     assert len(trace.attempts) == 5

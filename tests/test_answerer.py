@@ -3,7 +3,6 @@ import pytest
 from tableqa.answerer import (
     Answer,
     AnswerType,
-    CompareConfig,
     FormatError,
     compare_answers,
     format_answer,
@@ -111,9 +110,6 @@ class TestCompareAnswers:
     def test_list_multiset(self):
         assert compare_answers(Answer(AnswerType.LIST_NUMBER, [1.0, 2.0]),
                                Answer(AnswerType.LIST_NUMBER, [2.0, 1.0])) is True
-        cfg = CompareConfig(ordered_lists=True)
-        assert compare_answers(Answer(AnswerType.LIST_NUMBER, [1.0, 2.0]),
-                               Answer(AnswerType.LIST_NUMBER, [2.0, 1.0]), cfg) is False
 
     def test_number_tolerance(self):
         assert compare_answers(Answer(AnswerType.NUMBER, 0.5),

@@ -14,7 +14,7 @@ from tableqa.profiler import describe_columns, profile_table
 
 @pytest.fixture
 def survey_profiles(survey_table):
-    return describe_columns(profile_table(survey_table), survey_table, llm=None)
+    return describe_columns(profile_table(survey_table), llm=None)
 
 
 class TestBuildPrompt:

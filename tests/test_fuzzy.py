@@ -12,7 +12,6 @@ from reference import (
 )
 from tableqa import fuzzy
 from tableqa.fuzzy import (
-    FuzzyConfig,
     best_fuzzy_match,
     correct_name,
     levenshtein,
@@ -192,12 +191,6 @@ class TestCorrectName:
         assert result in candidates
         if name in candidates:
             assert result == name
-
-
-def test_fuzzy_config_validates():
-    FuzzyConfig(match_threshold=0, filter_threshold=100)
-    with pytest.raises(ValueError):
-        FuzzyConfig(match_threshold=101)
 
 
 def test_acceptance_scale_random_pairs():

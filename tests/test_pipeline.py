@@ -8,8 +8,10 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, strategies as st
 
 import e2e_fixtures
+import reference as ref
 from tableqa import pipeline
 from tableqa.answerer import Answer, AnswerType
 from tableqa.llm_client import MockClient
@@ -132,6 +134,18 @@ class TestTraceWriter:
             assert (tmp_path / qid / "rep1" / "a.txt").read_text() == "x"
 
 
+SENTINEL = "No matching records were found"
+VOTE_ANSWERS = [
+    num(1), num(2),
+    Answer(AnswerType.CATEGORY, "a"), Answer(AnswerType.CATEGORY, "A"),
+    Answer(AnswerType.CATEGORY, SENTINEL),
+    Answer(AnswerType.LIST_CATEGORY, ["x", SENTINEL]),
+    Answer(AnswerType.LIST_CATEGORY, ["x", "y"]),
+    Answer(AnswerType.LIST_NUMBER, [1.0, 2.0]),
+    Answer(AnswerType.BOOLEAN, False),
+]
+
+
 class TestVote:
     def test_plurality(self):
         records = [mk_record(i, num(2)) for i in range(5)]
@@ -161,6 +175,17 @@ class TestVote:
         import itertools
         for perm in itertools.permutations(records):
             assert vote(list(perm), EnsembleConfig()).value == 2.0
+
+    @given(st.lists(st.one_of(st.none(), st.sampled_from(VOTE_ANSWERS)), max_size=12),
+           st.sampled_from([EnsembleConfig(), EnsembleConfig(sentinel_messages=["a", "x"])]),
+           st.randoms(use_true_random=False))
+    def test_matches_reference(self, answers, cfg, rng):
+        """Any mix of answers, ties, sentinels and failed runs, in any
+        record order, votes as the brute-force reference does."""
+        records = [mk_record(rep, a, failure=None if a else "solve: boom")
+                   for rep, a in enumerate(answers)]
+        rng.shuffle(records)
+        assert vote(records, cfg) == ref.ref_vote(records, cfg.sentinel_messages)
 
 
 class TestEnsemble:
@@ -269,6 +294,28 @@ class _ShuffledDelays:
             self.ordinals[key] += 1
         time.sleep(self.delays[ordinal % len(self.delays)])
         return self.inner.complete(req)
+
+
+class _InFlight:
+    """An LLM that holds each call open briefly and records the most
+    `complete` calls ever in flight at once."""
+
+    def __init__(self, inner, seconds=0.005):
+        self.inner = inner
+        self.seconds = seconds
+        self.now = self.peak = 0
+        self.lock = threading.Lock()
+
+    def complete(self, req):
+        with self.lock:
+            self.now += 1
+            self.peak = max(self.peak, self.now)
+        try:
+            time.sleep(self.seconds)
+            return self.inner.complete(req)
+        finally:
+            with self.lock:
+                self.now -= 1
 
 
 def _context(tmp_path, name, llm, concurrency, cache=True):
@@ -396,6 +443,17 @@ class TestConcurrentEnsemble:
                                            EnsembleConfig(repetitions=2))
         assert all(r.failure.startswith("profile: ") for r in records["q1"])
         assert answer_dict(finals["q2"]) == e2e_fixtures.EXPECTED["q2"]
+
+    def test_concurrency_bounds_llm_calls_in_flight(self, tmp_path):
+        """The pool of `concurrency` workers is the only bound on open
+        LLM calls: at 2 they overlap, and never more than 2 at once."""
+        tables_dir, questions_path, mock_path = e2e_fixtures.write_fixture(tmp_path)
+        llm = _InFlight(MockClient.from_file(mock_path))
+        ctx = _context(tmp_path, "run", llm, concurrency=2)
+        finals, _ = ensemble_answers(load_questions(questions_path), tables_dir, ctx,
+                                     EnsembleConfig(repetitions=8))
+        assert llm.peak == 2
+        assert {q: answer_dict(a) for q, a in finals.items()} == e2e_fixtures.EXPECTED
 
     def test_concurrency_must_be_positive(self):
         with pytest.raises(ValueError, match="concurrency"):

@@ -42,9 +42,9 @@ class TestProfileTable:
         assert p.kind is ColumnKind.MIXED_NUMERIC
         assert (p.min, p.max) == (5.0, 10.0)
 
-    def test_example_count_configurable(self):
-        [p] = profile_table(one_col("c", ["a", "b", "c", "d"]), example_count=2)
-        assert len(p.example_values) == 2
+    def test_example_values_capped_at_example_count(self):
+        [p] = profile_table(one_col("c", ["a", "b", "c", "d"]))
+        assert p.example_values == ["a", "b", "c"]
 
     def test_fills_distinct_but_no_per_row_view(self, survey_table):
         """The explainer and the builtins read `distinct` again, so the
@@ -57,7 +57,7 @@ class TestProfileTable:
 
 class TestDescribeColumns:
     def test_no_llm_uses_fallback_template(self, survey_table):
-        profiles = describe_columns(profile_table(survey_table), survey_table, llm=None)
+        profiles = describe_columns(profile_table(survey_table), llm=None)
         for p in profiles:
             assert p.description == fallback_description(p)
         mes = next(p for p in profiles if p.name == "Mes de realización")
@@ -71,7 +71,7 @@ class TestDescribeColumns:
             "match": "Mes de realización",
             "reply": json.dumps({"Mes de realización": "Month of the survey"}),
         }])
-        profiles = describe_columns(profile_table(survey_table), survey_table, mock)
+        profiles = describe_columns(profile_table(survey_table), mock)
         mes = next(p for p in profiles if p.name == "Mes de realización")
         assert mes.description == "Month of the survey"
         # columns absent from the reply keep the fallback
@@ -79,7 +79,7 @@ class TestDescribeColumns:
         assert edad.description == fallback_description(edad)
 
     def test_empty_profiles(self, survey_table):
-        assert describe_columns([], survey_table, None) == []
+        assert describe_columns([], None) == []
 
     def test_batches_of_25(self, survey_table):
         profiles = [ColumnProfile(name=f"c{i}", kind=ColumnKind.CATEGORICAL)
@@ -87,7 +87,7 @@ class TestDescribeColumns:
         mock = MockClient.from_list([
             {"stage": "descriptor", "reply": "{}"},
         ])
-        describe_columns(profiles, survey_table, mock)
+        describe_columns(profiles, mock)
         assert len(mock.calls) == 3
 
 

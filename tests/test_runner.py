@@ -77,7 +77,7 @@ class TestExecutePlan:
 
 class TestBuildCoderPrompt:
     def test_instructions_verbatim(self, survey_table):
-        profiles = describe_columns(profile_table(survey_table), survey_table, None)
+        profiles = describe_columns(profile_table(survey_table), None)
         inst = InstructionSet(instructions=[
             "Count the surveys in january",
             "Be careful!. The value enero appears in the database with the "
@@ -105,7 +105,7 @@ class TestSolve:
                    for _ in range(k)]
         entries.append({"stage": "coder", "reply": VALID_PLAN})
         mock = MockClient.from_list(entries)
-        trace = solve(self.make_inst(), mes_table, [], mock, max_attempts=5)
+        trace = solve(self.make_inst(), mes_table, [], mock)
         assert trace.succeeded
         assert trace.attempts_used == k + 1
         assert trace.final_value == 3.0
@@ -113,7 +113,7 @@ class TestSolve:
 
     def test_all_failures(self, mes_table):
         mock = MockClient.from_list([{"stage": "coder", "reply": BROKEN_PLAN}])
-        trace = solve(self.make_inst(), mes_table, [], mock, max_attempts=5)
+        trace = solve(self.make_inst(), mes_table, [], mock)
         assert not trace.succeeded
         assert trace.final_value is None
         assert trace.attempts_used == 5
@@ -126,7 +126,7 @@ class TestSolve:
             {"stage": "coder", "reply": BROKEN_PLAN, "consume_once": True},
             {"stage": "coder", "reply": VALID_PLAN},
         ])
-        solve(self.make_inst(), mes_table, [], mock, max_attempts=5)
+        solve(self.make_inst(), mes_table, [], mock)
         repair = mock.calls[1].last_user_content
         assert BROKEN_PLAN in repair
         assert "parse" in repair
@@ -136,7 +136,7 @@ class TestSolve:
             {"stage": "coder", "reply": 'answer = div(1, 0)', "consume_once": True},
             {"stage": "coder", "reply": VALID_PLAN},
         ])
-        trace = solve(self.make_inst(), mes_table, [], mock, max_attempts=5)
+        trace = solve(self.make_inst(), mes_table, [], mock)
         assert trace.succeeded
         assert trace.attempts[0].error_stage == "execute"
         assert "division by zero" in mock.calls[1].last_user_content
@@ -147,7 +147,7 @@ class TestSolve:
             {"stage": "coder", "reply": deep, "consume_once": True},
             {"stage": "coder", "reply": VALID_PLAN},
         ])
-        trace = solve(self.make_inst(), mes_table, [], mock, max_attempts=5)
+        trace = solve(self.make_inst(), mes_table, [], mock)
         assert trace.succeeded
         assert trace.attempts[0].error_stage == "parse"
 
@@ -158,7 +158,7 @@ class TestSolve:
              "consume_once": True},
             {"stage": "coder", "reply": VALID_PLAN},
         ])
-        trace = solve(self.make_inst(), mes_table, [], mock, max_attempts=5)
+        trace = solve(self.make_inst(), mes_table, [], mock)
         assert trace.succeeded
         assert trace.attempts_used == 2
         assert trace.attempts[0].error_stage == "execute"

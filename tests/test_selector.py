@@ -1,14 +1,8 @@
 import json
 
-import pytest
-
 from tableqa.llm_client import MockClient
 from tableqa.profiler import ColumnProfile
-from tableqa.selector import (
-    SelectorConfig,
-    prune_uninformative,
-    select_columns,
-)
+from tableqa.selector import DENYLIST, prune_uninformative, select_columns
 from tableqa.table_core import ColumnKind
 
 
@@ -35,13 +29,11 @@ class TestPrune:
         assert dropped == []
 
     def test_never_drops_unmatched(self):
-        cfg = SelectorConfig()
         profiles = profiles_named("Edad", "Mes", "Partido", "B_1", "N_R", "C_9")
-        kept, dropped = prune_uninformative(profiles, cfg)
+        kept, dropped = prune_uninformative(profiles)
         import re
         for name in dropped:
-            by_denylist = any(re.search(p, name) for p in cfg.denylist_patterns)
-            assert by_denylist or re.match(r".+_\d+$", name)
+            assert DENYLIST.search(name) or re.match(r".+_\d+$", name)
         assert set(p.name for p in kept) | set(dropped) == {p.name for p in profiles}
 
 
@@ -106,8 +98,3 @@ class TestSelectColumns:
         assert "¿Cuántas encuestas?" in mock.calls[0].last_user_content
         system = mock.calls[0].messages[0].content
         assert "in case of doubt" in system.lower()
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        SelectorConfig(chunk_size=0)

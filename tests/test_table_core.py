@@ -16,7 +16,6 @@ from tableqa.table_core import (
     infer_column_kind,
     load_csv,
     render_cell,
-    write_csv,
 )
 
 
@@ -100,15 +99,6 @@ class TestLoadCsv:
     def test_unreadable_file(self, tmp_path):
         with pytest.raises(TableError):
             load_csv(str(tmp_path / "does_not_exist.csv"))
-
-    def test_round_trip(self, survey_table, tmp_path):
-        out = tmp_path / "copy.csv"
-        write_csv(survey_table, str(out))
-        again = load_csv(str(out))
-        assert again.column_names == survey_table.column_names
-        for a, b in zip(again.columns, survey_table.columns):
-            assert a.kind is b.kind
-            assert a.cells == b.cells
 
 
 class TestInferColumnKind:
