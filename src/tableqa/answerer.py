@@ -1,10 +1,9 @@
 """Coercion of runtime values into typed answers, and the benchmark
 comparator.
 
-The formatter is rule-based and the default; the interpreter asks the
-LLM and falls back to the formatter.  Category formatting is the
-identity on text scalars: "+65", "18-24" and "PP (Partido Popular)" come
-out byte-identical, never stripped or normalized.
+The formatter is rule-based.  Category formatting is the identity on
+text scalars: "+65", "18-24" and "PP (Partido Popular)" come out
+byte-identical, never stripped or normalized.
 
 The comparator matches numbers within ABS_TOL or REL_TOL of the gold,
 categories up to case and surrounding spaces, and lists as multisets.
@@ -17,9 +16,7 @@ import json
 from dataclasses import dataclass
 from typing import Union
 
-from .llm_client import ChatRequest, Message
-from .planlang import strip_llm_wrapping
-from .runner import RuntimeValue, render_value
+from .runner import RuntimeValue
 from .table_core import (
     BOOLEAN_FALSE,
     BOOLEAN_TRUE,
@@ -42,8 +39,8 @@ class AnswerType(enum.Enum):
 AnswerValue = Union[bool, float, str, list]
 
 
-class FormatError(Exception):
-    """The runtime value cannot be coerced to the requested answer type."""
+class FormatError(ValueError):
+    """The value cannot be coerced to the requested answer type."""
 
 
 @dataclass(frozen=True)
@@ -65,12 +62,16 @@ class Answer:
 
 
 def _normalize_value(value, at: AnswerType) -> AnswerValue:
+    """A stored answer value as its type's Python value: Boolean text goes
+    through the boolean lexicon, and list types need a JSON array."""
     if at is AnswerType.BOOLEAN:
-        return bool(value)
+        return _coerce_boolean(value)
     if at is AnswerType.NUMBER:
         return float(value)
     if at is AnswerType.CATEGORY:
         return str(value)
+    if not isinstance(value, list):
+        raise FormatError(f"{at.value} needs a JSON array, not {value!r}")
     if at is AnswerType.LIST_NUMBER:
         return [float(v) for v in value]
     return [str(v) for v in value]
@@ -145,41 +146,6 @@ def format_answer(v: RuntimeValue, at: AnswerType) -> Answer:
     if at is AnswerType.LIST_NUMBER:
         return Answer(at, [_coerce_number(c) for c in cells])
     return Answer(at, [_coerce_category(c) for c in cells])
-
-
-INTERPRETER_SYSTEM = (
-    "You turn the raw result of a table query into a final answer of the "
-    "requested type. Reply with a single JSON value: true/false for "
-    "Boolean, a number for Number, a string for Category, or a JSON array "
-    "for list types. No prose."
-)
-
-
-def interpret_answer(question: str, v: RuntimeValue, at: AnswerType, llm) -> Answer:
-    """LLM-based coercion; falls back to format_answer on any parse
-    failure."""
-    # A table as {column: [cells]} JSON, a list as a JSON array, a scalar
-    # as its cell text.
-    result = render_value(v)
-    if isinstance(v, Table):
-        result = result["table"]
-    if not isinstance(result, str):
-        result = json.dumps(result, ensure_ascii=False)
-    prompt = (
-        f"Question: {question}\n"
-        f"Query result: {result}\n"
-        f"Expected answer type: {at.value}\n"
-        f"Reply with a single JSON value of that type."
-    )
-    try:
-        reply = llm.complete(ChatRequest(
-            messages=(Message("system", INTERPRETER_SYSTEM), Message("user", prompt)),
-            stage_tag="interpreter",
-        ))
-        value = json.loads(strip_llm_wrapping(reply))
-        return Answer(at, _normalize_value(value, at))
-    except (Exception,):
-        return format_answer(v, at)
 
 
 ABS_TOL = 1e-9

@@ -2,8 +2,8 @@
 
 Subcommands: describe, ask, bench, plan-run, ensemble-curve,
 dsl-reference.  Global flags pick the LLM backend (--mock for scripted
-tests, otherwise HTTP per the config file), the cache and trace
-directories, and deterministic sampling.
+tests, otherwise HTTP per the config file), the profile cache directory,
+and deterministic sampling.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ from .runner import execute_plan, render_value
 from .table_core import load_csv
 
 
-def _build_context(config_path, mock_path, deterministic, use_interpreter,
-                   cache_dir, trace_dir=None) -> PipelineContext:
+def _build_context(config_path, mock_path, deterministic, cache_dir,
+                   trace_dir=None) -> PipelineContext:
     cfg = LLMConfig()
     if config_path:
         with open(config_path, encoding="utf-8") as fh:
@@ -46,7 +46,6 @@ def _build_context(config_path, mock_path, deterministic, use_interpreter,
         llm=llm,
         cache_dir=cache_dir,
         trace_dir=trace_dir,
-        use_interpreter=use_interpreter,
         concurrency=cfg.concurrency,
     )
 
@@ -58,8 +57,6 @@ def _global_options(fn):
                       default=None, help="Scripted mock LLM (JSON).")(fn)
     fn = click.option("--deterministic", is_flag=True,
                       help="Temperature 0 for reproducible runs.")(fn)
-    fn = click.option("--use-interpreter", is_flag=True,
-                      help="Use the LLM interpreter instead of the rule formatter.")(fn)
     fn = click.option("--cache-dir", type=click.Path(), default=None,
                       help="Column-profile cache directory.")(fn)
     return fn
@@ -73,11 +70,9 @@ def main():
 @main.command()
 @click.argument("table_path", type=click.Path(exists=True))
 @_global_options
-def describe(table_path, config_path, mock_path, deterministic,
-             use_interpreter, cache_dir):
+def describe(table_path, config_path, mock_path, deterministic, cache_dir):
     """Profile a table and print its column descriptions."""
-    ctx = _build_context(config_path, mock_path, deterministic,
-                         use_interpreter, cache_dir)
+    ctx = _build_context(config_path, mock_path, deterministic, cache_dir)
     if mock_path is None and config_path is None:
         ctx.llm = None  # offline: template descriptions
     _, profiles = load_table_profiles(table_path, ctx)
@@ -91,18 +86,22 @@ def describe(table_path, config_path, mock_path, deterministic,
 @click.option("--type", "answer_type", required=True,
               type=click.Choice([t.value for t in AnswerType]),
               help="Expected answer type.")
-@click.option("--repetitions", default=1, show_default=True)
+@click.option("--repetitions", default=1, show_default=True,
+              type=click.IntRange(min=1))
 @click.option("--trace-dir", type=click.Path(), default=None)
 @_global_options
 def ask(table_path, question, answer_type, repetitions, trace_dir,
-        config_path, mock_path, deterministic, use_interpreter, cache_dir):
+        config_path, mock_path, deterministic, cache_dir):
     """Answer a single question over one CSV table."""
-    ctx = _build_context(config_path, mock_path, deterministic,
-                         use_interpreter, cache_dir, trace_dir)
-    tables_dir = os.path.dirname(os.path.abspath(table_path))
+    # The pipeline finds a table as <tables-dir>/<table id>.csv.
     table_id = os.path.basename(table_path)
-    if table_id.endswith(".csv"):
-        table_id = table_id[:-4]
+    if not table_id.endswith(".csv"):
+        raise click.BadParameter(f"{table_path!r} is not a .csv file",
+                                 param_hint="'TABLE_PATH'")
+    table_id = table_id[:-4]
+    ctx = _build_context(config_path, mock_path, deterministic, cache_dir,
+                         trace_dir)
+    tables_dir = os.path.dirname(os.path.abspath(table_path))
     q = Question("q0", table_id, question, AnswerType(answer_type))
     finals, _ = ensemble_answers([q], tables_dir, ctx,
                                  EnsembleConfig(repetitions=repetitions))
@@ -116,15 +115,16 @@ def ask(table_path, question, answer_type, repetitions, trace_dir,
 @main.command()
 @click.argument("questions_path", type=click.Path(exists=True))
 @click.option("--tables-dir", required=True, type=click.Path(exists=True))
-@click.option("--repetitions", default=8, show_default=True)
+@click.option("--repetitions", default=8, show_default=True,
+              type=click.IntRange(min=1))
 @click.option("--out-dir", type=click.Path(), default="bench_out",
               show_default=True, help="Predictions, report and traces.")
 @_global_options
 def bench(questions_path, tables_dir, repetitions, out_dir, config_path,
-          mock_path, deterministic, use_interpreter, cache_dir):
+          mock_path, deterministic, cache_dir):
     """Run the benchmark: answer every question, vote, score, report."""
     os.makedirs(out_dir, exist_ok=True)
-    ctx = _build_context(config_path, mock_path, deterministic, use_interpreter,
+    ctx = _build_context(config_path, mock_path, deterministic,
                          cache_dir or os.path.join(out_dir, "cache"),
                          trace_dir=os.path.join(out_dir, "trace"))
     questions = load_questions(questions_path)
@@ -176,7 +176,8 @@ def plan_run(table_path, plan_path):
 
 @main.command("ensemble-curve")
 @click.argument("bench_dir", type=click.Path(exists=True))
-@click.option("--max-n", default=8, show_default=True)
+@click.option("--max-n", default=8, show_default=True,
+              type=click.IntRange(min=1))
 def ensemble_curve_cmd(bench_dir, max_n):
     """Recompute voting accuracy for n=1..max-n from a bench run; emits
     CSV (n,accuracy) on stdout."""

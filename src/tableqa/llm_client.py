@@ -3,8 +3,8 @@
 Two backends behind one `complete(request)` call: an HTTP client for any
 OpenAI-compatible chat-completions server, and a deterministic scripted
 mock for tests.  Model routing is per stage: one general model for
-descriptor/selector/explainer/interpreter, a dedicated coder model, and
-an optional explainer override slot.
+descriptor/selector/explainer, a dedicated coder model, and an optional
+explainer override slot.
 """
 
 from __future__ import annotations
@@ -20,7 +20,10 @@ from typing import Optional, Sequence
 
 import requests
 
-STAGES = ("descriptor", "selector", "explainer", "coder", "interpreter")
+STAGES = ("descriptor", "selector", "explainer", "coder")
+
+# HTTPClient sleeps RETRY_BASE_SECONDS * 2**attempt before each retry.
+RETRY_BASE_SECONDS = 1.0
 
 
 class LLMError(Exception):
@@ -84,15 +87,13 @@ class LLMConfig:
     max_tokens: int = 2048
     concurrency: int = 4
     retries: int = 3
-    retry_base_seconds: float = 1.0
 
     def __post_init__(self) -> None:
         # bool is an int subclass, and YAML reads `true` as one.
-        for key in ("temperature", "retry_base_seconds"):
-            value = getattr(self, key)
-            if isinstance(value, bool) or not isinstance(value, (int, float)) \
-                    or not math.isfinite(value):
-                raise ValueError(f"{key} must be a finite number, not {value!r}")
+        value = self.temperature
+        if isinstance(value, bool) or not isinstance(value, (int, float)) \
+                or not math.isfinite(value):
+            raise ValueError(f"temperature must be a finite number, not {value!r}")
         for key in ("max_tokens", "concurrency", "retries"):
             value = getattr(self, key)
             if isinstance(value, bool) or not isinstance(value, int):
@@ -189,7 +190,7 @@ class HTTPClient:
                 else:
                     last_exc = LLMError(f"HTTP {resp.status_code}")
             if attempt < self.config.retries:
-                time.sleep(self.config.retry_base_seconds * (2 ** attempt))
+                time.sleep(RETRY_BASE_SECONDS * (2 ** attempt))
         raise LLMError(f"transport failure after {self.config.retries} retries: {last_exc}")
 
 

@@ -35,13 +35,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from .answerer import (
-    Answer,
-    AnswerType,
-    compare_answers,
-    format_answer,
-    interpret_answer,
-)
+from .answerer import Answer, AnswerType, compare_answers, format_answer
 from .explainer import (
     build_explainer_prompt,
     clarify,
@@ -146,7 +140,6 @@ class PipelineContext:
     llm: object
     cache_dir: Optional[str] = None
     trace_dir: Optional[str] = None
-    use_interpreter: bool = False
     concurrency: int = 4  # runs in flight at once
 
     def __post_init__(self) -> None:
@@ -228,11 +221,7 @@ def _run_one(q: Question, repetition: int, loaded, ctx: PipelineContext,
             return rec
 
         stage = "format"
-        if ctx.use_interpreter:
-            rec.answer = interpret_answer(q.text, run.final_value,
-                                          q.answer_type, ctx.llm)
-        else:
-            rec.answer = format_answer(run.final_value, q.answer_type)
+        rec.answer = format_answer(run.final_value, q.answer_type)
     except Exception as exc:
         rec.failure = f"{stage}: {exc}"
         with contextlib.suppress(OSError):
@@ -411,7 +400,9 @@ def ensemble_curve(records_by_question: dict[str, list[RunRecord]],
 
 
 def load_questions(path: str) -> list[Question]:
-    """Questions JSONL: {id, table_id, question, answer_type, answer}."""
+    """Questions JSONL: {id, table_id, question, answer_type, answer}.
+    A gold answer its type cannot read raises ValueError naming the
+    question id."""
     questions = []
     with open(path, encoding="utf-8") as fh:
         for line in fh:
@@ -421,8 +412,13 @@ def load_questions(path: str) -> list[Question]:
             obj = json.loads(line)
             at = AnswerType(obj["answer_type"])
             gold = None
-            if "answer" in obj and obj["answer"] is not None:
-                gold = Answer.from_dict({"type": at.value, "value": obj["answer"]})
+            if obj.get("answer") is not None:
+                try:
+                    gold = Answer.from_dict({"type": at.value, "value": obj["answer"]})
+                except (TypeError, ValueError) as exc:
+                    raise ValueError(
+                        f"question {obj['id']!r}: bad {at.value} gold answer: {exc}"
+                    ) from exc
             questions.append(Question(
                 id=str(obj["id"]),
                 table_id=str(obj["table_id"]),

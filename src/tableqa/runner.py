@@ -37,8 +37,8 @@ DEFAULT_MAX_ATTEMPTS = 5
 @dataclass
 class Attempt:
     plan_text: str
-    stage: str  # parsed | validated | executed | error
-    error_stage: Optional[str] = None  # parse | validate | execute
+    stage: str  # executed | error
+    error_stage: Optional[str] = None  # transport | parse | validate | execute
     error_message: Optional[str] = None
 
     def to_dict(self) -> dict:

@@ -1,6 +1,6 @@
 """Shared end-to-end fixture: six questions over the survey table (one
 per answer type plus one designed solve-failure) and a mock script
-covering all five LLM stages."""
+covering all four LLM stages."""
 
 import json
 
@@ -78,9 +78,6 @@ MOCK_SCRIPT = [
                'answer = column(older, "Edad")')},
     {"stage": "coder", "match": "Do something impossible",
      "reply": "I cannot write this plan"},
-
-    {"stage": "interpreter", "match": "Cuántas encuestas", "reply": "3"},
-    {"stage": "interpreter", "reply": "no json here, fall back"},
 ]
 
 EXPECTED = {

@@ -6,9 +6,7 @@ from tableqa.answerer import (
     FormatError,
     compare_answers,
     format_answer,
-    interpret_answer,
 )
-from tableqa.llm_client import MockClient
 from tableqa.table_core import Column, Table
 
 
@@ -57,44 +55,23 @@ class TestFormatAnswer:
         assert format_answer(3.0, AnswerType.CATEGORY).value == "3"
 
 
-class TestInterpretAnswer:
-    def test_scripted_boolean(self):
-        mock = MockClient.from_list([{"stage": "interpreter", "reply": "true"}])
-        answer = interpret_answer("q?", "sí", AnswerType.BOOLEAN, mock)
-        assert answer.value is True
+class TestAnswerFromDict:
+    @pytest.mark.parametrize("text, value", [
+        ("False", False), ("no", False), ("TRUE", True), ("sí", True),
+    ])
+    def test_boolean_text(self, text, value):
+        assert Answer.from_dict({"type": "Boolean", "value": text}).value is value
 
-    def test_fallback_on_prose(self):
-        mock = MockClient.from_list([
-            {"stage": "interpreter", "reply": "the answer is probably two"},
-        ])
-        answer = interpret_answer("q?", 2.0, AnswerType.NUMBER, mock)
-        assert answer == format_answer(2.0, AnswerType.NUMBER)
+    @pytest.mark.parametrize("at", ["List[Category]", "List[Number]"])
+    def test_list_types_need_an_array(self, at):
+        with pytest.raises(ValueError, match="needs a JSON array"):
+            Answer.from_dict({"type": at, "value": "PSOE"})
 
-    def test_agrees_with_formatter(self):
-        mock = MockClient.from_list([{"stage": "interpreter", "reply": "2"}])
-        assert interpret_answer("q?", 2.0, AnswerType.NUMBER, mock) == \
-            format_answer(2.0, AnswerType.NUMBER)
-
-    @pytest.mark.parametrize("value, rendered", [
-        (Table("t", (Column.from_cells("Año", [2020, None]),
-                     Column.from_cells("Sí", [True, "ñ"]))),
-         '{"Año": ["2020", ""], "Sí": ["true", "ñ"]}'),
-        ([1.5, None, "x"], '["1.5", "", "x"]'),
-        (3.0, "3"),
-        ("PP (Partido Popular)", "PP (Partido Popular)"),
-    ], ids=["table", "list", "number", "text"])
-    def test_prompt_text(self, value, rendered):
-        mock = MockClient.from_list([{"stage": "interpreter", "reply": "1"}])
-        interpret_answer("q?", value, AnswerType.NUMBER, mock)
-        assert mock.calls[0].last_user_content == (
-            f"Question: q?\nQuery result: {rendered}\nExpected answer type: Number\n"
-            "Reply with a single JSON value of that type.")
-
-    def test_fenced_reply_with_prose(self):
-        mock = MockClient.from_list([
-            {"stage": "interpreter", "reply": "Here it is:\n```json\n7\n```"},
-        ])
-        assert interpret_answer("q?", 2.0, AnswerType.NUMBER, mock).value == 7.0
+    def test_round_trip(self):
+        for answer in (Answer(AnswerType.BOOLEAN, False),
+                       Answer(AnswerType.LIST_CATEGORY, ["PSOE", "PP"]),
+                       Answer(AnswerType.LIST_NUMBER, [1.0, 2.5])):
+            assert Answer.from_dict(answer.to_dict()) == answer
 
 
 class TestCompareAnswers:

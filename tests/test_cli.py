@@ -75,6 +75,39 @@ class TestAsk:
         assert result.exit_code == 0, result.output
         assert os.path.exists(os.path.join(trace_dir, "q0", "rep0", "run_trace.json"))
 
+    def test_refuses_a_table_that_is_not_csv(self, runner, fixture_paths, tmp_path):
+        tables_dir, _, mock_path = fixture_paths
+        table = tmp_path / "t.txt"
+        with open(os.path.join(tables_dir, "encuestas.csv"), encoding="utf-8") as fh:
+            table.write_text(fh.read(), encoding="utf-8")
+        result = runner.invoke(main, [
+            "ask", str(table), "¿Cuántas encuestas se realizaron en enero?",
+            "--type", "Number", "--mock", mock_path,
+        ])
+        assert result.exit_code == 2
+        assert "TABLE_PATH" in result.output and "t.txt" in result.output
+        assert "is not a .csv file" in result.output
+
+    def test_ask_help_has_no_interpreter_flag(self, runner):
+        result = runner.invoke(main, ["ask", "--help"])
+        assert result.exit_code == 0
+        assert "interpret" not in result.output
+
+
+@pytest.mark.parametrize("command", ["ask", "bench"])
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_repetitions_below_one_is_a_usage_error(runner, fixture_paths, command, value):
+    tables_dir, questions_path, mock_path = fixture_paths
+    args = {
+        "ask": ["ask", os.path.join(tables_dir, "encuestas.csv"), "¿Q?",
+                "--type", "Number"],
+        "bench": ["bench", questions_path, "--tables-dir", tables_dir],
+    }[command]
+    result = runner.invoke(main, args + ["--mock", mock_path, "--repetitions", value])
+    assert result.exit_code == 2, result.output
+    assert "--repetitions" in result.output
+    assert not isinstance(result.exception, ValueError)
+
 
 class TestBench:
     def test_full_benchmark(self, runner, fixture_paths, tmp_path):
@@ -160,6 +193,13 @@ class TestBench:
         assert curve.output.splitlines() == ["n,accuracy", "1,0.6667", "2,0.8333"]
 
 
+def test_ensemble_curve_max_n_below_one_is_a_usage_error(runner, tmp_path):
+    (tmp_path / "repetitions.json").write_text('{"questions": [], "runs": {}}')
+    result = runner.invoke(main, ["ensemble-curve", str(tmp_path), "--max-n", "0"])
+    assert result.exit_code == 2, result.output
+    assert "--max-n" in result.output
+
+
 class TestPlanRun:
     def test_execute_plan_file(self, runner, fixture_paths, tmp_path):
         tables_dir, _, _ = fixture_paths
@@ -195,5 +235,5 @@ def test_config_concurrency_sets_runs_in_flight(tmp_path):
 
     config = tmp_path / "config.yaml"
     config.write_text("concurrency: 2\n", encoding="utf-8")
-    assert _build_context(str(config), None, False, False, None).concurrency == 2
-    assert _build_context(None, None, False, False, None).concurrency == 4
+    assert _build_context(str(config), None, False, None).concurrency == 2
+    assert _build_context(None, None, False, None).concurrency == 4

@@ -5,7 +5,7 @@ import threading
 
 import pytest
 
-from tableqa import cli
+from tableqa import cli, llm_client
 from tableqa.llm_client import (
     ChatRequest,
     HTTPClient,
@@ -31,6 +31,11 @@ class TestChatRequest:
             ChatRequest(messages=(Message("assistant", "x"),), stage_tag="coder")
         with pytest.raises(ValueError):
             req("nope", "x")
+
+    def test_no_stage_after_the_coder(self):
+        # The answer stage formats the run's value by rule; it asks no LLM.
+        with pytest.raises(ValueError, match="unknown stage tag 'interpreter'"):
+            req("interpreter", "x")
 
 
 @pytest.mark.parametrize("reply, kind, expected", [
@@ -171,6 +176,12 @@ def scripted_server(*bodies: bytes):
 GOOD_REPLY = json.dumps({"choices": [{"message": {"content": "fine"}}]}).encode()
 
 
+@pytest.fixture
+def fast_retries(monkeypatch):
+    monkeypatch.setattr(llm_client, "RETRY_BASE_SECONDS", 0.01)
+
+
+@pytest.mark.usefixtures("fast_retries")
 class TestHTTPClient:
     def test_wire_format(self, stub_server):
         cfg = LLMConfig(base_url=stub_server, retries=0)
@@ -179,8 +190,7 @@ class TestHTTPClient:
         assert out == f"echo:{cfg.model_coder}:hola"
 
     def test_transport_error_after_retries(self):
-        cfg = LLMConfig(base_url="http://127.0.0.1:1/v1", retries=1,
-                        retry_base_seconds=0.01)
+        cfg = LLMConfig(base_url="http://127.0.0.1:1/v1", retries=1)
         with pytest.raises(LLMError, match="transport"):
             HTTPClient(cfg).complete(req("coder", "x"))
 
@@ -201,7 +211,7 @@ class TestHTTPClient:
     def test_malformed_200_is_retried_then_llm_error(self, body):
         handler, server = scripted_server(body)
         with server as url:
-            cfg = LLMConfig(base_url=url, retries=1, retry_base_seconds=0.01)
+            cfg = LLMConfig(base_url=url, retries=1)
             with pytest.raises(LLMError, match="transport failure after 1 retries"):
                 HTTPClient(cfg).complete(req("coder", "x"))
         assert handler.hits == 2
@@ -209,14 +219,14 @@ class TestHTTPClient:
     def test_malformed_200_then_valid_reply(self):
         handler, server = scripted_server(b"{}", b"not json", GOOD_REPLY)
         with server as url:
-            cfg = LLMConfig(base_url=url, retries=2, retry_base_seconds=0.01)
+            cfg = LLMConfig(base_url=url, retries=2)
             assert HTTPClient(cfg).complete(req("coder", "x")) == "fine"
         assert handler.hits == 3
 
     def test_deterministic_flag_zeroes_temperature(self, stub_server, tmp_path):
         config = tmp_path / "config.yaml"
         config.write_text(f"base_url: {stub_server}\ntemperature: 0.7\nretries: 0\n")
-        ctx = cli._build_context(str(config), None, True, False, None)
+        ctx = cli._build_context(str(config), None, True, None)
         ctx.llm.complete(req("coder", "x"))
         assert _StubHandler.last_body["temperature"] == 0.0
 
@@ -270,12 +280,6 @@ def test_config_model_key_with_nothing_under_it():
 def test_config_rejects_wrong_shape_or_type(data, key):
     with pytest.raises(ValueError, match=f"^{key} must be"):
         LLMConfig.from_dict(data)
-
-
-@pytest.mark.parametrize("value", ["1", True, float("inf")])
-def test_config_rejects_bad_retry_base_seconds(value):
-    with pytest.raises(ValueError, match="^retry_base_seconds must be"):
-        LLMConfig(retry_base_seconds=value)
 
 
 def test_config_must_be_a_mapping():

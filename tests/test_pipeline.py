@@ -2,6 +2,7 @@ import collections
 import json
 import os
 import random
+import re
 import shutil
 import sys
 import threading
@@ -88,15 +89,6 @@ class TestRunPipelineBatch:
             assert (rep_dir / artifact).exists(), artifact
         inst = json.loads((rep_dir / "instruction_set.json").read_text("utf-8"))
         assert any(line.startswith("Be careful!.") for line in inst["instructions"])
-
-    def test_interpreter_mode(self, e2e):
-        tables_dir, questions, ctx, _ = e2e
-        ctx.use_interpreter = True
-        records = run_pipeline_batch(questions, tables_dir, ctx)
-        by_id = {r.question_id: r for r in records}
-        # scripted interpreter answer for q2; prose fallback elsewhere
-        assert answer_dict(by_id["q2"].answer) == {"type": "Number", "value": 3.0}
-        assert answer_dict(by_id["q3"].answer) == e2e_fixtures.EXPECTED["q3"]
 
 
 def mk_record(rep, answer, failure=None):
@@ -242,6 +234,40 @@ class TestScore:
         q = Question("a", "t", "?", AnswerType.NUMBER, gold=num(1))
         text = score([(q, num(1))]).to_text()
         assert "Total" in text and "Score" in text and "Size" in text
+
+
+def _write_questions(tmp_path, answer_type, answer):
+    path = tmp_path / "questions.jsonl"
+    path.write_text(json.dumps({"id": "g1", "table_id": "t", "question": "?",
+                                "answer_type": answer_type, "answer": answer},
+                               ensure_ascii=False) + "\n", encoding="utf-8")
+    return str(path)
+
+
+class TestLoadQuestions:
+    @pytest.mark.parametrize("text, value", [
+        ("False", False), ("no", False), (" No ", False),
+        ("true", True), ("Sí", True), ("si", True),
+    ])
+    def test_boolean_text_gold_read_through_the_lexicon(self, tmp_path, text, value):
+        [q] = load_questions(_write_questions(tmp_path, "Boolean", text))
+        assert q.gold.value is value
+        # A correct prediction scores as correct.
+        assert score([(q, Answer(AnswerType.BOOLEAN, value))]).overall_accuracy == 1.0
+
+    @pytest.mark.parametrize("answer_type, answer", [
+        ("Boolean", "maybe"),
+        ("Boolean", [True]),
+        ("List[Category]", "PSOE"),
+        ("List[Number]", 3),
+        ("Number", "three"),
+        ("Number", [3]),
+    ])
+    def test_unreadable_gold_names_the_question(self, tmp_path, answer_type, answer):
+        path = _write_questions(tmp_path, answer_type, answer)
+        pattern = f"^question 'g1': bad {re.escape(answer_type)}"
+        with pytest.raises(ValueError, match=pattern):
+            load_questions(path)
 
 
 class TestEnsembleCurve:
