@@ -13,7 +13,6 @@ import os
 import sys
 
 import click
-import yaml
 
 from .answerer import Answer, AnswerType
 from .llm_client import HTTPClient, LLMConfig, MockClient
@@ -37,11 +36,20 @@ def _build_context(config_path, mock_path, deterministic, cache_dir,
                    trace_dir=None) -> PipelineContext:
     cfg = LLMConfig()
     if config_path:
-        with open(config_path, encoding="utf-8") as fh:
-            cfg = LLMConfig.from_dict(yaml.safe_load(fh) or {})
+        import yaml  # only runs with a config file pay for it
+        try:
+            with open(config_path, encoding="utf-8") as fh:
+                cfg = LLMConfig.from_dict(yaml.safe_load(fh) or {})
+        except (OSError, ValueError, yaml.YAMLError) as exc:
+            raise click.BadParameter(f"{type(exc).__name__}: {exc}",
+                                     param_hint="'--config'") from exc
     if deterministic:
         cfg.temperature = 0.0
-    llm = MockClient.from_file(mock_path) if mock_path else HTTPClient(cfg)
+    try:
+        llm = MockClient.from_file(mock_path) if mock_path else HTTPClient(cfg)
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise click.BadParameter(f"{type(exc).__name__}: {exc}",
+                                 param_hint="'--mock'") from exc
     return PipelineContext(
         llm=llm,
         cache_dir=cache_dir,

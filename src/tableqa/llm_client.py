@@ -5,6 +5,9 @@ OpenAI-compatible chat-completions server, and a deterministic scripted
 mock for tests.  Model routing is per stage: one general model for
 descriptor/selector/explainer, a dedicated coder model, and an optional
 explainer override slot.
+
+The HTTP client uses the standard library's `urllib.request`, imported on
+the first request, so mock and offline runs load no HTTP or TLS module.
 """
 
 from __future__ import annotations
@@ -18,12 +21,12 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-import requests
-
 STAGES = ("descriptor", "selector", "explainer", "coder")
 
-# HTTPClient sleeps RETRY_BASE_SECONDS * 2**attempt before each retry.
+# HTTPClient sleeps RETRY_BASE_SECONDS * 2**attempt before each retry,
+# and gives up on a request that has not answered in REQUEST_TIMEOUT_SECONDS.
 RETRY_BASE_SECONDS = 1.0
+REQUEST_TIMEOUT_SECONDS = 120
 
 
 class LLMError(Exception):
@@ -145,9 +148,9 @@ def route_model(stage_tag: str, config: LLMConfig) -> str:
 class HTTPClient:
     """Client for an OpenAI-compatible /chat/completions endpoint.
 
-    Transport errors, 5xx responses and replies without a
+    Transport errors, 5xx and 429 responses and replies without a
     choices[0].message.content string retry with exponential backoff;
-    4xx responses fail immediately.
+    other 4xx responses fail immediately.
     """
 
     def __init__(self, config: LLMConfig):
@@ -162,36 +165,50 @@ class HTTPClient:
         }
 
     def complete(self, req: ChatRequest) -> str:
+        import http.client
         url = self.config.base_url.rstrip("/") + "/chat/completions"
         headers = {"Content-Type": "application/json"}
         api_key = os.environ.get(self.config.api_key_env, "")
         if api_key:
             headers["Authorization"] = f"Bearer {api_key}"
-        body = self._body(req)
+        data = json.dumps(self._body(req)).encode()
         last_exc: Optional[Exception] = None
         for attempt in range(self.config.retries + 1):
             try:
-                resp = requests.post(url, json=body, headers=headers, timeout=120)
-            except requests.RequestException as exc:
+                status, text = _post(url, data, headers)
+            except (OSError, http.client.HTTPException) as exc:  # URLError is an OSError
                 last_exc = exc
             else:
-                if resp.status_code < 400:
+                if status < 400:
                     try:
-                        content = resp.json()["choices"][0]["message"]["content"]
+                        content = json.loads(text)["choices"][0]["message"]["content"]
                     except (ValueError, LookupError, TypeError):
                         content = None
                     if isinstance(content, str):
                         return content
                     last_exc = LLMError(
-                        f"HTTP {resp.status_code} without a choices[0].message.content "
-                        f"string: {resp.text[:200]}")
-                elif resp.status_code < 500:
-                    raise LLMError(f"HTTP {resp.status_code}: {resp.text[:200]}")
+                        f"HTTP {status} without a choices[0].message.content "
+                        f"string: {text[:200]}")
+                elif status < 500 and status != 429:
+                    raise LLMError(f"HTTP {status}: {text[:200]}")
                 else:
-                    last_exc = LLMError(f"HTTP {resp.status_code}")
+                    last_exc = LLMError(f"HTTP {status}")
             if attempt < self.config.retries:
                 time.sleep(RETRY_BASE_SECONDS * (2 ** attempt))
         raise LLMError(f"transport failure after {self.config.retries} retries: {last_exc}")
+
+
+def _post(url: str, data: bytes, headers: dict) -> tuple[int, str]:
+    """Status and body text of one POST; a transport failure raises."""
+    import urllib.error
+    import urllib.request
+    request = urllib.request.Request(url, data, headers)
+    try:
+        with urllib.request.urlopen(request, timeout=REQUEST_TIMEOUT_SECONDS) as resp:
+            return resp.status, resp.read().decode("utf-8", errors="replace")
+    except urllib.error.HTTPError as exc:  # raised for every status >= 400
+        with exc:
+            return exc.code, exc.read().decode("utf-8", errors="replace")
 
 
 @dataclass

@@ -1,5 +1,5 @@
-"""The loop-free plan DSL: parser, validator, canonical printer and the
-registry of builtins.
+"""The loop-free plan DSL: parser, validator and the registry of
+builtins.
 
 A plan is a straight-line sequence of bindings ending in an `answer =`
 line.  There are no loops, conditionals or user-defined functions, so
@@ -22,7 +22,6 @@ argument is coerced before the implementation runs.
 from __future__ import annotations
 
 import ast
-import json
 import math
 import operator
 import re
@@ -472,30 +471,3 @@ def validate_plan(plan: Plan, schema: Sequence[str]) -> Plan:
         defined.add(name)
     answer = _walk_validate(plan.answer, defined, schema)
     return Plan(tuple(bindings), answer)
-
-
-def _render_expr(expr: Expr) -> str:
-    if isinstance(expr, Ref):
-        return expr.name
-    if isinstance(expr, Call):
-        return f"{expr.fn}({', '.join(_render_expr(a) for a in expr.args)})"
-    value = expr.value
-    if isinstance(value, tuple):
-        return "[" + ", ".join(_render_literal(v) for v in value) + "]"
-    return _render_literal(value)
-
-
-def _render_literal(value: Cell) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, float)):
-        f = float(value)
-        return str(int(f)) if f.is_integer() else repr(f).replace("inf", "1e999")
-    return json.dumps(str(value), ensure_ascii=False)  # escapes as Python reads them
-
-
-def render_plan(plan: Plan) -> str:
-    """Canonical text; parse_plan(render_plan(p)) structurally equals p."""
-    lines = [f"{name} = {_render_expr(expr)}" for name, expr in plan.bindings]
-    lines.append(f"answer = {_render_expr(plan.answer)}")
-    return "\n".join(lines)

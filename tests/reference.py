@@ -10,8 +10,10 @@ randomized tests assert.
 from __future__ import annotations
 
 import csv
+import json
 from collections import Counter
 
+from tableqa.planlang import Call, Plan, Ref
 from tableqa.table_core import Column, ColumnKind, Table
 
 
@@ -326,3 +328,33 @@ def ref_vote(records, sentinels):
     top = max(counts.values())
     earliest = min(rep for rep, key in keys.items() if counts[key] == top)
     return next(r.answer for r in kept if r.repetition == earliest)
+
+
+# ---------------------------------------------------------------------------
+# plan printer
+
+def render_plan(plan: Plan) -> str:
+    """Canonical text; parse_plan(render_plan(p)) structurally equals p."""
+    lines = [f"{name} = {_render_expr(expr)}" for name, expr in plan.bindings]
+    lines.append(f"answer = {_render_expr(plan.answer)}")
+    return "\n".join(lines)
+
+
+def _render_expr(expr) -> str:
+    if isinstance(expr, Ref):
+        return expr.name
+    if isinstance(expr, Call):
+        return f"{expr.fn}({', '.join(_render_expr(a) for a in expr.args)})"
+    value = expr.value
+    if isinstance(value, tuple):
+        return "[" + ", ".join(_render_literal(v) for v in value) + "]"
+    return _render_literal(value)
+
+
+def _render_literal(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, float)):
+        f = float(value)
+        return str(int(f)) if f.is_integer() else repr(f).replace("inf", "1e999")
+    return json.dumps(str(value), ensure_ascii=False)  # escapes as Python reads them

@@ -109,6 +109,31 @@ def test_repetitions_below_one_is_a_usage_error(runner, fixture_paths, command, 
     assert not isinstance(result.exception, ValueError)
 
 
+@pytest.mark.parametrize("option, text, message", [
+    ("--config", "temperature: hot\n",
+     "ValueError: temperature must be a finite number, not 'hot'"),
+    ("--config", "base_url: [unclosed\n", "ParserError: while parsing a flow sequence"),
+    ("--mock", '[{"stage": "coder"}]', "KeyError: 'reply'"),
+    ("--mock", '[{"stage": ', "JSONDecodeError: Expecting value"),
+    ("--config", None, "IsADirectoryError"),
+], ids=["config-bad-setting", "config-bad-yaml", "mock-no-reply", "mock-bad-json",
+        "config-directory"])
+def test_unreadable_config_or_mock_file_is_a_usage_error(runner, fixture_paths,
+                                                         tmp_path, option, text, message):
+    tables_dir, _, _ = fixture_paths
+    path = tmp_path / "settings"
+    if text is None:
+        path.mkdir()
+    else:
+        path.write_text(text, encoding="utf-8")
+    result = runner.invoke(main, [
+        "ask", os.path.join(tables_dir, "encuestas.csv"), "¿Q?", "--type", "Number",
+        option, str(path),
+    ])
+    assert result.exit_code == 2, result.output
+    assert f"Invalid value for '{option}': {message}" in result.output
+
+
 class TestBench:
     def test_full_benchmark(self, runner, fixture_paths, tmp_path):
         tables_dir, questions_path, mock_path = fixture_paths

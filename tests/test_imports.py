@@ -1,10 +1,16 @@
 """Every module-level import in src/tableqa is used by its module, unless
-the module re-exports the name on purpose by listing it in `__all__`."""
+the module re-exports the name on purpose by listing it in `__all__`; and
+an offline run starts without loading an HTTP, TLS or YAML module."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
+
+import e2e_fixtures
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "tableqa"
 
@@ -36,3 +42,25 @@ def test_guard_flags_unused_and_allows_reexports():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+# `requests` is blocked, so importing it anywhere fails the child.
+OFFLINE_CHILD = """
+import sys
+sys.modules["requests"] = None
+import tableqa.cli
+loaded = [m for m in ("urllib.request", "http.client", "ssl", "yaml") if m in sys.modules]
+assert not loaded, f"tableqa.cli loaded {loaded}"
+tableqa.cli.main(sys.argv[1:])
+"""
+
+
+def test_offline_run_loads_no_http_tls_or_yaml_module(tmp_path):
+    tables_dir, questions_path, mock_path = e2e_fixtures.write_fixture(tmp_path)
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    result = subprocess.run(
+        [sys.executable, "-c", OFFLINE_CHILD, "bench", questions_path,
+         "--tables-dir", tables_dir, "--mock", mock_path, "--repetitions", "2",
+         "--out-dir", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stdout + result.stderr

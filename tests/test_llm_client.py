@@ -127,17 +127,27 @@ class _StubHandler(http.server.BaseHTTPRequestHandler):
 
 
 class _ScriptedHandler(http.server.BaseHTTPRequestHandler):
-    """Answers each POST with HTTP 200 and the next body in `bodies` (the
-    last one repeats), counting requests in `hits`."""
-    bodies: list = []
+    """Answers each POST with the next scripted reply (the last one
+    repeats): a body, sent with HTTP 200, or a (status, body) pair.
+    Counts requests in `hits` and keeps each request's headers (names
+    lower-cased) and raw body in `received`.  While `stall` holds an
+    unset Event, a request waits for it and gets no reply."""
+    replies: list = []
     hits = 0
+    received: list = []
+    stall = None
 
     def do_POST(self):
-        self.rfile.read(int(self.headers["Content-Length"]))
         cls = type(self)
-        data = cls.bodies[min(cls.hits, len(cls.bodies) - 1)]
+        body = self.rfile.read(int(self.headers["Content-Length"]))
+        cls.received.append(({k.lower(): v for k, v in self.headers.items()}, body))
+        reply = cls.replies[min(cls.hits, len(cls.replies) - 1)]
         cls.hits += 1
-        self.send_response(200)
+        if cls.stall is not None:
+            cls.stall.wait(5)
+            return
+        status, data = reply if isinstance(reply, tuple) else (200, reply)
+        self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
         self.end_headers()
@@ -168,8 +178,9 @@ def stub_server():
         yield url
 
 
-def scripted_server(*bodies: bytes):
-    handler = type("Handler", (_ScriptedHandler,), {"bodies": list(bodies), "hits": 0})
+def scripted_server(*replies):
+    handler = type("Handler", (_ScriptedHandler,),
+                   {"replies": list(replies), "hits": 0, "received": []})
     return handler, _serve(handler)
 
 
@@ -229,6 +240,69 @@ class TestHTTPClient:
         ctx = cli._build_context(str(config), None, True, None)
         ctx.llm.complete(req("coder", "x"))
         assert _StubHandler.last_body["temperature"] == 0.0
+
+    def test_4xx_fails_at_once_with_the_body_prefix(self):
+        handler, server = scripted_server((404, b"no such model " + b"x" * 300))
+        with server as url:
+            with pytest.raises(LLMError, match=r"^HTTP 404: no such model x+$") as info:
+                HTTPClient(LLMConfig(base_url=url, retries=3)).complete(req("coder", "x"))
+        assert handler.hits == 1
+        assert len(str(info.value)) == len("HTTP 404: ") + 200
+
+    def test_5xx_is_retried_then_transport_failure(self):
+        handler, server = scripted_server((503, b"overloaded"))
+        with server as url:
+            with pytest.raises(LLMError,
+                               match=r"^transport failure after 2 retries: HTTP 503$"):
+                HTTPClient(LLMConfig(base_url=url, retries=2)).complete(req("coder", "x"))
+        assert handler.hits == 3
+
+    @pytest.mark.parametrize("status", [500, 429])  # 429: rate-limited, retried too
+    def test_retried_status_then_valid_reply(self, status):
+        handler, server = scripted_server((status, b"busy"), GOOD_REPLY)
+        with server as url:
+            cfg = LLMConfig(base_url=url, retries=1)
+            assert HTTPClient(cfg).complete(req("coder", "x")) == "fine"
+        assert handler.hits == 2
+
+    @pytest.mark.parametrize("key", ["sekrit", None], ids=["set", "unset"])
+    def test_bearer_header_only_when_the_key_variable_is_set(self, monkeypatch, key):
+        if key is None:
+            monkeypatch.delenv("TABLEQA_TEST_KEY", raising=False)
+        else:
+            monkeypatch.setenv("TABLEQA_TEST_KEY", key)
+        handler, server = scripted_server(GOOD_REPLY)
+        with server as url:
+            cfg = LLMConfig(base_url=url, retries=0, api_key_env="TABLEQA_TEST_KEY")
+            HTTPClient(cfg).complete(req("coder", "x"))
+        headers, _ = handler.received[0]
+        assert headers.get("authorization") == (key and f"Bearer {key}")
+
+    def test_wire_body_is_json(self):
+        handler, server = scripted_server(GOOD_REPLY)
+        with server as url:
+            cfg = LLMConfig(base_url=url, retries=0)
+            HTTPClient(cfg).complete(req("selector", "¿hola?"))
+        headers, body = handler.received[0]
+        assert headers["content-type"] == "application/json"
+        assert json.loads(body) == {
+            "model": cfg.model_general,
+            "messages": [{"role": "user", "content": "¿hola?"}],
+            "temperature": cfg.temperature,
+            "max_tokens": cfg.max_tokens,
+        }
+
+    def test_stalled_server_times_out_as_transport_failure(self, monkeypatch):
+        monkeypatch.setattr(llm_client, "REQUEST_TIMEOUT_SECONDS", 0.2)
+        handler, server = scripted_server(GOOD_REPLY)
+        handler.stall = threading.Event()
+        with server as url:
+            try:
+                with pytest.raises(LLMError, match="^transport failure after 0 retries"):
+                    HTTPClient(LLMConfig(base_url=url, retries=0)).complete(
+                        req("coder", "x"))
+            finally:
+                handler.stall.set()
 
 
 def test_config_from_dict():

@@ -8,6 +8,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reference import render_plan
 from tableqa.planlang import (
     BUILTINS,
     Call,
@@ -18,7 +19,6 @@ from tableqa.planlang import (
     Ref,
     dsl_reference,
     parse_plan,
-    render_plan,
     strip_llm_wrapping,
     validate_plan,
 )
