@@ -28,6 +28,8 @@ STAGES = ("descriptor", "selector", "explainer", "coder")
 RETRY_BASE_SECONDS = 1.0
 REQUEST_TIMEOUT_SECONDS = 120
 
+DEFAULT_CONCURRENCY = 8  # runs in flight: an ensemble's default repetitions
+
 
 class LLMError(Exception):
     """Transport failure after retries, or a non-retryable HTTP error."""
@@ -88,7 +90,7 @@ class LLMConfig:
     model_explainer_override: Optional[str] = None
     temperature: float = 0.7
     max_tokens: int = 2048
-    concurrency: int = 4
+    concurrency: int = DEFAULT_CONCURRENCY
     retries: int = 3
 
     def __post_init__(self) -> None:

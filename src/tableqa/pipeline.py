@@ -7,10 +7,11 @@ explain+clarify -> solve -> format.  Tasks run on a thread pool of
 `PipelineContext.concurrency` workers.  A task runs pipeline code only
 while it holds a shared turn lock, which it gives up while it waits on
 the LLM: pipeline code never runs in two threads at once, and the LLM
-waits of up to `concurrency` runs overlap.  Any exception inside a task
-becomes that run's failure, prefixed with its stage (`select:`,
-`explain:`, `solve:`, `format:`); a table that fails to load fails every
-run of its questions with `profile:`.
+waits of up to `concurrency` runs overlap; a task writes its trace files
+after it leaves the lock.  Any exception inside a task becomes that run's
+failure, prefixed with its stage (`select:`, `explain:`, `solve:`,
+`format:`); a table that fails to load fails every run of its questions
+with `profile:`.
 
 Tasks are submitted repetition by repetition, questions in order within
 a repetition, and records come back in that order whatever order the
@@ -41,6 +42,7 @@ from .explainer import (
     clarify,
     request_instructions,
 )
+from .llm_client import DEFAULT_CONCURRENCY
 from .profiler import (
     ProfileCache,
     describe_columns,
@@ -117,6 +119,7 @@ class TraceWriter:
 
     def __init__(self, root: Optional[str]):
         self.root = root
+        self._made: set[str] = set()  # directories this writer has made
 
     def write(self, question_id: str, repetition: Optional[int], name: str,
               payload) -> None:
@@ -127,12 +130,13 @@ class TraceWriter:
         directory = os.path.join(self.root, _path_component(question_id))
         if repetition is not None:
             directory = os.path.join(directory, f"rep{repetition}")
-        os.makedirs(directory, exist_ok=True)
+        if directory not in self._made:
+            os.makedirs(directory, exist_ok=True)
+            self._made.add(directory)
+        if not isinstance(payload, str):
+            payload = json.dumps(payload, ensure_ascii=False, indent=2)
         with open(os.path.join(directory, name), "w", encoding="utf-8") as fh:
-            if isinstance(payload, str):
-                fh.write(payload)
-            else:
-                json.dump(payload, fh, ensure_ascii=False, indent=2)
+            fh.write(payload)
 
 
 @dataclass
@@ -140,7 +144,7 @@ class PipelineContext:
     llm: object
     cache_dir: Optional[str] = None
     trace_dir: Optional[str] = None
-    concurrency: int = 4  # runs in flight at once
+    concurrency: int = DEFAULT_CONCURRENCY  # runs in flight at once
 
     def __post_init__(self) -> None:
         if self.concurrency < 1:
@@ -182,11 +186,12 @@ class _TurnTakingLLM:
 
 
 def _run_one(q: Question, repetition: int, loaded, ctx: PipelineContext,
-             trace: TraceWriter) -> RunRecord:
+             artifacts: list) -> RunRecord:
     """One pipeline pass over one question: prune+select ->
     explain+clarify -> solve -> format.  `loaded` is the question's
     (table, profiles) pair, or the failure text of its table load.  Any
-    exception becomes the run's failure, prefixed with its stage."""
+    exception becomes the run's failure, prefixed with its stage.  Trace
+    artifacts go to `artifacts` as (stage, name, payload), unwritten."""
     rec = RunRecord(q.id, repetition)
     if isinstance(loaded, str):
         rec.failure = loaded
@@ -197,24 +202,23 @@ def _run_one(q: Question, repetition: int, loaded, ctx: PipelineContext,
         kept, dropped = prune_uninformative(profiles)
         warnings: list[str] = []
         chosen = select_columns(q.text, kept, ctx.llm, warnings)
-        trace.write(q.id, repetition, "selector.json", {
+        artifacts.append((stage, "selector.json", {
             "dropped_by_rule": dropped,
             "selected": [p.name for p in chosen],
             "warnings": warnings,
-        })
+        }))
 
         stage = "explain"
-        trace.write(q.id, repetition, "explainer_prompt.txt",
-                    build_explainer_prompt(q.text, chosen))
+        artifacts.append((stage, "explainer_prompt.txt",
+                          build_explainer_prompt(q.text, chosen)))
         inst = request_instructions(q.text, chosen, ctx.llm)
         inst = clarify(inst, table, profiles)
-        trace.write(q.id, repetition, "instruction_set.json", inst.to_dict())
+        artifacts.append((stage, "instruction_set.json", inst.to_dict()))
 
         stage = "solve"
-        trace.write(q.id, repetition, "coder_prompt.txt",
-                    build_coder_prompt(inst, chosen))
+        artifacts.append((stage, "coder_prompt.txt", build_coder_prompt(inst, chosen)))
         run = solve(inst, table, chosen, ctx.llm)
-        trace.write(q.id, repetition, "run_trace.json", run.to_dict())
+        artifacts.append((stage, "run_trace.json", run.to_dict()))
         if not run.succeeded:
             last = run.attempts[-1] if run.attempts else None
             rec.failure = f"solve: {last.error_message if last else 'no attempts'}"
@@ -224,9 +228,23 @@ def _run_one(q: Question, repetition: int, loaded, ctx: PipelineContext,
         rec.answer = format_answer(run.final_value, q.answer_type)
     except Exception as exc:
         rec.failure = f"{stage}: {exc}"
-        with contextlib.suppress(OSError):
-            trace.write(q.id, repetition, "failure.txt", traceback.format_exc())
+        artifacts.append((stage, "failure.txt", traceback.format_exc()))
     return rec
+
+
+def _write_artifacts(rec: RunRecord, artifacts: list, trace: TraceWriter) -> None:
+    """Write a run's artifacts in order.  An OSError stops there and fails
+    the run as the artifact's stage would have; one on failure.txt does not."""
+    for stage, name, payload in artifacts:
+        try:
+            trace.write(rec.question_id, rec.repetition, name, payload)
+        except OSError as exc:
+            if name != "failure.txt":
+                rec.answer, rec.failure = None, f"{stage}: {exc}"
+                with contextlib.suppress(OSError):
+                    trace.write(rec.question_id, rec.repetition, "failure.txt",
+                                traceback.format_exc())
+            return
 
 
 def _run_repetitions(questions: list[Question], tables_dir: str,
@@ -252,8 +270,12 @@ def _run_repetitions(questions: list[Question], tables_dir: str,
     task_ctx = replace(ctx, llm=_TurnTakingLLM(ctx.llm, turn))
 
     def task(q: Question, repetition: int) -> RunRecord:
+        artifacts: list = []
         with turn:
-            return _run_one(q, repetition, loaded[q.table_id], task_ctx, trace)
+            rec = _run_one(q, repetition, loaded[q.table_id], task_ctx, artifacts)
+        # Disk writes overlap other runs' pipeline code and LLM waits.
+        _write_artifacts(rec, artifacts, trace)
+        return rec
 
     pool = ThreadPoolExecutor(max_workers=ctx.concurrency)
     try:

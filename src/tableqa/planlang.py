@@ -365,6 +365,33 @@ def strip_llm_wrapping(text: str) -> str:
     return text.strip()
 
 
+def _literal(node: ast.AST, reject) -> Cell:
+    if isinstance(node, ast.Name) and node.id in ("true", "false"):
+        return node.id == "true"
+    if isinstance(node, ast.Constant) and isinstance(node.value, (str, bool)):
+        return node.value
+    number, sign = node, 1.0
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+        number, sign = node.operand, -1.0 if isinstance(node.op, ast.USub) else 1.0
+    if isinstance(number, ast.Constant) and type(number.value) in (int, float):
+        # via str: float() of an int too large for a float raises
+        return sign * float(str(number.value))
+    raise reject(node)
+
+
+def _expr(node: ast.AST, reject) -> Expr:
+    # Not a closure: one that calls itself is a reference cycle.
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+        if node.keywords:
+            raise reject(node.keywords[0], "keyword arguments are not allowed")
+        return Call(node.func.id, tuple(_expr(a, reject) for a in node.args))
+    if isinstance(node, ast.Name) and node.id not in ("true", "false"):
+        return Ref(node.id)
+    if isinstance(node, ast.List):
+        return Literal(tuple(_literal(e, reject) for e in node.elts))
+    return Literal(_literal(node, reject))
+
+
 def parse_plan(text: str) -> Plan:
     """Parse plan source into a Plan; raises PlanSyntaxError with
     line/column and a one-line message suitable for repair prompts."""
@@ -386,30 +413,6 @@ def parse_plan(text: str) -> Plan:
         return error(message or f"{what} is not allowed in a plan",
                      node.lineno, len(prefix.decode(errors="ignore")) + 1)
 
-    def literal(node: ast.AST) -> Cell:
-        if isinstance(node, ast.Name) and node.id in ("true", "false"):
-            return node.id == "true"
-        if isinstance(node, ast.Constant) and isinstance(node.value, (str, bool)):
-            return node.value
-        number, sign = node, 1.0
-        if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
-            number, sign = node.operand, -1.0 if isinstance(node.op, ast.USub) else 1.0
-        if isinstance(number, ast.Constant) and type(number.value) in (int, float):
-            # via str: float() of an int too large for a float raises
-            return sign * float(str(number.value))
-        raise reject(node)
-
-    def expr(node: ast.AST) -> Expr:
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-            if node.keywords:
-                raise reject(node.keywords[0], "keyword arguments are not allowed")
-            return Call(node.func.id, tuple(expr(a) for a in node.args))
-        if isinstance(node, ast.Name) and node.id not in ("true", "false"):
-            return Ref(node.id)
-        if isinstance(node, ast.List):
-            return Literal(tuple(literal(e) for e in node.elts))
-        return Literal(literal(node))
-
     try:
         module = ast.parse("\n".join(lines), "<plan>")
     except SyntaxError as exc:
@@ -426,7 +429,7 @@ def parse_plan(text: str) -> Plan:
         if not (isinstance(stmt, ast.Assign) and len(stmt.targets) == 1
                 and isinstance(stmt.targets[0], ast.Name)):
             raise reject(stmt, "each line must be one assignment `name = expression`")
-        name, value = stmt.targets[0].id, expr(stmt.value)
+        name, value = stmt.targets[0].id, _expr(stmt.value, reject)
         if name == "answer":
             answer = value
         else:

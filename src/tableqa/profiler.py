@@ -12,7 +12,7 @@ import hashlib
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .llm_client import ChatRequest, Message, first_json
@@ -35,9 +35,7 @@ class ColumnProfile:
     max: Optional[float] = None
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["kind"] = self.kind.value
-        return d
+        return {**vars(self), "kind": self.kind.value}  # asdict would deep-copy
 
     @staticmethod
     def from_dict(d: dict) -> "ColumnProfile":
@@ -169,7 +167,8 @@ class ProfileCache:
         fd, tmp = tempfile.mkstemp(dir=self.cache_dir, suffix=".tmp")
         try:
             with open(fd, "w", encoding="utf-8") as fh:
-                json.dump([p.to_dict() for p in profiles], fh, ensure_ascii=False, indent=2)
+                fh.write(json.dumps([p.to_dict() for p in profiles],
+                                    ensure_ascii=False, indent=2))
             os.replace(tmp, self._path(fingerprint))
         except BaseException:
             os.remove(tmp)

@@ -8,7 +8,7 @@ whole history) and the loop continues until success or the attempt limit.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .explainer import InstructionSet
@@ -42,7 +42,7 @@ class Attempt:
     error_message: Optional[str] = None
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))
 
 
 @dataclass
@@ -74,23 +74,25 @@ def render_value(v: RuntimeValue) -> object:
     return render_cell(v)
 
 
+def _evaluate(expr: Expr, env: dict[str, RuntimeValue]) -> RuntimeValue:
+    if isinstance(expr, Literal):
+        return list(expr.value) if isinstance(expr.value, tuple) else expr.value
+    if isinstance(expr, Ref):
+        if expr.name not in env:
+            raise PlanRuntimeError(f"undefined reference '{expr.name}'")
+        return env[expr.name]
+    return BUILTINS[expr.fn].call([_evaluate(a, env) for a in expr.args])
+
+
 def execute_plan(plan: Plan, t: Table) -> RuntimeValue:
     """Evaluate the plan's bindings in order with `df` bound to t and
     return the answer expression's value."""
+    # `_evaluate` is not a closure: one that calls itself is a reference
+    # cycle, keeping `env` and its tables alive until the cyclic GC runs.
     env: dict[str, RuntimeValue] = {"df": t}
-
-    def evaluate(expr: Expr) -> RuntimeValue:
-        if isinstance(expr, Literal):
-            return list(expr.value) if isinstance(expr.value, tuple) else expr.value
-        if isinstance(expr, Ref):
-            if expr.name not in env:
-                raise PlanRuntimeError(f"undefined reference '{expr.name}'")
-            return env[expr.name]
-        return BUILTINS[expr.fn].call([evaluate(a) for a in expr.args])
-
     for name, expr in plan.bindings:
-        env[name] = evaluate(expr)
-    return evaluate(plan.answer)
+        env[name] = _evaluate(expr, env)
+    return _evaluate(plan.answer, env)
 
 
 CODER_SYSTEM = (

@@ -180,8 +180,8 @@ def test_end_to_end_deterministic_bench(tmp_path):
     for artifact in ("explainer_prompt.txt", "instruction_set.json",
                      "coder_prompt.txt", "run_trace.json"):
         assert os.path.exists(os.path.join(rep_dir, artifact)), artifact
-    run_trace = json.loads(open(os.path.join(rep_dir, "run_trace.json"),
-                                encoding="utf-8").read())
+    with open(os.path.join(rep_dir, "run_trace.json"), encoding="utf-8") as fh:
+        run_trace = json.load(fh)
     assert any(a.get("plan_text") for a in run_trace["attempts"])
     assert os.path.exists(os.path.join(out_dir, "trace", "q1", "votes.json"))
     ok("deterministic mock bench answers all 6 fixture questions "

@@ -152,21 +152,21 @@ class TestBench:
                 preds[obj["id"]] = obj["answer"]
         assert preds == e2e_fixtures.EXPECTED
 
-        report = json.loads(
-            open(os.path.join(out_dir, "report.json"), encoding="utf-8").read())
+        with open(os.path.join(out_dir, "report.json"), encoding="utf-8") as fh:
+            report = json.load(fh)
         assert report["overall"]["count"] == 6
         assert report["overall"]["accuracy"] == pytest.approx(5 / 6)
 
-        reps = json.loads(
-            open(os.path.join(out_dir, "repetitions.json"), encoding="utf-8").read())
+        with open(os.path.join(out_dir, "repetitions.json"), encoding="utf-8") as fh:
+            reps = json.load(fh)
         assert len(reps["runs"]["q1"]) == 2
 
         # Explainability trace: prompts, instruction sets, plans.
         rep_dir = os.path.join(out_dir, "trace", "q1", "rep0")
         assert os.path.exists(os.path.join(rep_dir, "explainer_prompt.txt"))
         assert os.path.exists(os.path.join(rep_dir, "coder_prompt.txt"))
-        run_trace = json.loads(
-            open(os.path.join(rep_dir, "run_trace.json"), encoding="utf-8").read())
+        with open(os.path.join(rep_dir, "run_trace.json"), encoding="utf-8") as fh:
+            run_trace = json.load(fh)
         assert "count_containing" in json.dumps(run_trace)
         assert os.path.exists(os.path.join(out_dir, "trace", "q1", "votes.json"))
 
@@ -257,8 +257,9 @@ def test_dsl_reference_lists_builtins(runner):
 
 def test_config_concurrency_sets_runs_in_flight(tmp_path):
     from tableqa.cli import _build_context
+    from tableqa.llm_client import DEFAULT_CONCURRENCY
 
     config = tmp_path / "config.yaml"
     config.write_text("concurrency: 2\n", encoding="utf-8")
     assert _build_context(str(config), None, False, None).concurrency == 2
-    assert _build_context(None, None, False, None).concurrency == 4
+    assert _build_context(None, None, False, None).concurrency == DEFAULT_CONCURRENCY

@@ -353,6 +353,25 @@ def _context(tmp_path, name, llm, concurrency, cache=True):
     )
 
 
+class _CallCounter:
+    """Counts completed LLM calls and sets `reached` once `target` have."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.done = 0
+        self.target = None
+        self.reached = threading.Event()
+        self.lock = threading.Lock()
+
+    def complete(self, req):
+        reply = self.inner.complete(req)
+        with self.lock:
+            self.done += 1
+            if self.target is not None and self.done >= self.target:
+                self.reached.set()
+        return reply
+
+
 def _outcomes(records):
     return {qid: [(r.repetition, answer_dict(r.answer), r.failure) for r in recs]
             for qid, recs in records.items()}
@@ -479,6 +498,47 @@ class TestConcurrentEnsemble:
         finals, _ = ensemble_answers(load_questions(questions_path), tables_dir, ctx,
                                      EnsembleConfig(repetitions=8))
         assert llm.peak == 2
+        assert {q: answer_dict(a) for q, a in finals.items()} == e2e_fixtures.EXPECTED
+
+    def test_trace_write_failure_fails_only_its_run(self, tmp_path):
+        tables_dir, questions_path, mock_path = e2e_fixtures.write_fixture(tmp_path)
+        questions = load_questions(questions_path)
+        ctx = _context(tmp_path, "run", MockClient.from_file(mock_path), 4)
+        squat = tmp_path / "run" / "trace" / "q1" / "rep1"
+        squat.parent.mkdir(parents=True)
+        squat.write_text("not a directory", encoding="utf-8")
+        finals, records = ensemble_answers(questions, tables_dir, ctx,
+                                           EnsembleConfig(repetitions=3))
+        failures = {(qid, r.repetition): r.failure
+                    for qid, recs in records.items() for r in recs if r.failure}
+        assert failures.pop(("q1", 1)) == f"select: [Errno 17] File exists: '{squat}'"
+        assert all(qid == "q6" for qid, _ in failures)  # the fixture's abstain
+        assert {q: answer_dict(a) for q, a in finals.items()} == e2e_fixtures.EXPECTED
+
+    def test_trace_writes_do_not_hold_up_other_runs(self, tmp_path, monkeypatch):
+        """A run writes its trace files after it leaves the turn lock, so
+        a slow disk under one run does not stop the others."""
+        tables_dir, questions_path, mock_path = e2e_fixtures.write_fixture(tmp_path)
+        llm = _CallCounter(MockClient.from_file(mock_path))
+        progress = []
+        real_write = pipeline.TraceWriter.write
+
+        def blocking_write(self, *args):
+            with llm.lock:
+                first = llm.target is None
+                if first:
+                    start, llm.target = llm.done, llm.done + 10
+            if first:
+                llm.reached.wait(timeout=5.0)
+                with llm.lock:
+                    progress.append(llm.done - start)
+            real_write(self, *args)
+
+        monkeypatch.setattr(pipeline.TraceWriter, "write", blocking_write)
+        ctx = _context(tmp_path, "run", llm, concurrency=4)
+        finals, _ = ensemble_answers(load_questions(questions_path), tables_dir, ctx,
+                                     EnsembleConfig(repetitions=8))
+        assert progress and progress[0] >= 10
         assert {q: answer_dict(a) for q, a in finals.items()} == e2e_fixtures.EXPECTED
 
     def test_concurrency_must_be_positive(self):

@@ -119,11 +119,18 @@ class TestCache:
         profiles = profile_table(survey_table)
         cache.put(fp, profiles)
 
-        def half_dump(obj, fh, **kwargs):
-            fh.write("[{")
-            raise OSError("disk full")
+        def half_open(*args, **kwargs):
+            # a file whose first write stores two characters, then fails
+            fh = open(*args, **kwargs)
 
-        monkeypatch.setattr(profiler.json, "dump", half_dump)
+            def half_write(text):
+                type(fh).write(fh, text[:2])
+                raise OSError("disk full")
+
+            fh.write = half_write
+            return fh
+
+        monkeypatch.setattr(profiler, "open", half_open, raising=False)
         with pytest.raises(OSError, match="disk full"):
             cache.put(fp, profiles[:1])
         monkeypatch.undo()

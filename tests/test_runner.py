@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -65,6 +67,34 @@ class TestExecutePlan:
         with pytest.raises(PlanRuntimeError, match=NO_MATCHING_RECORDS):
             run('answer = most_frequent_in_subset(df, "Mes", "Mes", "zzzzzz")',
                 mes_table)
+
+    def test_tables_die_without_the_cyclic_collector(self):
+        """Plan evaluation makes no reference cycle: the input table and a
+        derived one die as soon as the caller drops them."""
+        t = Table("t", (Column.from_cells("Mes", ["Enero", "Enero", "Febrero"]),))
+        plan = validate_plan(parse_plan('x = filter_contains(df, "Mes", "Enero")\n'
+                                        "answer = x"), t.column_names)
+        gc.collect()
+        gc.disable()
+        try:
+            derived = execute_plan(plan, t)
+            assert derived.row_count == 2
+            refs = [weakref.ref(t), weakref.ref(derived)]
+            del t, derived
+            assert [r() for r in refs] == [None, None]
+        finally:
+            gc.enable()
+
+    def test_parse_plan_leaves_no_cyclic_garbage(self):
+        source = 'x = filter_contains(df, "Mes", ["a", -1])\nanswer = count_rows(x)'
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(3):
+                parse_plan(source)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_deterministic_on_random_tables(self):
         rng = random.Random(5)
