@@ -4,11 +4,13 @@ scoring.
 An ensemble loads and profiles each distinct table once, then runs every
 (question, repetition) pair as one independent task: prune+select ->
 explain+clarify -> solve -> format.  Tasks run on a thread pool of
-`PipelineContext.concurrency` workers.  A task runs pipeline code only
-while it holds a shared turn lock, which it gives up while it waits on
-the LLM: pipeline code never runs in two threads at once, and the LLM
-waits of up to `concurrency` runs overlap; a task writes its trace files
-after it leaves the lock.  Any exception inside a task becomes that run's
+`PipelineContext.concurrency` workers, which first send the column
+descriptor requests of all the tables together while the calling thread
+loads the next table.  A task runs pipeline code only while it holds a
+shared turn lock, which it gives up while it waits on the LLM: pipeline
+code never runs in two threads at once, and the LLM waits of up to
+`concurrency` runs overlap; a task writes its trace files after it
+leaves the lock.  Any exception inside a task becomes that run's
 failure, prefixed with its stage (`select:`, `explain:`, `solve:`,
 `format:`); a table that fails to load fails every run of its questions
 with `profile:`.
@@ -46,6 +48,7 @@ from .llm_client import DEFAULT_CONCURRENCY
 from .profiler import (
     ProfileCache,
     describe_columns,
+    describe_requests,
     profile_table,
     table_fingerprint,
 )
@@ -151,20 +154,46 @@ class PipelineContext:
             raise ValueError("concurrency must be >= 1")
 
 
+class _Prefetched(dict):
+    """Futures of requests already sent, keyed by request: an LLM client
+    that answers a request with its future's result."""
+
+    def complete(self, req):
+        return self[req].result()
+
+
+def _load_table(path: str, ctx: PipelineContext, pool: ThreadPoolExecutor):
+    """Load a CSV and take its profiles from the on-disk cache when the
+    file bytes are unchanged; else profile it and send its descriptor
+    requests on `pool`.  Returns a function that waits for the replies,
+    fills the descriptions, caches the profiles and returns
+    (table, profiles)."""
+    table = load_csv(path)
+    cache = ProfileCache(ctx.cache_dir) if ctx.cache_dir else None
+    if cache:
+        with open(path, "rb") as fh:
+            fingerprint = table_fingerprint(fh.read())
+        if (profiles := cache.get(fingerprint)) is not None:
+            return lambda: (table, profiles)
+    profiles = profile_table(table)
+    # Each request runs in a copy of the caller's context, as the runs do.
+    llm = None if ctx.llm is None else _Prefetched({
+        req: pool.submit(contextvars.copy_context().run, ctx.llm.complete, req)
+        for req in describe_requests(profiles)})
+
+    def finish():
+        describe_columns(profiles, llm)
+        if cache:
+            cache.put(fingerprint, profiles)
+        return table, profiles
+    return finish
+
+
 def load_table_profiles(path: str, ctx: PipelineContext):
     """Load a CSV and profile it, reusing the on-disk cache when the
     file bytes are unchanged."""
-    table = load_csv(path)
-    with open(path, "rb") as fh:
-        fingerprint = table_fingerprint(fh.read())
-    cache = ProfileCache(ctx.cache_dir) if ctx.cache_dir else None
-    profiles = cache.get(fingerprint) if cache else None
-    if profiles is None:
-        profiles = profile_table(table)
-        profiles = describe_columns(profiles, ctx.llm)
-        if cache:
-            cache.put(fingerprint, profiles)
-    return table, profiles
+    with ThreadPoolExecutor(max_workers=ctx.concurrency) as pool:
+        return _load_table(path, ctx, pool)()
 
 
 class _TurnTakingLLM:
@@ -252,22 +281,13 @@ def _run_repetitions(questions: list[Question], tables_dir: str,
     """Load and profile each distinct table once, then run every
     (question, repetition) pair as one task on a pool of
     `ctx.concurrency` threads.  Records come back in submission order:
-    repetitions in order, questions in order within a repetition."""
-    loaded: dict[str, object] = {}
-    for q in questions:
-        if q.table_id in loaded:
-            continue
-        path = os.path.join(tables_dir, f"{q.table_id}.csv")
-        try:
-            table, profiles = load_table_profiles(path, ctx)
-        except Exception as exc:
-            loaded[q.table_id] = f"profile: {exc}"
-        else:
-            loaded[q.table_id] = (table, profiles)
-
+    repetitions in order, questions in order within a repetition.  Tables
+    load on this thread in order of first use while the pool sends the
+    descriptor requests of the cache misses; the runs start after."""
     trace = TraceWriter(ctx.trace_dir)
     turn = threading.Lock()
     task_ctx = replace(ctx, llm=_TurnTakingLLM(ctx.llm, turn))
+    loaded: dict[str, object] = {}
 
     def task(q: Question, repetition: int) -> RunRecord:
         artifacts: list = []
@@ -279,13 +299,27 @@ def _run_repetitions(questions: list[Question], tables_dir: str,
 
     pool = ThreadPoolExecutor(max_workers=ctx.concurrency)
     try:
+        for q in questions:
+            if q.table_id not in loaded:
+                path = os.path.join(tables_dir, f"{q.table_id}.csv")
+                try:
+                    loaded[q.table_id] = _load_table(path, ctx, pool)
+                except Exception as exc:
+                    loaded[q.table_id] = f"profile: {exc}"
+        for table_id, finish in loaded.items():
+            if callable(finish):
+                try:
+                    loaded[table_id] = finish()
+                except Exception as exc:
+                    loaded[table_id] = f"profile: {exc}"
+
         # Each task runs in a copy of the caller's context, so context
         # variables (a tracer's current span, say) reach the workers.
         futures = [pool.submit(contextvars.copy_context().run, task, q, rep)
                    for rep in repetitions for q in questions]
         return [f.result() for f in futures]
     finally:
-        # On an interrupt, drop the runs that have not started yet.
+        # On an interrupt, drop the requests and runs not yet started.
         pool.shutdown(cancel_futures=True)
 
 

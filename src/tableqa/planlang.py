@@ -25,7 +25,6 @@ import ast
 import math
 import operator
 import re
-import statistics
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
@@ -301,7 +300,7 @@ BUILTINS: dict[str, Builtin] = {b.name: b for b in [
             lambda items: float(sum(_numbers(items)))),
     Builtin("mean(list) -> number",
             "Mean of the numeric values of the elements (missing skipped).",
-            _of_numbers(statistics.fmean)),
+            _of_numbers(lambda xs: math.fsum(xs) / len(xs))),
     Builtin("min_of(list) -> number", "Minimum numeric value among the elements.",
             _of_numbers(min)),
     Builtin("max_of(list) -> number", "Maximum numeric value among the elements.",

@@ -3,12 +3,12 @@
 Descriptions come from the LLM (batched, at most 25 columns per prompt)
 with a deterministic template fallback, and profiles are cached on disk
 keyed by a content hash of the CSV bytes, since a table's profile is
-question-independent.
+question-independent.  `describe_requests` builds the prompts alone, so
+a caller can send them all before `describe_columns` reads the replies.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import tempfile
@@ -100,28 +100,33 @@ def _describe_prompt(profiles: list[ColumnProfile]) -> str:
     return "\n".join(lines)
 
 
+def describe_requests(profiles: list[ColumnProfile]) -> list[ChatRequest]:
+    """The descriptor requests for `profiles`: one per chunk of at most
+    DESCRIBE_CHUNK_SIZE columns, in column order."""
+    return [ChatRequest(
+        messages=(Message("system", DESCRIBE_SYSTEM),
+                  Message("user", _describe_prompt(profiles[start:start + DESCRIBE_CHUNK_SIZE]))),
+        stage_tag="descriptor",
+    ) for start in range(0, len(profiles), DESCRIBE_CHUNK_SIZE)]
+
+
 def describe_columns(profiles: list[ColumnProfile], llm=None) -> list[ColumnProfile]:
-    """Fill each profile's description, batching at most
-    DESCRIBE_CHUNK_SIZE columns per LLM prompt; any failure falls back
-    to the template."""
+    """Fill each profile's description, sending `describe_requests`
+    one after another; a chunk whose request fails or whose reply does
+    not parse keeps the template."""
     for p in profiles:
         p.description = fallback_description(p)
     if llm is None:
         return profiles
-    for start in range(0, len(profiles), DESCRIBE_CHUNK_SIZE):
-        chunk = profiles[start:start + DESCRIBE_CHUNK_SIZE]
+    for start, req in zip(range(0, len(profiles), DESCRIBE_CHUNK_SIZE),
+                          describe_requests(profiles)):
         try:
-            reply = llm.complete(ChatRequest(
-                messages=(Message("system", DESCRIBE_SYSTEM),
-                          Message("user", _describe_prompt(chunk))),
-                stage_tag="descriptor",
-            ))
-            parsed = first_json(reply, dict)
+            parsed = first_json(llm.complete(req), dict)
         except Exception:
             parsed = None
         if not parsed:
             continue
-        for p in chunk:
+        for p in profiles[start:start + DESCRIBE_CHUNK_SIZE]:
             desc = parsed.get(p.name)
             if isinstance(desc, str) and desc.strip():
                 p.description = desc.strip()
@@ -129,6 +134,7 @@ def describe_columns(profiles: list[ColumnProfile], llm=None) -> list[ColumnProf
 
 
 def table_fingerprint(csv_bytes: bytes) -> str:
+    import hashlib  # here, not at module level: only a profile cache needs it
     h = hashlib.sha256()
     h.update(csv_bytes)
     h.update(b"|v" + PROFILER_VERSION.encode())

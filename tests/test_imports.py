@@ -64,3 +64,15 @@ def test_offline_run_loads_no_http_tls_or_yaml_module(tmp_path):
          "--out-dir", str(tmp_path / "out")],
         env=env, capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stdout + result.stderr
+
+
+def test_pipeline_import_loads_no_hashlib_or_statistics():
+    """Start-up stays lean: `hashlib` is imported by the profile cache's
+    fingerprint on first use, and `mean` needs `math` alone."""
+    child = ("import sys, tableqa.pipeline\n"
+             "loaded = [m for m in ('hashlib', 'statistics') if m in sys.modules]\n"
+             "assert not loaded, loaded\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    result = subprocess.run([sys.executable, "-c", child], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stdout + result.stderr

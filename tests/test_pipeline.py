@@ -15,7 +15,7 @@ import e2e_fixtures
 import reference as ref
 from tableqa import pipeline
 from tableqa.answerer import Answer, AnswerType
-from tableqa.llm_client import MockClient
+from tableqa.llm_client import LLMError, MockClient
 from tableqa.pipeline import (
     EnsembleConfig,
     PipelineContext,
@@ -28,6 +28,13 @@ from tableqa.pipeline import (
     run_pipeline_batch,
     score,
     vote,
+)
+from tableqa.profiler import (
+    ProfileCache,
+    describe_columns,
+    fallback_description,
+    profile_table,
+    table_fingerprint,
 )
 
 
@@ -544,3 +551,176 @@ class TestConcurrentEnsemble:
     def test_concurrency_must_be_positive(self):
         with pytest.raises(ValueError, match="concurrency"):
             PipelineContext(llm=None, concurrency=0)
+
+
+WIDE_COLUMNS = 60  # three descriptor chunks per table
+
+
+def _write_wide_tables(tables_dir, rows=(3, 4)):
+    """Tables wide_a and wide_b of WIDE_COLUMNS columns (a0.., b0..) with
+    3 and 4 rows, and a mock script that describes every column, keeps
+    the first one and counts the rows."""
+    os.makedirs(tables_dir, exist_ok=True)
+    names = {}
+    for prefix, n_rows in zip("ab", rows):
+        names[prefix] = [f"{prefix}{i}" for i in range(WIDE_COLUMNS)]
+        lines = [",".join(names[prefix])]
+        lines += [",".join(f"v{r}x{i}" for i in range(WIDE_COLUMNS)) for r in range(n_rows)]
+        with open(os.path.join(tables_dir, f"wide_{prefix}.csv"), "w",
+                  encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+    described = {n: f"Described {n}" for ns in names.values() for n in ns}
+    return [
+        {"stage": "descriptor", "reply": json.dumps(described)},
+        {"stage": "selector", "reply": json.dumps(["a0", "b0"])},
+        {"stage": "explainer", "reply": e2e_fixtures._inst(["Count the rows"], [])},
+        {"stage": "coder", "reply": "answer = count_rows(df)"},
+    ]
+
+
+def _wide_questions(*table_ids):
+    return [Question(f"q_{t}", t, f"¿Cuántas filas tiene {t}?", AnswerType.NUMBER)
+            for t in table_ids]
+
+
+class _Held:
+    """An LLM that holds each call open for `seconds` and records the most
+    calls ever open at once, per stage and over all.  With `gather`, a
+    descriptor call is held until that many descriptor calls are open
+    (at most a second), so a wave that is sent together is seen whole."""
+
+    def __init__(self, inner, seconds=0.02, gather=None):
+        self.inner, self.seconds, self.gather = inner, seconds, gather
+        self.open = collections.Counter()
+        self.peak = collections.Counter()
+        self.cond = threading.Condition()
+
+    def complete(self, req):
+        stage = req.stage_tag
+        with self.cond:
+            self.open[stage] += 1
+            self.open["all"] += 1
+            for key in (stage, "all"):
+                self.peak[key] = max(self.peak[key], self.open[key])
+            self.cond.notify_all()
+            if stage == "descriptor" and self.gather:
+                self.cond.wait_for(lambda: self.open[stage] >= self.gather, timeout=1.0)
+        try:
+            time.sleep(self.seconds)
+            return self.inner.complete(req)
+        finally:
+            with self.cond:
+                self.open[stage] -= 1
+                self.open["all"] -= 1
+
+
+def _read_tree(root):
+    """{relative path: bytes} of every file under root."""
+    files = {}
+    for dirpath, _, names in os.walk(root):
+        for name in names:
+            path = os.path.join(dirpath, name)
+            with open(path, "rb") as fh:
+                files[os.path.relpath(path, root)] = fh.read()
+    return files
+
+
+class TestDescriptorFanOut:
+    """Every cache-missing table's descriptor requests go out together
+    on the run pool, before any run starts."""
+
+    def test_all_tables_chunks_in_flight_at_once(self, tmp_path):
+        tables_dir = str(tmp_path / "tables")
+        llm = _Held(MockClient.from_list(_write_wide_tables(tables_dir)), gather=6)
+        ctx = _context(tmp_path, "run", llm, concurrency=8)
+        finals, _ = ensemble_answers(_wide_questions("wide_a", "wide_b"), tables_dir,
+                                     ctx, EnsembleConfig(repetitions=2))
+        assert llm.peak["descriptor"] == 6
+        assert {q: answer_dict(a) for q, a in finals.items()} == {
+            "q_wide_a": {"type": "Number", "value": 3.0},
+            "q_wide_b": {"type": "Number", "value": 4.0}}
+
+    def test_concurrency_bounds_descriptor_requests_too(self, tmp_path):
+        tables_dir = str(tmp_path / "tables")
+        llm = _Held(MockClient.from_list(_write_wide_tables(tables_dir)))
+        ctx = _context(tmp_path, "run", llm, concurrency=2)
+        ensemble_answers(_wide_questions("wide_a", "wide_b"), tables_dir, ctx,
+                         EnsembleConfig(repetitions=2))
+        assert llm.peak["all"] == 2
+        assert llm.peak["descriptor"] == 2
+
+    def test_serial_and_concurrent_outputs_are_byte_identical(self, tmp_path):
+        tables_dir = str(tmp_path / "tables")
+        script = _write_wide_tables(tables_dir)
+        questions = _wide_questions("wide_a", "wide_b")
+        outputs = []
+        for concurrency in (1, 8):
+            ctx = _context(tmp_path, f"c{concurrency}", MockClient.from_list(script),
+                           concurrency)
+            finals, _ = ensemble_answers(questions, tables_dir, ctx,
+                                         EnsembleConfig(repetitions=3))
+            votes = {q.id: _read_tree(ctx.trace_dir)[os.path.join(q.id, "votes.json")]
+                     for q in questions}
+            outputs.append((finals, votes, _read_tree(ctx.cache_dir)))
+        assert len(outputs[0][2]) == 2
+        assert outputs[0] == outputs[1]
+
+    def test_serial_descriptor_prompts_keep_table_then_chunk_order(self, tmp_path):
+        tables_dir = str(tmp_path / "tables")
+        script = _write_wide_tables(tables_dir)
+        reference = MockClient.from_list(script)
+        for t in ("wide_a", "wide_b"):
+            table = pipeline.load_csv(os.path.join(tables_dir, f"{t}.csv"))
+            describe_columns(profile_table(table), reference)
+        mock = MockClient.from_list(script)
+        ensemble_answers(_wide_questions("wide_a", "wide_b", "wide_a"), tables_dir,
+                         _context(tmp_path, "run", mock, 1), EnsembleConfig(repetitions=2))
+        prompts = [c.last_user_content for c in mock.calls if c.stage_tag == "descriptor"]
+        assert len(prompts) == 6
+        assert prompts == [c.last_user_content for c in reference.calls]
+
+    def test_failed_chunk_keeps_only_its_columns_on_the_template(self, tmp_path):
+        tables_dir = str(tmp_path / "tables")
+        mock = MockClient.from_list(_write_wide_tables(tables_dir))
+
+        class FailingChunk:
+            def complete(self, req):
+                if req.stage_tag == "descriptor" and "\n- a25 (" in req.last_user_content:
+                    raise LLMError("chunk lost")
+                return mock.complete(req)
+
+        ctx = _context(tmp_path, "run", FailingChunk(), concurrency=8)
+        finals, _ = ensemble_answers(_wide_questions("wide_a", "wide_b"), tables_dir,
+                                     ctx, EnsembleConfig(repetitions=2))
+        assert answer_dict(finals["q_wide_a"]) == {"type": "Number", "value": 3.0}
+        with open(os.path.join(tables_dir, "wide_a.csv"), "rb") as fh:
+            profiles = ProfileCache(ctx.cache_dir).get(table_fingerprint(fh.read()))
+        for i, p in enumerate(profiles):
+            if 25 <= i < 50:
+                assert p.description == fallback_description(p), p.name
+            else:
+                assert p.description == f"Described {p.name}", p.name
+
+    def test_missing_table_between_two_fails_only_its_questions(self, tmp_path):
+        tables_dir = str(tmp_path / "tables")
+        llm = _Held(MockClient.from_list(_write_wide_tables(tables_dir)), gather=6)
+        ctx = _context(tmp_path, "run", llm, concurrency=8)
+        finals, records = ensemble_answers(
+            _wide_questions("wide_a", "missing", "wide_b"), tables_dir, ctx,
+            EnsembleConfig(repetitions=2))
+        assert all(r.failure.startswith("profile: ") for r in records["q_missing"])
+        assert finals["q_missing"] is None
+        assert answer_dict(finals["q_wide_a"]) == {"type": "Number", "value": 3.0}
+        assert answer_dict(finals["q_wide_b"]) == {"type": "Number", "value": 4.0}
+        assert llm.peak["descriptor"] == 6
+
+    def test_no_cache_dir_never_fingerprints(self, tmp_path, monkeypatch):
+        tables_dir = str(tmp_path / "tables")
+        script = _write_wide_tables(tables_dir)
+        fingerprinted = []
+        monkeypatch.setattr(pipeline, "table_fingerprint", fingerprinted.append)
+        ctx = _context(tmp_path, "run", MockClient.from_list(script), 8, cache=False)
+        finals, _ = ensemble_answers(_wide_questions("wide_a"), tables_dir, ctx,
+                                     EnsembleConfig(repetitions=2))
+        assert fingerprinted == []
+        assert answer_dict(finals["q_wide_a"]) == {"type": "Number", "value": 3.0}

@@ -2,6 +2,7 @@ import hashlib
 import math
 import os
 import random
+import statistics
 import subprocess
 import sys
 
@@ -375,3 +376,18 @@ def test_malformed_replies_print_no_parser_warnings(capfd):
     env = {**os.environ, "PYTHONPATH": src}
     subprocess.run([sys.executable, "-W", "default", "-c", code], env=env, check=True, timeout=60)
     assert capfd.readouterr().err == ""
+
+
+def _outcome(fn, numbers):
+    try:
+        return fn(numbers)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.floats(allow_nan=False), min_size=1, max_size=30))
+def test_mean_is_statistics_fmean(numbers):
+    """`mean` is fmean's own arithmetic (fsum, then one division), so
+    results and overflow errors are the same, bit for bit."""
+    assert _outcome(BUILTINS["mean"].impl, numbers) == _outcome(statistics.fmean, numbers)
