@@ -9,15 +9,17 @@ descriptor requests of all the tables together while the calling thread
 loads the next table.  A task runs pipeline code only while it holds a
 shared turn lock, which it gives up while it waits on the LLM: pipeline
 code never runs in two threads at once, and the LLM waits of up to
-`concurrency` runs overlap; a task writes its trace files after it
-leaves the lock.  Any exception inside a task becomes that run's
-failure, prefixed with its stage (`select:`, `explain:`, `solve:`,
+`concurrency` runs overlap.  Any exception inside a task becomes that
+run's failure, prefixed with its stage (`select:`, `explain:`, `solve:`,
 `format:`); a table that fails to load fails every run of its questions
 with `profile:`.
 
 Tasks are submitted repetition by repetition, questions in order within
 a repetition, and records come back in that order whatever order the
-runs finish in.  At concurrency 1 the LLM therefore sees each stage's
+runs finish in.  The calling thread writes them in that order to the run
+log, `<trace_dir>/runs.jsonl`, one line per run; an ensemble then adds a
+vote line per question.  A failed log write fails that run and every
+later one with `trace:`.  At concurrency 1 the LLM sees each stage's
 prompts in that order, which scripted mocks with `consume_once` entries
 rely on.  Failed runs and sentinel answers ("No matching records were
 found") are discarded before voting, and a question with no surviving
@@ -26,11 +28,9 @@ runs abstains (scored incorrect).
 
 from __future__ import annotations
 
-import contextlib
 import contextvars
 import json
 import os
-import re
 import threading
 import traceback
 from collections import Counter
@@ -44,7 +44,7 @@ from .explainer import (
     clarify,
     request_instructions,
 )
-from .llm_client import DEFAULT_CONCURRENCY
+from .llm_client import DEFAULT_CONCURRENCY, first_json
 from .profiler import (
     ProfileCache,
     describe_columns,
@@ -91,7 +91,7 @@ class RunRecord:
         return self.answer is not None
 
     def to_dict(self) -> dict:
-        """The run as votes.json and repetitions.json store it."""
+        """The run as the run log and repetitions.json store it."""
         return {
             "repetition": self.repetition,
             "answer": self.answer.to_dict() if self.answer else None,
@@ -104,42 +104,38 @@ class RunRecord:
         return RunRecord(question_id, d["repetition"], answer, d["failure"])
 
 
-# What could take a question id out of its trace directory, plus the
-# escape character itself, so distinct ids keep distinct directories.
-_PATH_UNSAFE = re.compile(r"[%/\\\x00]")
-
-
-def _path_component(question_id: str) -> str:
-    """A question id as one path component: '%', '/', '\\' and NUL
-    become %XX, and '', '.' and '..' get a '%' prefix.  Other ids map to
-    themselves."""
-    text = _PATH_UNSAFE.sub(lambda m: f"%{ord(m.group()):02X}", question_id)
-    return "%" + text if text in ("", ".", "..") else text
-
-
 class TraceWriter:
-    """Per-question, per-repetition explainability artifacts on disk."""
+    """The run log `<root>/runs.jsonl` (none when root is None).  The first
+    OSError on opening or writing becomes `error`; nothing is written after."""
 
     def __init__(self, root: Optional[str]):
-        self.root = root
-        self._made: set[str] = set()  # directories this writer has made
+        self._fh = None
+        self.error: Optional[OSError] = None
+        if root is not None:
+            try:
+                os.makedirs(root, exist_ok=True)
+                self._fh = open(os.path.join(root, "runs.jsonl"), "w", encoding="utf-8")
+            except OSError as exc:
+                self.error = exc
 
-    def write(self, question_id: str, repetition: Optional[int], name: str,
-              payload) -> None:
-        """Write one artifact under the question's repetition directory,
-        or under the question's own directory when repetition is None."""
-        if self.root is None:
-            return
-        directory = os.path.join(self.root, _path_component(question_id))
-        if repetition is not None:
-            directory = os.path.join(directory, f"rep{repetition}")
-        if directory not in self._made:
-            os.makedirs(directory, exist_ok=True)
-            self._made.add(directory)
-        if not isinstance(payload, str):
-            payload = json.dumps(payload, ensure_ascii=False, indent=2)
-        with open(os.path.join(directory, name), "w", encoding="utf-8") as fh:
-            fh.write(payload)
+    def write(self, line: dict) -> None:
+        """Append and flush one line, unless the log has failed."""
+        if self._fh is not None and self.error is None:
+            try:
+                self._fh.write(json.dumps(line, ensure_ascii=False) + "\n")
+                self._fh.flush()
+            except OSError as exc:
+                self.error = exc
+
+    def __enter__(self) -> "TraceWriter":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        if self._fh is not None:
+            try:
+                self._fh.close()
+            except OSError:  # the unflushed line already failed its run
+                pass
 
 
 @dataclass
@@ -166,8 +162,8 @@ def _load_table(path: str, ctx: PipelineContext, pool: ThreadPoolExecutor):
     """Load a CSV and take its profiles from the on-disk cache when the
     file bytes are unchanged; else profile it and send its descriptor
     requests on `pool`.  Returns a function that waits for the replies,
-    fills the descriptions, caches the profiles and returns
-    (table, profiles)."""
+    fills the descriptions, caches the profiles if every reply parsed and
+    returns (table, profiles)."""
     table = load_csv(path)
     cache = ProfileCache(ctx.cache_dir) if ctx.cache_dir else None
     if cache:
@@ -183,7 +179,9 @@ def _load_table(path: str, ctx: PipelineContext, pool: ThreadPoolExecutor):
 
     def finish():
         describe_columns(profiles, llm)
-        if cache:
+        # Templates are not cached: a chunk that failed is asked again next time.
+        if cache and llm and all(not f.exception() and first_json(f.result(), dict)
+                                 for f in llm.values()):
             cache.put(fingerprint, profiles)
         return table, profiles
     return finish
@@ -215,12 +213,12 @@ class _TurnTakingLLM:
 
 
 def _run_one(q: Question, repetition: int, loaded, ctx: PipelineContext,
-             artifacts: list) -> RunRecord:
+             artifacts: dict) -> RunRecord:
     """One pipeline pass over one question: prune+select ->
     explain+clarify -> solve -> format.  `loaded` is the question's
     (table, profiles) pair, or the failure text of its table load.  Any
-    exception becomes the run's failure, prefixed with its stage.  Trace
-    artifacts go to `artifacts` as (stage, name, payload), unwritten."""
+    exception becomes the run's failure, prefixed with its stage.  The
+    run log's artifacts go into `artifacts` by name, unwritten."""
     rec = RunRecord(q.id, repetition)
     if isinstance(loaded, str):
         rec.failure = loaded
@@ -231,23 +229,22 @@ def _run_one(q: Question, repetition: int, loaded, ctx: PipelineContext,
         kept, dropped = prune_uninformative(profiles)
         warnings: list[str] = []
         chosen = select_columns(q.text, kept, ctx.llm, warnings)
-        artifacts.append((stage, "selector.json", {
+        artifacts["selector"] = {
             "dropped_by_rule": dropped,
             "selected": [p.name for p in chosen],
             "warnings": warnings,
-        }))
+        }
 
         stage = "explain"
-        artifacts.append((stage, "explainer_prompt.txt",
-                          build_explainer_prompt(q.text, chosen)))
+        artifacts["explainer_prompt"] = build_explainer_prompt(q.text, chosen)
         inst = request_instructions(q.text, chosen, ctx.llm)
         inst = clarify(inst, table, profiles)
-        artifacts.append((stage, "instruction_set.json", inst.to_dict()))
+        artifacts["instruction_set"] = inst.to_dict()
 
         stage = "solve"
-        artifacts.append((stage, "coder_prompt.txt", build_coder_prompt(inst, chosen)))
+        artifacts["coder_prompt"] = build_coder_prompt(inst, chosen)
         run = solve(inst, table, chosen, ctx.llm)
-        artifacts.append((stage, "run_trace.json", run.to_dict()))
+        artifacts["run_trace"] = run.to_dict()
         if not run.succeeded:
             last = run.attempts[-1] if run.attempts else None
             rec.failure = f"solve: {last.error_message if last else 'no attempts'}"
@@ -257,45 +254,28 @@ def _run_one(q: Question, repetition: int, loaded, ctx: PipelineContext,
         rec.answer = format_answer(run.final_value, q.answer_type)
     except Exception as exc:
         rec.failure = f"{stage}: {exc}"
-        artifacts.append((stage, "failure.txt", traceback.format_exc()))
+        artifacts["traceback"] = traceback.format_exc()
     return rec
 
 
-def _write_artifacts(rec: RunRecord, artifacts: list, trace: TraceWriter) -> None:
-    """Write a run's artifacts in order.  An OSError stops there and fails
-    the run as the artifact's stage would have; one on failure.txt does not."""
-    for stage, name, payload in artifacts:
-        try:
-            trace.write(rec.question_id, rec.repetition, name, payload)
-        except OSError as exc:
-            if name != "failure.txt":
-                rec.answer, rec.failure = None, f"{stage}: {exc}"
-                with contextlib.suppress(OSError):
-                    trace.write(rec.question_id, rec.repetition, "failure.txt",
-                                traceback.format_exc())
-            return
-
-
-def _run_repetitions(questions: list[Question], tables_dir: str,
-                     ctx: PipelineContext, repetitions) -> list[RunRecord]:
+def _run_repetitions(questions: list[Question], tables_dir: str, ctx: PipelineContext,
+                     repetitions, log: TraceWriter) -> list[RunRecord]:
     """Load and profile each distinct table once, then run every
     (question, repetition) pair as one task on a pool of
-    `ctx.concurrency` threads.  Records come back in submission order:
-    repetitions in order, questions in order within a repetition.  Tables
-    load on this thread in order of first use while the pool sends the
-    descriptor requests of the cache misses; the runs start after."""
-    trace = TraceWriter(ctx.trace_dir)
+    `ctx.concurrency` threads.  Records come back, and go to `log`, in
+    submission order: repetitions in order, questions in order within a
+    repetition.  Tables load on this thread in order of first use while
+    the pool sends the descriptor requests of the cache misses; the runs
+    start after."""
     turn = threading.Lock()
     task_ctx = replace(ctx, llm=_TurnTakingLLM(ctx.llm, turn))
     loaded: dict[str, object] = {}
 
-    def task(q: Question, repetition: int) -> RunRecord:
-        artifacts: list = []
+    def task(q: Question, repetition: int):
+        artifacts: dict = {}
         with turn:
             rec = _run_one(q, repetition, loaded[q.table_id], task_ctx, artifacts)
-        # Disk writes overlap other runs' pipeline code and LLM waits.
-        _write_artifacts(rec, artifacts, trace)
-        return rec
+        return rec, artifacts
 
     pool = ThreadPoolExecutor(max_workers=ctx.concurrency)
     try:
@@ -317,7 +297,15 @@ def _run_repetitions(questions: list[Question], tables_dir: str,
         # variables (a tracer's current span, say) reach the workers.
         futures = [pool.submit(contextvars.copy_context().run, task, q, rep)
                    for rep in repetitions for q in questions]
-        return [f.result() for f in futures]
+        records = []
+        for future in futures:
+            # Logged while later runs go on; a failed log fails the rest.
+            rec, artifacts = future.result()
+            log.write({"question_id": rec.question_id, **rec.to_dict(), **artifacts})
+            if log.error:
+                rec.answer, rec.failure = None, f"trace: {log.error}"
+            records.append(rec)
+        return records
     finally:
         # On an interrupt, drop the requests and runs not yet started.
         pool.shutdown(cancel_futures=True)
@@ -327,7 +315,8 @@ def run_pipeline_batch(questions: list[Question], tables_dir: str,
                        ctx: PipelineContext, repetition: int = 0) -> list[RunRecord]:
     """One pass over all questions: the one-repetition case of
     `ensemble_answers`, returning one record per question in order."""
-    return _run_repetitions(questions, tables_dir, ctx, [repetition])
+    with TraceWriter(ctx.trace_dir) as log:
+        return _run_repetitions(questions, tables_dir, ctx, [repetition], log)
 
 
 def _is_sentinel(answer: Answer, sentinels: list[str]) -> bool:
@@ -363,16 +352,13 @@ def ensemble_answers(questions: list[Question], tables_dir: str,
     Returns final answers (None = abstain) and all records, each
     question's in repetition order."""
     all_records: dict[str, list[RunRecord]] = {q.id: [] for q in questions}
-    for rec in _run_repetitions(questions, tables_dir, ctx, range(cfg.repetitions)):
-        all_records[rec.question_id].append(rec)
     finals: dict[str, Optional[Answer]] = {}
-    trace = TraceWriter(ctx.trace_dir)
-    for q in questions:
-        finals[q.id] = vote(all_records[q.id], cfg)
-        trace.write(q.id, None, "votes.json", {
-            "runs": [r.to_dict() for r in all_records[q.id]],
-            "final": finals[q.id].to_dict() if finals[q.id] else None,
-        })
+    with TraceWriter(ctx.trace_dir) as log:
+        for rec in _run_repetitions(questions, tables_dir, ctx, range(cfg.repetitions), log):
+            all_records[rec.question_id].append(rec)
+        for q in questions:
+            final = finals[q.id] = vote(all_records[q.id], cfg)
+            log.write({"question_id": q.id, "final": final.to_dict() if final else None})
     return finals, all_records
 
 

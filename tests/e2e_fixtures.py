@@ -3,6 +3,7 @@ per answer type plus one designed solve-failure) and a mock script
 covering all four LLM stages."""
 
 import json
+import os
 
 QUESTIONS = [
     {"id": "q1", "table_id": "encuestas",
@@ -104,3 +105,12 @@ def write_fixture(tmp_path):
     mock_path = tmp_path / "mock.json"
     mock_path.write_text(json.dumps(MOCK_SCRIPT, ensure_ascii=False), encoding="utf-8")
     return str(tables_dir), str(questions_path), str(mock_path)
+
+
+def read_run_log(trace_dir):
+    """The lines of `trace_dir`'s run log as (run lines, vote lines),
+    each in file order."""
+    with open(os.path.join(trace_dir, "runs.jsonl"), encoding="utf-8") as fh:
+        lines = [json.loads(line) for line in fh]
+    return ([line for line in lines if "final" not in line],
+            [line for line in lines if "final" in line])

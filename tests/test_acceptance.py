@@ -176,14 +176,12 @@ def test_end_to_end_deterministic_bench(tmp_path):
             preds[obj["id"]] = obj["answer"]
     assert preds == e2e_fixtures.EXPECTED  # five answers + one abstain
 
-    rep_dir = os.path.join(out_dir, "trace", "q1", "rep0")
-    for artifact in ("explainer_prompt.txt", "instruction_set.json",
-                     "coder_prompt.txt", "run_trace.json"):
-        assert os.path.exists(os.path.join(rep_dir, artifact)), artifact
-    with open(os.path.join(rep_dir, "run_trace.json"), encoding="utf-8") as fh:
-        run_trace = json.load(fh)
-    assert any(a.get("plan_text") for a in run_trace["attempts"])
-    assert os.path.exists(os.path.join(out_dir, "trace", "q1", "votes.json"))
+    runs, votes = e2e_fixtures.read_run_log(os.path.join(out_dir, "trace"))
+    run = next(r for r in runs if r["question_id"] == "q1" and r["repetition"] == 0)
+    for artifact in ("explainer_prompt", "instruction_set", "coder_prompt", "run_trace"):
+        assert artifact in run, artifact
+    assert any(a.get("plan_text") for a in run["run_trace"]["attempts"])
+    assert any(v["question_id"] == "q1" for v in votes)
     ok("deterministic mock bench answers all 6 fixture questions "
        "(one per answer type, one abstain) with full per-question traces")
 

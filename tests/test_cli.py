@@ -73,7 +73,9 @@ class TestAsk:
             "--trace-dir", trace_dir,
         ])
         assert result.exit_code == 0, result.output
-        assert os.path.exists(os.path.join(trace_dir, "q0", "rep0", "run_trace.json"))
+        runs, votes = e2e_fixtures.read_run_log(trace_dir)
+        assert [(r["question_id"], r["repetition"]) for r in runs] == [("q0", 0)]
+        assert "run_trace" in runs[0] and votes[0]["question_id"] == "q0"
 
     def test_refuses_a_table_that_is_not_csv(self, runner, fixture_paths, tmp_path):
         tables_dir, _, mock_path = fixture_paths
@@ -162,13 +164,11 @@ class TestBench:
         assert len(reps["runs"]["q1"]) == 2
 
         # Explainability trace: prompts, instruction sets, plans.
-        rep_dir = os.path.join(out_dir, "trace", "q1", "rep0")
-        assert os.path.exists(os.path.join(rep_dir, "explainer_prompt.txt"))
-        assert os.path.exists(os.path.join(rep_dir, "coder_prompt.txt"))
-        with open(os.path.join(rep_dir, "run_trace.json"), encoding="utf-8") as fh:
-            run_trace = json.load(fh)
-        assert "count_containing" in json.dumps(run_trace)
-        assert os.path.exists(os.path.join(out_dir, "trace", "q1", "votes.json"))
+        runs, votes = e2e_fixtures.read_run_log(os.path.join(out_dir, "trace"))
+        run = next(r for r in runs if r["question_id"] == "q1" and r["repetition"] == 0)
+        assert "explainer_prompt" in run and "coder_prompt" in run
+        assert "count_containing" in json.dumps(run["run_trace"])
+        assert any(v["question_id"] == "q1" for v in votes)
 
     def test_bench_then_ensemble_curve(self, runner, fixture_paths, tmp_path):
         tables_dir, questions_path, mock_path = fixture_paths
@@ -199,11 +199,11 @@ class TestBench:
         reps_path = os.path.join(out_dir, "repetitions.json")
         with open(reps_path, encoding="utf-8") as fh:
             reps = json.load(fh)
-        # Every run is written as in the question's votes.json.
+        # Every run is written as in the run log.
+        logged, _ = e2e_fixtures.read_run_log(os.path.join(out_dir, "trace"))
         for qid, runs in reps["runs"].items():
-            with open(os.path.join(out_dir, "trace", qid, "votes.json"),
-                      encoding="utf-8") as fh:
-                assert json.load(fh)["runs"] == runs
+            assert [{k: r[k] for k in ("repetition", "answer", "failure")}
+                    for r in logged if r["question_id"] == qid] == runs
         # q6 is the designed solve failure: failed runs, then an abstain.
         assert [r["answer"] for r in reps["runs"]["q6"]] == [None, None]
         assert all(r["failure"].startswith("solve: ") for r in reps["runs"]["q6"])

@@ -1,4 +1,6 @@
 import collections
+import dataclasses
+import errno
 import json
 import os
 import random
@@ -21,10 +23,10 @@ from tableqa.pipeline import (
     PipelineContext,
     Question,
     RunRecord,
-    TraceWriter,
     ensemble_answers,
     ensemble_curve,
     load_questions,
+    load_table_profiles,
     run_pipeline_batch,
     score,
     vote,
@@ -89,13 +91,14 @@ class TestRunPipelineBatch:
     def test_trace_artifacts_written(self, e2e):
         tables_dir, questions, ctx, tmp_path = e2e
         run_pipeline_batch(questions, tables_dir, ctx)
-        rep_dir = tmp_path / "trace" / "q1" / "rep0"
-        for artifact in ("selector.json", "explainer_prompt.txt",
-                         "instruction_set.json", "coder_prompt.txt",
-                         "run_trace.json"):
-            assert (rep_dir / artifact).exists(), artifact
-        inst = json.loads((rep_dir / "instruction_set.json").read_text("utf-8"))
+        runs, votes = e2e_fixtures.read_run_log(tmp_path / "trace")
+        assert [r["question_id"] for r in runs] == [q.id for q in questions]
+        assert list(runs[0]) == ["question_id", "repetition", "answer", "failure",
+                                 "selector", "explainer_prompt", "instruction_set",
+                                 "coder_prompt", "run_trace"]
+        inst = runs[0]["instruction_set"]
         assert any(line.startswith("Be careful!.") for line in inst["instructions"])
+        assert votes == []  # a batch does not vote
 
 
 def mk_record(rep, answer, failure=None):
@@ -107,30 +110,16 @@ def num(x):
 
 
 class TestTraceWriter:
-    @pytest.mark.parametrize("qid", ["../x", "a/b", "..", ".", "", "a\\b"])
-    def test_unsafe_ids_stay_under_the_root(self, tmp_path, qid):
-        root = tmp_path / "trace"
-        writer = TraceWriter(str(root))
-        writer.write(qid, 0, "a.txt", "hi")
-        writer.write(qid, None, "votes.json", {})
-        written = [p for p in tmp_path.rglob("*") if p.is_file()]
-        assert len(written) == 2
-        for path in written:
-            assert path.parent.resolve().is_relative_to(root.resolve())
-            assert len(path.relative_to(root).parts) in (2, 3)
-
-    def test_distinct_ids_keep_distinct_directories(self, tmp_path):
-        writer = TraceWriter(str(tmp_path))
-        ids = ["a/b", "a%2Fb", "..", "%..", "q1", ""]
-        for qid in ids:
-            writer.write(qid, None, "votes.json", {"id": qid})
-        assert len(list(tmp_path.iterdir())) == len(ids)
-
-    def test_safe_ids_map_to_themselves(self, tmp_path):
-        writer = TraceWriter(str(tmp_path))
-        for qid in ["q1", "pregunta-2_b.v3", "número 7"]:
-            writer.write(qid, 1, "a.txt", "x")
-            assert (tmp_path / qid / "rep1" / "a.txt").read_text() == "x"
+    @pytest.mark.parametrize("qid", ["../x", "a/b", "..", ".", "", "a\\b", "a%2Fb"])
+    def test_unsafe_ids_stay_under_the_root(self, e2e, qid):
+        """A question id is data in the run log, never a path."""
+        tables_dir, questions, ctx, _ = e2e
+        asked = [dataclasses.replace(questions[1], id=qid)]
+        finals, _ = ensemble_answers(asked, tables_dir, ctx, EnsembleConfig(repetitions=2))
+        runs, votes = e2e_fixtures.read_run_log(ctx.trace_dir)
+        assert [r["question_id"] for r in runs + votes] == [qid] * 3
+        assert answer_dict(finals[qid]) == e2e_fixtures.EXPECTED["q2"]
+        assert os.listdir(ctx.trace_dir) == ["runs.jsonl"]
 
 
 SENTINEL = "No matching records were found"
@@ -208,9 +197,14 @@ class TestEnsemble:
     def test_votes_trace_written(self, e2e):
         tables_dir, questions, ctx, tmp_path = e2e
         ensemble_answers(questions, tables_dir, ctx, EnsembleConfig(repetitions=2))
-        votes = json.loads((tmp_path / "trace" / "q2" / "votes.json").read_text("utf-8"))
-        assert len(votes["runs"]) == 2
-        assert votes["final"] == {"type": "Number", "value": 3.0}
+        lines = (tmp_path / "trace" / "runs.jsonl").read_text("utf-8").splitlines()
+        assert len(lines) == 2 * len(questions) + len(questions)
+        runs, votes = e2e_fixtures.read_run_log(tmp_path / "trace")
+        assert lines[-len(votes):] == [json.dumps(v, ensure_ascii=False) for v in votes]
+        assert [(r["repetition"], r["question_id"]) for r in runs] == [
+            (rep, q.id) for rep in range(2) for q in questions]
+        assert [v["question_id"] for v in votes] == [q.id for q in questions]
+        assert votes[1] == {"question_id": "q2", "final": {"type": "Number", "value": 3.0}}
 
 
 class TestScore:
@@ -417,14 +411,14 @@ class TestConcurrentEnsemble:
             questions, tables_dir, serial_ctx, EnsembleConfig(repetitions=reps))
 
         finished = []
-        real_write = pipeline.TraceWriter.write
+        real_run_one = pipeline._run_one
 
-        def recording_write(self, question_id, repetition, name, payload):
-            if name == "run_trace.json":
-                finished.append((repetition, question_id))
-            real_write(self, question_id, repetition, name, payload)
+        def recording_run_one(q, repetition, *args):
+            rec = real_run_one(q, repetition, *args)
+            finished.append((repetition, q.id))
+            return rec
 
-        monkeypatch.setattr(pipeline.TraceWriter, "write", recording_write)
+        monkeypatch.setattr(pipeline, "_run_one", recording_run_one)
         llm = _ShuffledDelays(MockClient.from_file(mock_path), reps)
         ctx = _context(tmp_path, "concurrent", llm, concurrency=8)
         interval = sys.getswitchinterval()
@@ -441,12 +435,9 @@ class TestConcurrentEnsemble:
         assert sorted(finished) == submitted and finished != submitted
         assert _outcomes(records) == _outcomes(serial_records)
         assert finals == serial_finals
-        for q in questions:
-            name = os.path.join(q.id, "votes.json")
-            with open(os.path.join(serial_ctx.trace_dir, name), "rb") as fh:
-                expected = fh.read()
-            with open(os.path.join(ctx.trace_dir, name), "rb") as fh:
-                assert fh.read() == expected, q.id
+        logs = [_read_tree(c.trace_dir) for c in (serial_ctx, ctx)]
+        assert list(logs[0]) == ["runs.jsonl"]
+        assert logs[0] == logs[1]
 
     def test_serial_prompt_order_per_stage(self, tmp_path):
         tables_dir, questions_path, mock_path = e2e_fixtures.write_fixture(tmp_path)
@@ -483,7 +474,11 @@ class TestConcurrentEnsemble:
                                            EnsembleConfig(repetitions=3))
         assert finals["q3"] is None
         assert all(r.failure.startswith("explain: ") for r in records["q3"])
-        assert (tmp_path / "run" / "trace" / "q3" / "rep0" / "failure.txt").exists()
+        runs, _ = e2e_fixtures.read_run_log(ctx.trace_dir)
+        q3 = [r for r in runs if r["question_id"] == "q3"]
+        assert len(q3) == 3
+        assert all(r["traceback"].startswith("Traceback") and "instruction_set" not in r
+                   for r in q3)
         for qid, expected in e2e_fixtures.EXPECTED.items():
             if qid != "q3":
                 assert answer_dict(finals[qid]) == expected, qid
@@ -507,24 +502,74 @@ class TestConcurrentEnsemble:
         assert llm.peak == 2
         assert {q: answer_dict(a) for q, a in finals.items()} == e2e_fixtures.EXPECTED
 
-    def test_trace_write_failure_fails_only_its_run(self, tmp_path):
+    def test_log_write_failure_fails_that_run_and_every_later_one(self, tmp_path,
+                                                                    monkeypatch):
         tables_dir, questions_path, mock_path = e2e_fixtures.write_fixture(tmp_path)
         questions = load_questions(questions_path)
+        logs = []
+        real_open = open
+
+        class FullDisk:
+            """The run log's file, whose third write finds the disk full.
+            Closing it then raises too, as a buffered file does when it
+            retries the failed write."""
+
+            def __init__(self, fh):
+                self.fh, self.writes = fh, 0
+
+            def write(self, text):
+                self.writes += 1
+                if self.writes >= 3:
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                return self.fh.write(text)
+
+            def close(self):
+                self.fh.close()
+                if self.writes >= 3:
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+            def __getattr__(self, name):
+                return getattr(self.fh, name)
+
+        def full_disk_open(path, *args, **kwargs):
+            fh = real_open(path, *args, **kwargs)
+            if os.path.basename(path) == "runs.jsonl":
+                logs.append(fh := FullDisk(fh))
+            return fh
+
+        monkeypatch.setattr(pipeline, "open", full_disk_open, raising=False)
         ctx = _context(tmp_path, "run", MockClient.from_file(mock_path), 4)
-        squat = tmp_path / "run" / "trace" / "q1" / "rep1"
-        squat.parent.mkdir(parents=True)
-        squat.write_text("not a directory", encoding="utf-8")
         finals, records = ensemble_answers(questions, tables_dir, ctx,
-                                           EnsembleConfig(repetitions=3))
-        failures = {(qid, r.repetition): r.failure
-                    for qid, recs in records.items() for r in recs if r.failure}
-        assert failures.pop(("q1", 1)) == f"select: [Errno 17] File exists: '{squat}'"
-        assert all(qid == "q6" for qid, _ in failures)  # the fixture's abstain
-        assert {q: answer_dict(a) for q, a in finals.items()} == e2e_fixtures.EXPECTED
+                                           EnsembleConfig(repetitions=2))
+        in_order = [records[q.id][rep] for rep in range(2) for q in questions]
+        assert [answer_dict(r.answer) for r in in_order[:2]] == [
+            e2e_fixtures.EXPECTED["q1"], e2e_fixtures.EXPECTED["q2"]]
+        full = f"trace: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+        assert [(r.answer, r.failure) for r in in_order[2:]] == [(None, full)] * 10
+        assert {q: answer_dict(a) for q, a in finals.items()} == {
+            **dict.fromkeys(finals), "q1": e2e_fixtures.EXPECTED["q1"],
+            "q2": e2e_fixtures.EXPECTED["q2"]}
+        runs, votes = e2e_fixtures.read_run_log(ctx.trace_dir)
+        assert [(r["question_id"], r["repetition"]) for r in runs] == [("q1", 0), ("q2", 0)]
+        assert votes == []
+        assert len(logs) == 1 and logs[0].writes == 3 and logs[0].fh.closed
+
+    def test_unopenable_log_fails_every_run(self, tmp_path):
+        tables_dir, questions_path, mock_path = e2e_fixtures.write_fixture(tmp_path)
+        ctx = _context(tmp_path, "run", MockClient.from_file(mock_path), 4)
+        (tmp_path / "run").mkdir()
+        (tmp_path / "run" / "trace").write_text("not a directory", encoding="utf-8")
+        finals, records = ensemble_answers(load_questions(questions_path), tables_dir,
+                                           ctx, EnsembleConfig(repetitions=2))
+        failure = f"trace: [Errno 17] File exists: '{ctx.trace_dir}'"
+        assert [(r.answer, r.failure) for recs in records.values() for r in recs] == [
+            (None, failure)] * 12
+        assert set(finals.values()) == {None}
+        assert (tmp_path / "run" / "trace").read_text("utf-8") == "not a directory"
 
     def test_trace_writes_do_not_hold_up_other_runs(self, tmp_path, monkeypatch):
-        """A run writes its trace files after it leaves the turn lock, so
-        a slow disk under one run does not stop the others."""
+        """The calling thread writes the run log while the runs go on, so
+        a slow disk under the log does not stop them."""
         tables_dir, questions_path, mock_path = e2e_fixtures.write_fixture(tmp_path)
         llm = _CallCounter(MockClient.from_file(mock_path))
         progress = []
@@ -659,10 +704,8 @@ class TestDescriptorFanOut:
                            concurrency)
             finals, _ = ensemble_answers(questions, tables_dir, ctx,
                                          EnsembleConfig(repetitions=3))
-            votes = {q.id: _read_tree(ctx.trace_dir)[os.path.join(q.id, "votes.json")]
-                     for q in questions}
-            outputs.append((finals, votes, _read_tree(ctx.cache_dir)))
-        assert len(outputs[0][2]) == 2
+            outputs.append((finals, _read_tree(ctx.trace_dir), _read_tree(ctx.cache_dir)))
+        assert len(outputs[0][2]) == 2 and list(outputs[0][1]) == ["runs.jsonl"]
         assert outputs[0] == outputs[1]
 
     def test_serial_descriptor_prompts_keep_table_then_chunk_order(self, tmp_path):
@@ -693,13 +736,23 @@ class TestDescriptorFanOut:
         finals, _ = ensemble_answers(_wide_questions("wide_a", "wide_b"), tables_dir,
                                      ctx, EnsembleConfig(repetitions=2))
         assert answer_dict(finals["q_wide_a"]) == {"type": "Number", "value": 3.0}
-        with open(os.path.join(tables_dir, "wide_a.csv"), "rb") as fh:
-            profiles = ProfileCache(ctx.cache_dir).get(table_fingerprint(fh.read()))
-        for i, p in enumerate(profiles):
+        described = {}  # as the selector prompts showed them
+        for call in mock.calls:
+            if call.stage_tag == "selector":
+                for line in call.last_user_content.splitlines():
+                    if line.startswith("- "):
+                        name, _, text = line[2:].partition(": ")
+                        described[name] = text
+        table = pipeline.load_csv(os.path.join(tables_dir, "wide_a.csv"))
+        for i, p in enumerate(profile_table(table)):
             if 25 <= i < 50:
-                assert p.description == fallback_description(p), p.name
+                assert described[p.name] == fallback_description(p), p.name
             else:
-                assert p.description == f"Described {p.name}", p.name
+                assert described[p.name] == f"Described {p.name}", p.name
+        # No cache entry was written for wide_a; wide_b's chunks all parsed.
+        with open(os.path.join(tables_dir, "wide_a.csv"), "rb") as fh:
+            assert ProfileCache(ctx.cache_dir).get(table_fingerprint(fh.read())) is None
+        assert len(os.listdir(ctx.cache_dir)) == 1
 
     def test_missing_table_between_two_fails_only_its_questions(self, tmp_path):
         tables_dir = str(tmp_path / "tables")
@@ -724,3 +777,34 @@ class TestDescriptorFanOut:
                                      EnsembleConfig(repetitions=2))
         assert fingerprinted == []
         assert answer_dict(finals["q_wide_a"]) == {"type": "Number", "value": 3.0}
+
+
+class _Down:
+    """A backend that refuses every call."""
+
+    def complete(self, req):
+        raise LLMError("connection refused")
+
+
+class TestProfileCacheAfterOutage:
+    """Only profiles whose every descriptor chunk got a reply that parsed
+    are cached; a template would otherwise outlive the outage."""
+
+    @pytest.mark.parametrize("llm", [_Down(), MockClient.from_list(
+        [{"stage": "descriptor", "reply": "no JSON here"}]), None],
+        ids=["refused", "unparsed", "offline"])
+    def test_template_descriptions_are_not_cached(self, tmp_path, llm):
+        tables_dir, _, mock_path = e2e_fixtures.write_fixture(tmp_path)
+        path = os.path.join(tables_dir, "encuestas.csv")
+        cache_dir = str(tmp_path / "cache")
+        _, profiles = load_table_profiles(path, PipelineContext(llm=llm, cache_dir=cache_dir))
+        assert profiles[0].description == fallback_description(profiles[0])
+        assert os.listdir(cache_dir) == []
+        working = PipelineContext(llm=MockClient.from_file(mock_path), cache_dir=cache_dir)
+        _, profiles = load_table_profiles(path, working)
+        assert profiles[0].name == "Mes de realización"
+        assert profiles[0].description == "Month when the survey was conducted"
+        # Cached now: a later outage reads the LLM descriptions back.
+        _, profiles = load_table_profiles(path, PipelineContext(llm=_Down(),
+                                                                cache_dir=cache_dir))
+        assert profiles[0].description == "Month when the survey was conducted"
