@@ -139,7 +139,10 @@ def bench(questions_path, tables_dir, repetitions, out_dir, config_path,
     cfg = EnsembleConfig(repetitions=repetitions)
     finals, records = ensemble_answers(questions, tables_dir, ctx, cfg)
 
-    with open(os.path.join(out_dir, "predictions.jsonl"), "w", encoding="utf-8") as fh:
+    def output(name):  # writes a lone surrogate (from a question id, say) as its escape
+        return open(os.path.join(out_dir, name), "w", encoding="utf-8", errors="backslashreplace")
+
+    with output("predictions.jsonl") as fh:
         for q in questions:
             answer = finals[q.id]
             fh.write(json.dumps({
@@ -148,7 +151,7 @@ def bench(questions_path, tables_dir, repetitions, out_dir, config_path,
             }, ensure_ascii=False) + "\n")
 
     # Per-repetition answers, for ensemble-curve recomputation.
-    with open(os.path.join(out_dir, "repetitions.json"), "w", encoding="utf-8") as fh:
+    with output("repetitions.json") as fh:
         json.dump({
             "questions": [
                 {
@@ -163,7 +166,7 @@ def bench(questions_path, tables_dir, repetitions, out_dir, config_path,
 
     if any(q.gold is not None for q in questions):
         report = score([(q, finals[q.id]) for q in questions])
-        with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:
+        with output("report.json") as fh:
             json.dump(report.to_dict(), fh, ensure_ascii=False, indent=2)
         click.echo(report.to_text())
     else:

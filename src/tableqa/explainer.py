@@ -107,18 +107,15 @@ def parse_instruction_set(reply: str) -> InstructionSet:
     return InstructionSet(instructions, columns, filter_values)
 
 
-def request_instructions(question: str, selected: list[ColumnProfile], llm) -> InstructionSet:
-    """Prompt the explainer, re-asking on parse failure up to
-    EXPLAINER_ATTEMPTS total attempts."""
-    prompt = build_explainer_prompt(question, selected)
+def request_instructions(prompt: str, llm) -> InstructionSet:
+    """Send the explainer `prompt` (see `build_explainer_prompt`),
+    re-asking on parse failure up to EXPLAINER_ATTEMPTS total attempts."""
+    req = ChatRequest(messages=(Message("system", EXPLAINER_SYSTEM), Message("user", prompt)),
+                      stage_tag="explainer")
     last_error: Optional[Exception] = None
     for _ in range(EXPLAINER_ATTEMPTS):
-        reply = llm.complete(ChatRequest(
-            messages=(Message("system", EXPLAINER_SYSTEM), Message("user", prompt)),
-            stage_tag="explainer",
-        ))
         try:
-            return parse_instruction_set(reply)
+            return parse_instruction_set(llm.complete(req))
         except InstructionParseError as exc:
             last_error = exc
     raise InstructionParseError(

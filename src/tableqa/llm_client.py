@@ -138,8 +138,6 @@ class LLMConfig:
 
 
 def route_model(stage_tag: str, config: LLMConfig) -> str:
-    if stage_tag not in STAGES:
-        raise LLMError(f"unknown stage tag {stage_tag!r}")
     if stage_tag == "coder":
         return config.model_coder
     if stage_tag == "explainer" and config.model_explainer_override:

@@ -6,7 +6,8 @@ An ensemble loads and profiles each distinct table once, then runs every
 explain+clarify -> solve -> format.  Tasks run on a thread pool of
 `PipelineContext.concurrency` workers, which first send the column
 descriptor requests of all the tables together while the calling thread
-loads the next table.  A task runs pipeline code only while it holds a
+loads the next table; each reply is read once, for the descriptions and
+the cache rule alike.  A task runs pipeline code only while it holds a
 shared turn lock, which it gives up while it waits on the LLM: pipeline
 code never runs in two threads at once, and the LLM waits of up to
 `concurrency` runs overlap.  Any exception inside a task becomes that
@@ -18,12 +19,15 @@ Tasks are submitted repetition by repetition, questions in order within
 a repetition, and records come back in that order whatever order the
 runs finish in.  The calling thread writes them in that order to the run
 log, `<trace_dir>/runs.jsonl`, one line per run; an ensemble then adds a
-vote line per question.  A failed log write fails that run and every
-later one with `trace:`.  At concurrency 1 the LLM sees each stage's
-prompts in that order, which scripted mocks with `consume_once` entries
-rely on.  Failed runs and sentinel answers ("No matching records were
-found") are discarded before voting, and a question with no surviving
-runs abstains (scored incorrect).
+vote line per question.  A run line's `explainer_prompt` and
+`coder_prompt` are the very prompts its stages sent first.  A lone
+surrogate (from a question id, say) is written as its JSON escape.  A
+failed log write fails that run and every later one with `trace:`.  At
+concurrency 1 the LLM sees each stage's prompts in that order, which
+scripted mocks with `consume_once` entries rely on.  Failed runs and
+sentinel answers ("No matching records were found") are discarded before
+voting, and a question with no surviving runs abstains (scored
+incorrect).
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from .explainer import (
     clarify,
     request_instructions,
 )
-from .llm_client import DEFAULT_CONCURRENCY, first_json
+from .llm_client import DEFAULT_CONCURRENCY
 from .profiler import (
     ProfileCache,
     describe_columns,
@@ -55,8 +59,9 @@ from .profiler import (
 from .runner import build_coder_prompt, solve
 from .selector import prune_uninformative, select_columns
 from .table_core import load_csv, render_cell
+from .tablefns import NO_MATCHING_RECORDS
 
-DEFAULT_SENTINELS = ["No matching records were found"]
+DEFAULT_SENTINELS = [NO_MATCHING_RECORDS]
 
 
 @dataclass
@@ -114,7 +119,8 @@ class TraceWriter:
         if root is not None:
             try:
                 os.makedirs(root, exist_ok=True)
-                self._fh = open(os.path.join(root, "runs.jsonl"), "w", encoding="utf-8")
+                self._fh = open(os.path.join(root, "runs.jsonl"), "w", encoding="utf-8",
+                                errors="backslashreplace")
             except OSError as exc:
                 self.error = exc
 
@@ -150,14 +156,6 @@ class PipelineContext:
             raise ValueError("concurrency must be >= 1")
 
 
-class _Prefetched(dict):
-    """Futures of requests already sent, keyed by request: an LLM client
-    that answers a request with its future's result."""
-
-    def complete(self, req):
-        return self[req].result()
-
-
 def _load_table(path: str, ctx: PipelineContext, pool: ThreadPoolExecutor):
     """Load a CSV and take its profiles from the on-disk cache when the
     file bytes are unchanged; else profile it and send its descriptor
@@ -173,15 +171,14 @@ def _load_table(path: str, ctx: PipelineContext, pool: ThreadPoolExecutor):
             return lambda: (table, profiles)
     profiles = profile_table(table)
     # Each request runs in a copy of the caller's context, as the runs do.
-    llm = None if ctx.llm is None else _Prefetched({
-        req: pool.submit(contextvars.copy_context().run, ctx.llm.complete, req)
-        for req in describe_requests(profiles)})
+    futures = [] if ctx.llm is None else [
+        pool.submit(contextvars.copy_context().run, ctx.llm.complete, req)
+        for req in describe_requests(profiles)]
 
     def finish():
-        describe_columns(profiles, llm)
+        replies = [None if f.exception() else f.result() for f in futures]
         # Templates are not cached: a chunk that failed is asked again next time.
-        if cache and llm and all(not f.exception() and first_json(f.result(), dict)
-                                 for f in llm.values()):
+        if describe_columns(profiles, replies) and cache:
             cache.put(fingerprint, profiles)
         return table, profiles
     return finish
@@ -236,18 +233,16 @@ def _run_one(q: Question, repetition: int, loaded, ctx: PipelineContext,
         }
 
         stage = "explain"
-        artifacts["explainer_prompt"] = build_explainer_prompt(q.text, chosen)
-        inst = request_instructions(q.text, chosen, ctx.llm)
-        inst = clarify(inst, table, profiles)
+        artifacts["explainer_prompt"] = prompt = build_explainer_prompt(q.text, chosen)
+        inst = clarify(request_instructions(prompt, ctx.llm), table, profiles)
         artifacts["instruction_set"] = inst.to_dict()
 
         stage = "solve"
-        artifacts["coder_prompt"] = build_coder_prompt(inst, chosen)
-        run = solve(inst, table, chosen, ctx.llm)
+        artifacts["coder_prompt"] = prompt = build_coder_prompt(inst, chosen)
+        run = solve(prompt, table, ctx.llm)
         artifacts["run_trace"] = run.to_dict()
         if not run.succeeded:
-            last = run.attempts[-1] if run.attempts else None
-            rec.failure = f"solve: {last.error_message if last else 'no attempts'}"
+            rec.failure = f"solve: {run.attempts[-1].error_message}"
             return rec
 
         stage = "format"

@@ -3,8 +3,9 @@
 Descriptions come from the LLM (batched, at most 25 columns per prompt)
 with a deterministic template fallback, and profiles are cached on disk
 keyed by a content hash of the CSV bytes, since a table's profile is
-question-independent.  `describe_requests` builds the prompts alone, so
-a caller can send them all before `describe_columns` reads the replies.
+question-independent.  `describe_requests` builds the prompts and the
+caller sends them; `describe_columns` reads the reply texts, each once,
+and reports whether every chunk parsed, which is the cache rule.
 """
 
 from __future__ import annotations
@@ -110,27 +111,21 @@ def describe_requests(profiles: list[ColumnProfile]) -> list[ChatRequest]:
     ) for start in range(0, len(profiles), DESCRIBE_CHUNK_SIZE)]
 
 
-def describe_columns(profiles: list[ColumnProfile], llm=None) -> list[ColumnProfile]:
-    """Fill each profile's description, sending `describe_requests`
-    one after another; a chunk whose request fails or whose reply does
-    not parse keeps the template."""
-    for p in profiles:
-        p.description = fallback_description(p)
-    if llm is None:
-        return profiles
-    for start, req in zip(range(0, len(profiles), DESCRIBE_CHUNK_SIZE),
-                          describe_requests(profiles)):
-        try:
-            parsed = first_json(llm.complete(req), dict)
-        except Exception:
-            parsed = None
-        if not parsed:
-            continue
+def describe_columns(profiles: list[ColumnProfile], replies: list) -> bool:
+    """Fill each profile's description from `replies`, the reply texts of
+    `describe_requests(profiles)` in chunk order (None for a request that
+    failed).  A chunk whose reply is None, missing or does not parse
+    keeps the template.  Returns whether every chunk's reply parsed."""
+    parsed_all = True
+    for i, start in enumerate(range(0, len(profiles), DESCRIBE_CHUNK_SIZE)):
+        reply = replies[i] if i < len(replies) else None
+        parsed = (reply is not None and first_json(reply, dict)) or {}
+        parsed_all = parsed_all and bool(parsed)
         for p in profiles[start:start + DESCRIBE_CHUNK_SIZE]:
             desc = parsed.get(p.name)
-            if isinstance(desc, str) and desc.strip():
-                p.description = desc.strip()
-    return profiles
+            ok = isinstance(desc, str) and desc.strip()
+            p.description = desc.strip() if ok else fallback_description(p)
+    return parsed_all
 
 
 def table_fingerprint(csv_bytes: bytes) -> str:
@@ -172,7 +167,7 @@ class ProfileCache:
         place, so a reader never sees a half-written entry."""
         fd, tmp = tempfile.mkstemp(dir=self.cache_dir, suffix=".tmp")
         try:
-            with open(fd, "w", encoding="utf-8") as fh:
+            with open(fd, "w", encoding="utf-8", errors="backslashreplace") as fh:
                 fh.write(json.dumps([p.to_dict() for p in profiles],
                                     ensure_ascii=False, indent=2))
             os.replace(tmp, self._path(fingerprint))

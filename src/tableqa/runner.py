@@ -129,11 +129,10 @@ def _repair_prompt(base_prompt: str, plan_text: str, stage: str, message: str) -
     )
 
 
-def solve(inst: InstructionSet, t: Table, schema: list[ColumnProfile], llm) -> RunTrace:
-    """Coder loop: prompt, parse, validate, execute; on any failure,
-    re-prompt with the failed plan and its error, up to
-    DEFAULT_MAX_ATTEMPTS attempts."""
-    base_prompt = build_coder_prompt(inst, schema)
+def solve(base_prompt: str, t: Table, llm) -> RunTrace:
+    """Coder loop: send `base_prompt` (see `build_coder_prompt`), parse,
+    validate, execute; on any failure, re-prompt with the failed plan and
+    its error, up to DEFAULT_MAX_ATTEMPTS attempts."""
     trace = RunTrace()
     prompt = base_prompt
     for _ in range(DEFAULT_MAX_ATTEMPTS):

@@ -72,8 +72,6 @@ def select_columns(question: str, profiles: list[ColumnProfile], llm,
     chunks in original column order."""
     if warnings is None:
         warnings = []
-    if not profiles:
-        return []
     selected_names: set[str] = set()
     for start in range(0, len(profiles), CHUNK_SIZE):
         chunk = profiles[start:start + CHUNK_SIZE]

@@ -38,7 +38,7 @@ from tableqa.planlang import (
     validate_plan,
 )
 from tableqa.profiler import profile_table
-from tableqa.runner import PlanRuntimeError, execute_plan, solve
+from tableqa.runner import PlanRuntimeError, build_coder_prompt, execute_plan, solve
 from tableqa.table_core import Column, Table
 
 
@@ -140,19 +140,19 @@ def test_plan_dsl_round_trip_validation_and_bounded_execution():
 
 def test_retry_loop_attempt_counts():
     table = Table("t", (Column.from_cells("Mes", ["Enero", "Febrero"]),))
-    inst = InstructionSet(instructions=["count the rows"])
+    prompt = build_coder_prompt(InstructionSet(instructions=["count the rows"]), [])
     for k in range(5):
         entries = [{"stage": "coder", "reply": "answer = count_rows(",
                     "consume_once": True} for _ in range(k)]
         entries.append({"stage": "coder", "reply": "answer = count_rows(df)"})
         mock = MockClient.from_list(entries)
-        trace = solve(inst, table, [], mock)
+        trace = solve(prompt, table, mock)
         assert trace.succeeded and trace.final_value == 2.0
         coder_calls = [c for c in mock.calls if c.stage_tag == "coder"]
         assert len(coder_calls) == k + 1 and trace.attempts_used == k + 1
 
     mock = MockClient.from_list([{"stage": "coder", "reply": "answer = ("}])
-    trace = solve(inst, table, [], mock)
+    trace = solve(prompt, table, mock)
     assert not trace.succeeded
     assert trace.final_value is None
     assert len(trace.attempts) == 5

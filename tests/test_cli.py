@@ -170,6 +170,27 @@ class TestBench:
         assert "count_containing" in json.dumps(run["run_trace"])
         assert any(v["question_id"] == "q1" for v in votes)
 
+    def test_lone_surrogate_answer_is_written_as_its_escape(self, runner, tmp_path):
+        tables_dir, questions_path, _ = e2e_fixtures.write_fixture(tmp_path)
+        script = [dict(e, reply='answer = "\\ud800"') if e["stage"] == "coder" else e
+                  for e in e2e_fixtures.MOCK_SCRIPT]
+        mock_path = tmp_path / "surrogate.json"
+        mock_path.write_text(json.dumps(script), encoding="utf-8")
+        out_dir = tmp_path / "bench_out"
+        result = runner.invoke(main, [
+            "bench", questions_path, "--tables-dir", tables_dir,
+            "--mock", str(mock_path), "--repetitions", "1", "--out-dir", str(out_dir),
+        ])
+        assert result.exit_code == 0, result.output
+        category = {"type": "Category", "value": "\ud800"}
+        preds = [json.loads(line) for line in
+                 (out_dir / "predictions.jsonl").read_text("utf-8").splitlines()]
+        assert {p["id"]: p["answer"] for p in preds}["q3"] == category
+        reps = json.loads((out_dir / "repetitions.json").read_text("utf-8"))
+        assert reps["runs"]["q3"][0]["answer"] == category
+        _, votes = e2e_fixtures.read_run_log(out_dir / "trace")
+        assert votes[2] == {"question_id": "q3", "final": category}
+
     def test_bench_then_ensemble_curve(self, runner, fixture_paths, tmp_path):
         tables_dir, questions_path, mock_path = fixture_paths
         out_dir = str(tmp_path / "bench_out")

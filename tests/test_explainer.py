@@ -14,7 +14,9 @@ from tableqa.profiler import describe_columns, profile_table
 
 @pytest.fixture
 def survey_profiles(survey_table):
-    return describe_columns(profile_table(survey_table), llm=None)
+    profiles = profile_table(survey_table)
+    describe_columns(profiles, [])
+    return profiles
 
 
 class TestBuildPrompt:

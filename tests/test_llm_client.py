@@ -61,10 +61,6 @@ class TestRouting:
         assert route_model("explainer", cfg) == "qwen3-14b"
         assert route_model("selector", cfg) == cfg.model_general
 
-    def test_unknown_stage(self):
-        with pytest.raises(LLMError):
-            route_model("wat", LLMConfig())
-
 
 class TestMockClient:
     def test_scripted_match(self):

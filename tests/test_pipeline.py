@@ -33,7 +33,7 @@ from tableqa.pipeline import (
 )
 from tableqa.profiler import (
     ProfileCache,
-    describe_columns,
+    describe_requests,
     fallback_description,
     profile_table,
     table_fingerprint,
@@ -110,7 +110,8 @@ def num(x):
 
 
 class TestTraceWriter:
-    @pytest.mark.parametrize("qid", ["../x", "a/b", "..", ".", "", "a\\b", "a%2Fb"])
+    @pytest.mark.parametrize("qid", ["../x", "a/b", "..", ".", "", "a\\b", "a%2Fb",
+                                     "\ud800x"])
     def test_unsafe_ids_stay_under_the_root(self, e2e, qid):
         """A question id is data in the run log, never a path."""
         tables_dir, questions, ctx, _ = e2e
@@ -205,6 +206,24 @@ class TestEnsemble:
             (rep, q.id) for rep in range(2) for q in questions]
         assert [v["question_id"] for v in votes] == [q.id for q in questions]
         assert votes[1] == {"question_id": "q2", "final": {"type": "Number", "value": 3.0}}
+
+    def test_logged_prompts_are_the_ones_sent(self, e2e):
+        tables_dir, questions, ctx, _ = e2e
+        ctx.concurrency = 1
+        ensemble_answers(questions, tables_dir, ctx, EnsembleConfig(repetitions=2))
+        runs, _ = e2e_fixtures.read_run_log(ctx.trace_dir)
+        # At concurrency 1 the runs call the LLM one after another, each
+        # starting with its one selector chunk.
+        sent = []
+        for call in ctx.llm.calls:
+            if call.stage_tag == "selector":
+                sent.append({})
+            if call.stage_tag != "descriptor":
+                sent[-1].setdefault(call.stage_tag, call.last_user_content)
+        assert len(sent) == len(runs) == 2 * len(questions)
+        for run, first in zip(runs, sent):
+            assert run["explainer_prompt"] == first["explainer"]
+            assert run["coder_prompt"] == first["coder"]
 
 
 class TestScore:
@@ -710,17 +729,15 @@ class TestDescriptorFanOut:
 
     def test_serial_descriptor_prompts_keep_table_then_chunk_order(self, tmp_path):
         tables_dir = str(tmp_path / "tables")
-        script = _write_wide_tables(tables_dir)
-        reference = MockClient.from_list(script)
-        for t in ("wide_a", "wide_b"):
-            table = pipeline.load_csv(os.path.join(tables_dir, f"{t}.csv"))
-            describe_columns(profile_table(table), reference)
-        mock = MockClient.from_list(script)
+        mock = MockClient.from_list(_write_wide_tables(tables_dir))
+        expected = [req.last_user_content for t in ("wide_a", "wide_b")
+                    for req in describe_requests(profile_table(
+                        pipeline.load_csv(os.path.join(tables_dir, f"{t}.csv"))))]
         ensemble_answers(_wide_questions("wide_a", "wide_b", "wide_a"), tables_dir,
                          _context(tmp_path, "run", mock, 1), EnsembleConfig(repetitions=2))
         prompts = [c.last_user_content for c in mock.calls if c.stage_tag == "descriptor"]
         assert len(prompts) == 6
-        assert prompts == [c.last_user_content for c in reference.calls]
+        assert prompts == expected
 
     def test_failed_chunk_keeps_only_its_columns_on_the_template(self, tmp_path):
         tables_dir = str(tmp_path / "tables")
@@ -808,3 +825,15 @@ class TestProfileCacheAfterOutage:
         _, profiles = load_table_profiles(path, PipelineContext(llm=_Down(),
                                                                 cache_dir=cache_dir))
         assert profiles[0].description == "Month when the survey was conducted"
+
+    def test_lone_surrogate_description_is_cached(self, tmp_path):
+        tables_dir, _, _ = e2e_fixtures.write_fixture(tmp_path)
+        path = os.path.join(tables_dir, "encuestas.csv")
+        cache_dir = str(tmp_path / "cache")
+        mock = MockClient.from_list([{"stage": "descriptor", "reply": json.dumps(
+            {"Mes de realización": "Month \ud800"})}])
+        for llm in (mock, _Down()):  # the second load reads the cache entry
+            _, profiles = load_table_profiles(path, PipelineContext(llm=llm,
+                                                                    cache_dir=cache_dir))
+            assert profiles[0].description == "Month \ud800"
+        assert len(os.listdir(cache_dir)) == 1

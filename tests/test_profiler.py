@@ -8,6 +8,7 @@ from tableqa.profiler import (
     ColumnProfile,
     ProfileCache,
     describe_columns,
+    describe_requests,
     fallback_description,
     profile_table,
     table_fingerprint,
@@ -55,9 +56,15 @@ class TestProfileTable:
             assert not {"lowered", "numbers"} & set(vars(col))
 
 
+def described(profiles, llm):
+    """Send `profiles`' descriptor requests to `llm` and read the replies."""
+    return describe_columns(profiles, [llm.complete(r) for r in describe_requests(profiles)])
+
+
 class TestDescribeColumns:
     def test_no_llm_uses_fallback_template(self, survey_table):
-        profiles = describe_columns(profile_table(survey_table), llm=None)
+        profiles = profile_table(survey_table)
+        assert describe_columns(profiles, []) is False
         for p in profiles:
             assert p.description == fallback_description(p)
         mes = next(p for p in profiles if p.name == "Mes de realización")
@@ -71,7 +78,8 @@ class TestDescribeColumns:
             "match": "Mes de realización",
             "reply": json.dumps({"Mes de realización": "Month of the survey"}),
         }])
-        profiles = describe_columns(profile_table(survey_table), mock)
+        profiles = profile_table(survey_table)
+        assert described(profiles, mock) is True
         mes = next(p for p in profiles if p.name == "Mes de realización")
         assert mes.description == "Month of the survey"
         # columns absent from the reply keep the fallback
@@ -79,7 +87,8 @@ class TestDescribeColumns:
         assert edad.description == fallback_description(edad)
 
     def test_empty_profiles(self, survey_table):
-        assert describe_columns([], None) == []
+        assert describe_requests([]) == []
+        assert describe_columns([], []) is True
 
     def test_batches_of_25(self, survey_table):
         profiles = [ColumnProfile(name=f"c{i}", kind=ColumnKind.CATEGORICAL)
@@ -87,8 +96,25 @@ class TestDescribeColumns:
         mock = MockClient.from_list([
             {"stage": "descriptor", "reply": "{}"},
         ])
-        describe_columns(profiles, mock)
+        described(profiles, mock)
         assert len(mock.calls) == 3
+
+    @pytest.mark.parametrize("second", [
+        json.dumps({f"c{i}": f"About c{i}" for i in range(25, 30)}),
+        None,
+        "Sorry, I cannot describe these columns.",
+        "missing",
+    ], ids=["all-parsed", "one-none", "one-prose", "one-missing"])
+    def test_only_the_failing_chunk_keeps_the_template(self, second):
+        profiles = [ColumnProfile(name=f"c{i}", kind=ColumnKind.CATEGORICAL)
+                    for i in range(30)]
+        first = json.dumps({f"c{i}": f"About c{i}" for i in range(25)})
+        replies = [first] if second == "missing" else [first, second]
+        parsed = describe_columns(profiles, replies)
+        assert parsed is (second is not None and second.startswith("{"))
+        for i, p in enumerate(profiles):
+            kept = i >= 25 and not parsed
+            assert p.description == (fallback_description(p) if kept else f"About {p.name}")
 
 
 class TestCache:

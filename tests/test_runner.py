@@ -107,7 +107,8 @@ class TestExecutePlan:
 
 class TestBuildCoderPrompt:
     def test_instructions_verbatim(self, survey_table):
-        profiles = describe_columns(profile_table(survey_table), None)
+        profiles = profile_table(survey_table)
+        describe_columns(profiles, [])
         inst = InstructionSet(instructions=[
             "Count the surveys in january",
             "Be careful!. The value enero appears in the database with the "
@@ -126,8 +127,8 @@ BROKEN_PLAN = 'answer = count_rows('
 
 
 class TestSolve:
-    def make_inst(self):
-        return InstructionSet(instructions=["count the rows"])
+    def prompt(self):
+        return build_coder_prompt(InstructionSet(instructions=["count the rows"]), [])
 
     @pytest.mark.parametrize("k", range(5))
     def test_k_failures_then_success(self, k, mes_table):
@@ -135,7 +136,7 @@ class TestSolve:
                    for _ in range(k)]
         entries.append({"stage": "coder", "reply": VALID_PLAN})
         mock = MockClient.from_list(entries)
-        trace = solve(self.make_inst(), mes_table, [], mock)
+        trace = solve(self.prompt(), mes_table, mock)
         assert trace.succeeded
         assert trace.attempts_used == k + 1
         assert trace.final_value == 3.0
@@ -143,7 +144,7 @@ class TestSolve:
 
     def test_all_failures(self, mes_table):
         mock = MockClient.from_list([{"stage": "coder", "reply": BROKEN_PLAN}])
-        trace = solve(self.make_inst(), mes_table, [], mock)
+        trace = solve(self.prompt(), mes_table, mock)
         assert not trace.succeeded
         assert trace.final_value is None
         assert trace.attempts_used == 5
@@ -156,7 +157,7 @@ class TestSolve:
             {"stage": "coder", "reply": BROKEN_PLAN, "consume_once": True},
             {"stage": "coder", "reply": VALID_PLAN},
         ])
-        solve(self.make_inst(), mes_table, [], mock)
+        solve(self.prompt(), mes_table, mock)
         repair = mock.calls[1].last_user_content
         assert BROKEN_PLAN in repair
         assert "parse" in repair
@@ -166,7 +167,7 @@ class TestSolve:
             {"stage": "coder", "reply": 'answer = div(1, 0)', "consume_once": True},
             {"stage": "coder", "reply": VALID_PLAN},
         ])
-        trace = solve(self.make_inst(), mes_table, [], mock)
+        trace = solve(self.prompt(), mes_table, mock)
         assert trace.succeeded
         assert trace.attempts[0].error_stage == "execute"
         assert "division by zero" in mock.calls[1].last_user_content
@@ -177,7 +178,7 @@ class TestSolve:
             {"stage": "coder", "reply": deep, "consume_once": True},
             {"stage": "coder", "reply": VALID_PLAN},
         ])
-        trace = solve(self.make_inst(), mes_table, [], mock)
+        trace = solve(self.prompt(), mes_table, mock)
         assert trace.succeeded
         assert trace.attempts[0].error_stage == "parse"
 
@@ -188,7 +189,7 @@ class TestSolve:
              "consume_once": True},
             {"stage": "coder", "reply": VALID_PLAN},
         ])
-        trace = solve(self.make_inst(), mes_table, [], mock)
+        trace = solve(self.prompt(), mes_table, mock)
         assert trace.succeeded
         assert trace.attempts_used == 2
         assert trace.attempts[0].error_stage == "execute"
@@ -197,7 +198,7 @@ class TestSolve:
     def test_trace_serializes(self, mes_table):
         import json
         mock = MockClient.from_list([{"stage": "coder", "reply": VALID_PLAN}])
-        trace = solve(self.make_inst(), mes_table, [], mock)
+        trace = solve(self.prompt(), mes_table, mock)
         payload = json.dumps(trace.to_dict())
         assert "count_rows" in payload
 
