@@ -58,6 +58,13 @@ def _build_context(config_path, mock_path, deterministic, cache_dir,
     )
 
 
+def _echo_json(obj, **kwargs) -> None:
+    """Print obj as JSON with non-ASCII text kept, but a lone surrogate
+    (which no encoding can write) as its escape, as the run log does."""
+    text = json.dumps(obj, ensure_ascii=False, **kwargs)
+    click.echo(text.encode("utf-8", "backslashreplace").decode("utf-8"))
+
+
 def _global_options(fn):
     fn = click.option("--config", "config_path", type=click.Path(exists=True),
                       default=None, help="YAML/JSON config file.")(fn)
@@ -84,8 +91,7 @@ def describe(table_path, config_path, mock_path, deterministic, cache_dir):
     if mock_path is None and config_path is None:
         ctx.llm = None  # offline: template descriptions
     _, profiles = load_table_profiles(table_path, ctx)
-    click.echo(json.dumps([p.to_dict() for p in profiles],
-                          ensure_ascii=False, indent=2))
+    _echo_json([p.to_dict() for p in profiles], indent=2)
 
 
 @main.command()
@@ -115,9 +121,9 @@ def ask(table_path, question, answer_type, repetitions, trace_dir,
                                  EnsembleConfig(repetitions=repetitions))
     answer = finals["q0"]
     if answer is None:
-        click.echo(json.dumps({"abstain": True}))
+        _echo_json({"abstain": True})
         sys.exit(1)
-    click.echo(json.dumps(answer.to_dict(), ensure_ascii=False))
+    _echo_json(answer.to_dict())
 
 
 @main.command()
@@ -182,7 +188,7 @@ def plan_run(table_path, plan_path):
     with open(plan_path, encoding="utf-8") as fh:
         plan = validate_plan(parse_plan(fh.read()), table.column_names)
     value = execute_plan(plan, table)
-    click.echo(json.dumps(render_value(value), ensure_ascii=False))
+    _echo_json(render_value(value))
 
 
 @main.command("ensemble-curve")

@@ -10,10 +10,13 @@ loads the next table; each reply is read once, for the descriptions and
 the cache rule alike.  A task runs pipeline code only while it holds a
 shared turn lock, which it gives up while it waits on the LLM: pipeline
 code never runs in two threads at once, and the LLM waits of up to
-`concurrency` runs overlap.  Any exception inside a task becomes that
-run's failure, prefixed with its stage (`select:`, `explain:`, `solve:`,
-`format:`); a table that fails to load fails every run of its questions
-with `profile:`.
+`concurrency` runs overlap.  A plan text already run on a table in this
+ensemble reuses its outcome from the table's memo, which dies with the
+ensemble; only the plan's parse, validation and runtime errors are
+memoised.  Any exception inside a task becomes that run's failure,
+prefixed with its stage (`select:`, `explain:`, `solve:`, `format:`); a
+table that fails to load fails every run of its questions with
+`profile:`.
 
 Tasks are submitted repetition by repetition, questions in order within
 a repetition, and records come back in that order whatever order the
@@ -213,14 +216,14 @@ def _run_one(q: Question, repetition: int, loaded, ctx: PipelineContext,
              artifacts: dict) -> RunRecord:
     """One pipeline pass over one question: prune+select ->
     explain+clarify -> solve -> format.  `loaded` is the question's
-    (table, profiles) pair, or the failure text of its table load.  Any
-    exception becomes the run's failure, prefixed with its stage.  The
-    run log's artifacts go into `artifacts` by name, unwritten."""
+    (table, profiles, plan memo) triple, or the failure text of its table
+    load.  Any exception becomes the run's failure, prefixed with its
+    stage.  The run log's artifacts go into `artifacts` by name, unwritten."""
     rec = RunRecord(q.id, repetition)
     if isinstance(loaded, str):
         rec.failure = loaded
         return rec
-    table, profiles = loaded
+    table, profiles, memo = loaded
     stage = "select"
     try:
         kept, dropped = prune_uninformative(profiles)
@@ -239,7 +242,7 @@ def _run_one(q: Question, repetition: int, loaded, ctx: PipelineContext,
 
         stage = "solve"
         artifacts["coder_prompt"] = prompt = build_coder_prompt(inst, chosen)
-        run = solve(prompt, table, ctx.llm)
+        run = solve(prompt, table, ctx.llm, memo)
         artifacts["run_trace"] = run.to_dict()
         if not run.succeeded:
             rec.failure = f"solve: {run.attempts[-1].error_message}"
@@ -284,7 +287,7 @@ def _run_repetitions(questions: list[Question], tables_dir: str, ctx: PipelineCo
         for table_id, finish in loaded.items():
             if callable(finish):
                 try:
-                    loaded[table_id] = finish()
+                    loaded[table_id] = (*finish(), {})  # the table's plan memo
                 except Exception as exc:
                     loaded[table_id] = f"profile: {exc}"
 

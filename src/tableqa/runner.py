@@ -4,6 +4,10 @@ The coder is prompted with the clarified instructions, the selected
 schema and the full DSL reference.  Any parse, validation or runtime
 error feeds a repair prompt (last failed plan plus the error, not the
 whole history) and the loop continues until success or the attempt limit.
+A plan text already run on the table in this ensemble (the memo the
+ensemble hands `solve`) reuses that outcome: its value, or its parse,
+validation or runtime error.  Any other exception is not memoised and
+propagates from every run that reaches it.
 """
 
 from __future__ import annotations
@@ -129,10 +133,25 @@ def _repair_prompt(base_prompt: str, plan_text: str, stage: str, message: str) -
     )
 
 
-def solve(base_prompt: str, t: Table, llm) -> RunTrace:
+def _try_plan(plan_text: str, t: Table) -> tuple[str, str, Optional[RuntimeValue]]:
+    """Parse, validate and execute one plan: ("", "", value), or the
+    failed stage, its error text and None."""
+    try:
+        return "", "", execute_plan(validate_plan(parse_plan(plan_text), t.column_names), t)
+    except PlanSyntaxError as exc:
+        return "parse", str(exc), None
+    except PlanValidationError as exc:
+        return "validate", str(exc), None
+    except PlanRuntimeError as exc:
+        return "execute", str(exc), None
+
+
+def solve(base_prompt: str, t: Table, llm, memo: Optional[dict] = None) -> RunTrace:
     """Coder loop: send `base_prompt` (see `build_coder_prompt`), parse,
     validate, execute; on any failure, re-prompt with the failed plan and
-    its error, up to DEFAULT_MAX_ATTEMPTS attempts."""
+    its error, up to DEFAULT_MAX_ATTEMPTS attempts.  `memo` maps the plan
+    texts already tried on `t` to their outcomes, and is filled here."""
+    memo = {} if memo is None else memo
     trace = RunTrace()
     prompt = base_prompt
     for _ in range(DEFAULT_MAX_ATTEMPTS):
@@ -144,17 +163,9 @@ def solve(base_prompt: str, t: Table, llm) -> RunTrace:
         except LLMError as exc:
             trace.attempts.append(Attempt("", "error", "transport", str(exc)))
             break
-        stage, message = "", ""
-        try:
-            plan = parse_plan(plan_text)
-            plan = validate_plan(plan, t.column_names)
-            value = execute_plan(plan, t)
-        except PlanSyntaxError as exc:
-            stage, message = "parse", str(exc)
-        except PlanValidationError as exc:
-            stage, message = "validate", str(exc)
-        except PlanRuntimeError as exc:
-            stage, message = "execute", str(exc)
+        if plan_text not in memo:
+            memo[plan_text] = _try_plan(plan_text, t)
+        stage, message, value = memo[plan_text]
         if not stage:
             trace.attempts.append(Attempt(plan_text, "executed"))
             trace.final_value = value

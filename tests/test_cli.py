@@ -24,6 +24,7 @@ class TestDescribe:
         result = runner.invoke(main, ["describe",
                                       os.path.join(tables_dir, "encuestas.csv")])
         assert result.exit_code == 0, result.output
+        assert '"name": "Mes de realización"' in result.output  # UTF-8, not escaped
         profiles = json.loads(result.output)
         names = [p["name"] for p in profiles]
         assert names == ["Mes de realización", "Edad", "Partido", "Valoración"]
@@ -76,6 +77,20 @@ class TestAsk:
         runs, votes = e2e_fixtures.read_run_log(trace_dir)
         assert [(r["question_id"], r["repetition"]) for r in runs] == [("q0", 0)]
         assert "run_trace" in runs[0] and votes[0]["question_id"] == "q0"
+
+    def test_lone_surrogate_answer_prints_as_its_escape(self, runner, tmp_path):
+        tables_dir, _, _ = e2e_fixtures.write_fixture(tmp_path)
+        script = [dict(e, reply='answer = "\\ud800"') if e["stage"] == "coder" else e
+                  for e in e2e_fixtures.MOCK_SCRIPT]
+        mock_path = tmp_path / "surrogate.json"
+        mock_path.write_text(json.dumps(script), encoding="utf-8")
+        result = runner.invoke(main, [
+            "ask", os.path.join(tables_dir, "encuestas.csv"),
+            "¿Cuál es el partido más frecuente?",
+            "--type", "Category", "--mock", str(mock_path),
+        ])
+        assert result.exit_code == 0, result.output
+        assert result.output == '{"type": "Category", "value": "\\ud800"}\n'
 
     def test_refuses_a_table_that_is_not_csv(self, runner, fixture_paths, tmp_path):
         tables_dir, _, mock_path = fixture_paths

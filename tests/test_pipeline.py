@@ -15,7 +15,7 @@ from hypothesis import given, strategies as st
 
 import e2e_fixtures
 import reference as ref
-from tableqa import pipeline
+from tableqa import pipeline, planlang, runner
 from tableqa.answerer import Answer, AnswerType
 from tableqa.llm_client import LLMError, MockClient
 from tableqa.pipeline import (
@@ -837,3 +837,86 @@ class TestProfileCacheAfterOutage:
                                                                     cache_dir=cache_dir))
             assert profiles[0].description == "Month \ud800"
         assert len(os.listdir(cache_dir)) == 1
+
+
+class _CountedExecutions:
+    """Patches `runner.execute_plan` to count its calls per (table, plan)."""
+
+    def __init__(self, monkeypatch):
+        self.counts = collections.Counter()
+        real = runner.execute_plan
+
+        def counting(plan, t):
+            self.counts[id(t), plan] += 1
+            return real(plan, t)
+        monkeypatch.setattr(runner, "execute_plan", counting)
+
+
+class TestPlanMemo:
+    """Within one ensemble a plan text already run on a table reuses its
+    outcome; the memo dies with the ensemble."""
+
+    def test_each_plan_runs_once_per_table(self, tmp_path, monkeypatch):
+        tables_dir, questions_path, mock_path = e2e_fixtures.write_fixture(tmp_path)
+        shutil.copy(os.path.join(tables_dir, "encuestas.csv"),
+                    os.path.join(tables_dir, "encuestas2.csv"))
+        questions = load_questions(questions_path)
+        questions.append(dataclasses.replace(questions[1], id="q2b", table_id="encuestas2"))
+        executions = _CountedExecutions(monkeypatch)
+        ctx = _context(tmp_path, "run", MockClient.from_file(mock_path), concurrency=8)
+        finals, _ = ensemble_answers(questions, tables_dir, ctx, EnsembleConfig(repetitions=8))
+        # Five plans run on encuestas, the q2 plan once more on encuestas2;
+        # q6's plan never parses.
+        assert sorted(executions.counts.values()) == [1] * 6
+        assert answer_dict(finals["q2b"]) == e2e_fixtures.EXPECTED["q2"]
+        for qid, expected in e2e_fixtures.EXPECTED.items():
+            assert answer_dict(finals[qid]) == expected, qid
+
+    def test_memoised_failure_repairs_every_repetition_alike(self, tmp_path, monkeypatch):
+        tables_dir, questions_path, _ = e2e_fixtures.write_fixture(tmp_path)
+        failing, valid = "answer = div(1, 0)", "answer = count_rows(df)"
+        script = [e for e in e2e_fixtures.MOCK_SCRIPT if e["stage"] != "coder"] + [
+            {"stage": "coder", "match": "Your previous plan failed", "reply": valid},
+            {"stage": "coder", "reply": failing}]
+        mock = MockClient.from_list(script)
+        executions = _CountedExecutions(monkeypatch)
+        ctx = _context(tmp_path, "run", mock, concurrency=8)
+        question = load_questions(questions_path)[1]
+        finals, _ = ensemble_answers([question], tables_dir, ctx, EnsembleConfig(repetitions=8))
+        assert answer_dict(finals["q2"]) == {"type": "Number", "value": 5.0}
+        assert sorted(executions.counts.values()) == [1, 1]
+        runs, _ = e2e_fixtures.read_run_log(ctx.trace_dir)
+        attempts = [r["run_trace"]["attempts"] for r in runs]
+        assert len(attempts) == 8 and all(a == attempts[0] for a in attempts)
+        assert attempts[0][0] == {"plan_text": failing, "stage": "error",
+                                  "error_stage": "execute",
+                                  "error_message": "div: division by zero"}
+        repair = runner._repair_prompt(runs[0]["coder_prompt"], failing, "execute",
+                                       "div: division by zero")
+        coder = [c.last_user_content for c in mock.calls if c.stage_tag == "coder"]
+        assert sorted(coder) == sorted([runs[0]["coder_prompt"], repair] * 8)
+
+    def test_memo_dies_with_the_ensemble(self, e2e, monkeypatch):
+        tables_dir, questions, ctx, _ = e2e
+        executions = _CountedExecutions(monkeypatch)
+        per_call = []
+        for _ in range(2):
+            ensemble_answers(questions, tables_dir, ctx, EnsembleConfig(repetitions=2))
+            per_call.append(sum(executions.counts.values()))
+            executions.counts.clear()
+        assert per_call == [5, 5]  # one per valid plan, in each ensemble
+
+    def test_other_exceptions_are_not_memoised(self, e2e, monkeypatch):
+        tables_dir, questions, ctx, _ = e2e
+        raised = []
+
+        def broken(args):
+            raised.append(args)
+            raise TypeError("broken builtin")
+        monkeypatch.setattr(planlang.BUILTINS["count_containing"], "call", broken)
+        _, records = ensemble_answers([questions[1]], tables_dir, ctx,
+                                      EnsembleConfig(repetitions=3))
+        assert len(raised) == 3
+        assert [r.failure for r in records["q2"]] == ["solve: broken builtin"] * 3
+        runs, _ = e2e_fixtures.read_run_log(ctx.trace_dir)
+        assert all("TypeError: broken builtin" in r["traceback"] for r in runs)

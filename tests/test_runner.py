@@ -3,8 +3,10 @@ import random
 import weakref
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_table
+from tableqa.answerer import AnswerType, format_answer
 from tableqa.explainer import InstructionSet
 from tableqa.llm_client import MockClient
 from tableqa.planlang import parse_plan, validate_plan
@@ -195,12 +197,62 @@ class TestSolve:
         assert trace.attempts[0].error_stage == "execute"
         assert trace.attempts[0].error_message == "head_n: n must be a finite number, got inf"
 
+    def test_formatting_a_memoised_list_leaves_it_unchanged(self, mes_table):
+        plan = 'answer = head_n(unique(column(df, "Mes")), 1)'
+        memo = {}
+        mock = MockClient.from_list([{"stage": "coder", "reply": plan}])
+        first, second = (solve(self.prompt(), mes_table, mock, memo) for _ in range(2))
+        assert first.final_value is second.final_value  # one memoised value
+        as_list = format_answer(first.final_value, AnswerType.LIST_CATEGORY)
+        as_scalar = format_answer(second.final_value, AnswerType.CATEGORY)
+        assert (as_list.value, as_scalar.value) == (["Enero"], "Enero")
+        assert as_list.value is not memo[plan][2]
+        assert memo == {plan: ("", "", ["Enero"])}
+
     def test_trace_serializes(self, mes_table):
         import json
         mock = MockClient.from_list([{"stage": "coder", "reply": VALID_PLAN}])
         trace = solve(self.prompt(), mes_table, mock)
         payload = json.dumps(trace.to_dict())
         assert "count_rows" in payload
+
+
+# Plans over `random_table`'s columns that succeed, fail to parse, fail
+# validation or fail at run time (some only on some tables).
+PLAN_POOL = [
+    "answer = count_rows(df)",
+    'answer = unique(column(df, "col0"))',
+    'x = sort_alphabetical(df, "col0")\nanswer = x',
+    'answer = most_frequent(df, "col0")',
+    'answer = sum(column(df, "col0"))',
+    "answer = count_rows(",
+    "I cannot write this plan",
+    "answer = no_such_builtin(df)",
+    'answer = count_rows(df, "col0")',
+    "answer = div(1, 0)",
+]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1),
+       st.lists(st.lists(st.sampled_from(PLAN_POOL), max_size=6), min_size=1, max_size=6))
+def test_shared_memo_solves_like_a_fresh_one(seed, streams):
+    """Each stream is one run's coder replies in order; one memo shared
+    by all the runs changes no trace and no prompt sent."""
+    t = random_table(random.Random(seed))
+    prompt = build_coder_prompt(InstructionSet(instructions=["answer it"]), [])
+
+    def solve_all(memo_for_run):
+        out = []
+        for stream in streams:
+            mock = MockClient.from_list([{"stage": "coder", "reply": r, "consume_once": True}
+                                         for r in stream])
+            trace = solve(prompt, t, mock, memo_for_run())
+            out.append((trace.to_dict(), [c.last_user_content for c in mock.calls]))
+        return out
+
+    shared: dict = {}
+    assert solve_all(lambda: shared) == solve_all(lambda: None)
 
 
 @pytest.mark.parametrize("source, message", [
