@@ -29,7 +29,7 @@ from .pipeline import (
 )
 from .planlang import dsl_reference, parse_plan, validate_plan
 from .runner import execute_plan, render_value
-from .table_core import load_csv
+from .table_core import TableError, load_csv
 
 
 def _build_context(config_path, mock_path, deterministic, cache_dir,
@@ -90,7 +90,10 @@ def describe(table_path, config_path, mock_path, deterministic, cache_dir):
     ctx = _build_context(config_path, mock_path, deterministic, cache_dir)
     if mock_path is None and config_path is None:
         ctx.llm = None  # offline: template descriptions
-    _, profiles = load_table_profiles(table_path, ctx)
+    try:
+        _, profiles = load_table_profiles(table_path, ctx)
+    except TableError as exc:
+        raise click.BadParameter(str(exc), param_hint="'TABLE_PATH'") from exc
     _echo_json([p.to_dict() for p in profiles], indent=2)
 
 
@@ -184,7 +187,10 @@ def bench(questions_path, tables_dir, repetitions, out_dir, config_path,
 @click.argument("plan_path", type=click.Path(exists=True))
 def plan_run(table_path, plan_path):
     """Parse, validate and execute a plan file against a table."""
-    table = load_csv(table_path)
+    try:
+        table = load_csv(table_path)
+    except TableError as exc:
+        raise click.BadParameter(str(exc), param_hint="'TABLE_PATH'") from exc
     with open(plan_path, encoding="utf-8") as fh:
         plan = validate_plan(parse_plan(fh.read()), table.column_names)
     value = execute_plan(plan, table)

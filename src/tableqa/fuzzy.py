@@ -14,7 +14,12 @@ length is computed bit-parallel (Allison & Dix 1986; Hyyrö 2004,
 per-character bitmask over Python ints, and each character of the other
 string costs a constant number of integer operations, whatever the
 lengths.  `best_fuzzy_match` builds the target's masks once and reuses
-them for every value.
+them for every value, and skips a value whose score cannot reach the
+threshold or the best so far: an indel distance is at least the length
+difference, so 100 * (1 - |len(t) - len(v)| / (len(t) + len(v))) bounds
+the score (the length filter of Gravano et al., VLDB 2001).  The bound
+takes the lowercased lengths ("İ" lowercases to two characters) and the
+score's own float operations, which are monotone, so it is exact.
 
 Levenshtein distance is bit-parallel too, over the same `_match_masks`:
 the bit-vector algorithm of Myers (J. ACM 46(3), 1999), in the global
@@ -116,7 +121,7 @@ def best_fuzzy_match(values: Sequence[Cell], target: str, threshold: int) -> Opt
     best_val: Optional[Cell] = None
     best_score = -1.0
     target_lower = target.lower()
-    masks = _match_masks(target_lower)
+    masks, length = _match_masks(target_lower), len(target_lower)
     for v in values:
         if v is None:
             continue
@@ -124,7 +129,12 @@ def best_fuzzy_match(values: Sequence[Cell], target: str, threshold: int) -> Opt
         if text in seen:
             continue
         seen.add(text)
-        score = _indel_similarity(masks, len(target_lower), text.lower())
+        lowered = text.lower()
+        total = length + len(lowered)
+        # The length bound on the score (see the module docstring).
+        if total and 100.0 * (1.0 - abs(length - len(lowered)) / total) < max(threshold, best_score):
+            continue
+        score = _indel_similarity(masks, length, lowered)
         if score > best_score:
             best_val, best_score = v, score
     if best_val is not None and best_score >= threshold:

@@ -71,7 +71,7 @@ def profile_table(t: Table) -> list[ColumnProfile]:
         profiles.append(ColumnProfile(
             name=col.name,
             kind=col.kind,
-            null_count=col.cells.count(None),
+            null_count=sum(n for code, n in col.counts.items() if col.uniques[code] is None),
             distinct_count=len(distinct),
             example_values=examples,
             min=lo,

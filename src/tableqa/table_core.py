@@ -25,8 +25,9 @@ Columns never change, so derived values are cached on them:
   first-seen order), and the per-row `lowered` and `numbers`, gathered
   through `codes`.
 
-Loading computes `cells`, `uniques` and `codes` and no other view;
-`profile_table` fills `distinct`.
+Loading strips and classifies each distinct raw text once and fills
+`cells`, `uniques`, `codes`, `counts` and `unique_numbers` (the numbers
+kind inference parsed) and no other view; `profile_table` fills `distinct`.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 Cell = Union[float, bool, str, None]
 
@@ -101,11 +102,13 @@ def extract_numeric(cell: Cell) -> Optional[float]:
 def render_cell(cell: Cell) -> str:
     """Canonical text rendering: numbers without a trailing .0, booleans
     as true/false, missing as the empty string."""
+    if isinstance(cell, str):
+        return cell
     if cell is None:
         return ""
     if isinstance(cell, bool):
         return "true" if cell else "false"
-    if is_number(cell):
+    if isinstance(cell, (int, float)):  # booleans were rendered above
         f = float(cell)
         if f.is_integer() and abs(f) < 1e15:
             return str(int(f))
@@ -113,52 +116,59 @@ def render_cell(cell: Cell) -> str:
     return cell
 
 
+def _as_number(cell: Cell) -> Optional[float]:
+    """A number, or a text that fully parses as one, as a float."""
+    if isinstance(cell, str):
+        return parse_full_number(cell)
+    return float(cell) if is_number(cell) else None
+
+
+def equal_to(value: Cell) -> Callable[[Cell], bool]:
+    """The test `cells_equal(cell, value)`, with `value` parsed once."""
+    number = _as_number(value)
+    if number is not None:
+        return lambda cell: _as_number(cell) == number
+    if value is None or isinstance(value, bool):
+        return lambda cell: cell is value
+    text = str(value).strip()
+    return lambda cell: (cell is not None and not isinstance(cell, bool)
+                         and _as_number(cell) is None and str(cell).strip() == text)
+
+
 def cells_equal(a: Cell, b: Cell) -> bool:
     """Exact cell equality: numeric equality for numbers (including a
     number vs. a fully-numeric string), trimmed case-sensitive text
     otherwise; missing only equals missing."""
-    if a is None or b is None:
-        return a is None and b is None
-    na = float(a) if is_number(a) else (parse_full_number(a) if isinstance(a, str) else None)
-    nb = float(b) if is_number(b) else (parse_full_number(b) if isinstance(b, str) else None)
-    if na is not None and nb is not None:
-        return na == nb
-    if isinstance(a, bool) or isinstance(b, bool):
-        return a is b
-    if na is not None or nb is not None:
-        return False
-    return str(a).strip() == str(b).strip()
+    return equal_to(b)(a)
 
 
-def _infer_kind(weighted: Iterable[tuple[Cell, int]]) -> ColumnKind:
-    """`infer_column_kind` over (cell, row count) pairs."""
-    present = [(c, n) for c, n in weighted if c is not None]
-    if not present:
-        return ColumnKind.CATEGORICAL
+def _classify(cells: Sequence[Cell], weights: Sequence[int]
+              ) -> tuple[ColumnKind, tuple[Cell, ...], tuple[Optional[float], ...]]:
+    """`infer_column_kind` and coercion, parsing each cell once, where each
+    cell stands for `weights` rows: (kind, coerced cells, their numbers)."""
+    numbers: list[Optional[float]] = []
+    for c in cells:
+        n = _as_number(c)
+        if n is None and c is not None:  # a boolean, or a text that is no number
+            break
+        numbers.append(n)
+    else:  # every cell is missing or a number, which is then its own coercion
+        kind = ColumnKind.NUMERIC if numbers.count(None) < len(numbers) else ColumnKind.CATEGORICAL
+        return kind, tuple(numbers), tuple(numbers)
 
-    def fully_numeric(c: Cell) -> bool:
-        if isinstance(c, bool):
-            return False
-        if is_number(c):
-            return True
-        return isinstance(c, str) and parse_full_number(c) is not None
+    present = [c for c in cells if c is not None]
+    if all(isinstance(c, bool) or (isinstance(c, str) and c.strip().lower() in BOOLEAN_LEXICON)
+           for c in present):
+        coerced = tuple(c if c is None or isinstance(c, bool) else c.strip().lower() in BOOLEAN_TRUE
+                        for c in cells)
+        return ColumnKind.BOOLEAN, coerced, tuple(map(extract_numeric, coerced))
 
-    if all(fully_numeric(c) for c, _ in present):
-        return ColumnKind.NUMERIC
-
-    def boolean_token(c: Cell) -> bool:
-        if isinstance(c, bool):
-            return True
-        return isinstance(c, str) and c.strip().lower() in BOOLEAN_LEXICON
-
-    if all(boolean_token(c) for c, _ in present):
-        return ColumnKind.BOOLEAN
-
+    numbers = tuple(map(extract_numeric, cells))
     # The majority is over rows, not over distinct cells.
-    extractable = sum(n for c, n in present if extract_numeric(c) is not None)
-    if extractable * 2 >= sum(n for _, n in present):
-        return ColumnKind.MIXED_NUMERIC
-    return ColumnKind.CATEGORICAL
+    rows = sum(w for c, w in zip(cells, weights) if c is not None)
+    extractable = sum(w for n, w in zip(numbers, weights) if n is not None)
+    kind = ColumnKind.MIXED_NUMERIC if extractable * 2 >= rows else ColumnKind.CATEGORICAL
+    return kind, tuple(cells), numbers
 
 
 def infer_column_kind(cells: Sequence[Cell]) -> ColumnKind:
@@ -170,23 +180,7 @@ def infer_column_kind(cells: Sequence[Cell]) -> ColumnKind:
     extractable number but not all parse fully; Categorical otherwise.
     Empty or all-missing columns are Categorical.
     """
-    counts = Counter(zip(map(type, cells), cells))
-    return _infer_kind((cell, n) for (_, cell), n in counts.items())
-
-
-def _coerce_cells(cells: list[Cell], kind: ColumnKind) -> list[Cell]:
-    if kind is ColumnKind.NUMERIC:  # then every text cell is a full number
-        return [None if c is None else float(c.strip().replace(",", ".")) if isinstance(c, str)
-                else float(c) for c in cells]
-    if kind is ColumnKind.BOOLEAN:
-        out: list[Cell] = []
-        for c in cells:
-            if c is None or isinstance(c, bool):
-                out.append(c)
-            else:
-                out.append(str(c).strip().lower() in BOOLEAN_TRUE)
-        return out
-    return cells
+    return _classify(cells, [1] * len(cells))[0]
 
 
 class Column:
@@ -206,8 +200,7 @@ class Column:
     @staticmethod
     def from_cells(name: str, cells: Iterable[Cell]) -> "Column":
         raw = list(cells)
-        kind = infer_column_kind(raw)
-        return Column(name, kind, _coerce_cells(raw, kind))
+        return Column(name, *_classify(raw, [1] * len(raw))[:2])
 
     def __len__(self) -> int:
         return len(self.cells if self.index is None else self.index)
@@ -316,15 +309,11 @@ class Table:
 
 
 def _dedupe_names(names: list[str]) -> list[str]:
-    seen: dict[str, int] = {}
+    seen: Counter = Counter()
     out = []
     for n in names:
-        if n in seen:
-            seen[n] += 1
-            out.append(f"{n}#{seen[n]}")
-        else:
-            seen[n] = 1
-            out.append(n)
+        seen[n] += 1
+        out.append(n if seen[n] == 1 else f"{n}#{seen[n]}")
     return out
 
 
@@ -338,38 +327,34 @@ def load_csv(path: str) -> Table:
     try:
         with open(path, encoding="utf-8", newline="") as fh:
             rows = list(csv.reader(fh))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise TableError(f"cannot read {path!r}: {exc}") from exc
     if not rows:
         raise TableError(f"empty CSV file {path!r}: no header row")
 
     header = _dedupe_names([h.strip() for h in rows[0]])
     width = len(header)
-    body = []
-    for rownum, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != width:
-            raise TableError(
-                f"{path!r} row {rownum}: expected {width} fields, got {len(row)}")
-        body.append(row)
+    body = [row for row in rows[1:] if row]
+    if set(map(len, body)) - {width}:
+        rownum, row = next((i, r) for i, r in enumerate(rows[1:], 2) if r and len(r) != width)
+        raise TableError(f"{path!r} row {rownum}: expected {width} fields, got {len(row)}")
 
     name = path.rsplit("/", 1)[-1]
     if name.endswith(".csv"):
         name = name[:-4]
-    return Table(name, tuple(_load_column(h, raw)
-                             for h, raw in zip(header, list(zip(*body)) or [()] * width)))
+    columns = list(zip(*body)) or [()] * width
+    del rows, body  # free the row lists before the columns are built
+    return Table(name, tuple(_load_column(h, raw) for h, raw in zip(header, columns)))
 
 
 def _load_column(name: str, raw: Sequence[str]) -> Column:
-    """Strip, infer and coerce once per distinct raw text, then code the
-    rows by it."""
+    """Strip and classify once per distinct raw text, then code the rows
+    by it."""
     counts = Counter(raw)
-    stripped = [text.strip() or None for text in counts]
-    kind = _infer_kind(zip(stripped, counts.values()))
-    code = {text: i for i, text in enumerate(counts)}
-    codes = tuple(map(code.__getitem__, raw))
-    uniques = tuple(_coerce_cells(stripped, kind))
+    kind, uniques, numbers = _classify([text.strip() or None for text in counts],
+                                       list(counts.values()))
+    codes = tuple(map(dict(zip(counts, range(len(counts)))).__getitem__, raw))
     col = Column(name, kind, map(uniques.__getitem__, codes))
-    col.uniques, col.codes = uniques, codes
+    col.uniques, col.codes, col.unique_numbers = uniques, codes, numbers
+    col.counts = Counter(dict(enumerate(counts.values())))
     return col

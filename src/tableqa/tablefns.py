@@ -22,13 +22,15 @@ from .table_core import (
     Column,
     ColumnKind,
     Table,
-    cells_equal,
+    equal_to,
     render_cell,
 )
 
 NO_MATCHING_RECORDS = "No matching records were found"
 
 FLATTEN_DELIMITERS = (";", ",", "|")
+# Chained flattens multiply rows; a flatten that would build more is refused.
+MAX_FLATTEN_ROWS = 500_000
 
 
 class TableFnError(Exception):
@@ -60,10 +62,14 @@ def flatten_column_values(t: Table, column: str) -> Table:
     """Explode multi-valued text cells into one row per value.
 
     A cell splits on the first of ";", ",", "|" that occurs in it; split
-    values are trimmed.  Single-valued rows pass through.
+    values are trimmed.  Single-valued rows pass through.  A result of
+    more than MAX_FLATTEN_ROWS rows is refused before it is built.
     """
     col = _resolve(t, column)
     split = {code: _split_cell(col.uniques[code]) for code in col.counts}
+    rows = sum(len(split[code]) * n for code, n in col.counts.items())
+    if rows > MAX_FLATTEN_ROWS:
+        raise TableFnError(f"would build {rows} rows, over the budget of {MAX_FLATTEN_ROWS} rows")
     parts = list(map(split.__getitem__, col.codes))
     out = t.take_rows([i for i, ps in enumerate(parts) for _ in ps]).columns
     # An unsplit row keeps its own cell: 0.0 and -0.0 share a code.
@@ -89,8 +95,8 @@ def top_n_non_missing(t: Table, column: str, n: int, end: str = "head") -> Table
 def delete_rows_by_column_value(t: Table, column: str, value: Cell) -> Table:
     """Drop rows whose cell equals `value` exactly (numeric equality for
     numbers; value=None drops missing-valued rows).  No fuzzy fallback."""
-    col = _resolve(t, column)
-    return t.take_rows(_rows_where(col, lambda code: not cells_equal(col.uniques[code], value)))
+    col, equal = _resolve(t, column), equal_to(value)
+    return t.take_rows(_rows_where(col, lambda code: not equal(col.uniques[code])))
 
 
 def sort_alphabetical(t: Table, column: str) -> Table:
@@ -155,7 +161,8 @@ def filter_contains(t: Table, column: str, value: Cell) -> Table:
         firsts = [first for first, _ in col.distinct.values()]
         match = best_fuzzy_match(firsts, value, FILTER_THRESHOLD)
         if match is not None:
-            fuzzy_keep = _rows_where(col, lambda code: cells_equal(col.uniques[code], match))
+            equal = equal_to(match)
+            fuzzy_keep = _rows_where(col, lambda code: equal(col.uniques[code]))
             if fuzzy_keep:
                 return t.take_rows(fuzzy_keep)
     return t.take_rows(keep)
@@ -175,8 +182,8 @@ def exists_value(t: Table, column: str, value: Cell) -> bool:
 
 def count_equal(t: Table, column: str, value: Cell) -> int:
     """Exact, case-sensitive count; no fuzzy fallback."""
-    col = _resolve(t, column)
-    return sum(n for code, n in col.counts.items() if cells_equal(col.uniques[code], value))
+    col, equal = _resolve(t, column), equal_to(value)
+    return sum(n for code, n in col.counts.items() if equal(col.uniques[code]))
 
 
 def count_containing(t: Table, column: str, value: Cell) -> int:

@@ -6,6 +6,15 @@ from click.testing import CliRunner
 
 import e2e_fixtures
 from tableqa.cli import main
+from tableqa.table_core import TableError, load_csv
+
+# CSV bytes that cannot be loaded, and the load error after the path.
+UNLOADABLE_CSVS = {
+    "undecodable": (b"a,b\n1,\xff\n", ": 'utf-8' codec can't decode byte 0xff"),
+    "field-too-large": (b"a,b\n1," + b"x" * 200_000 + b"\n",
+                        ": field larger than field limit (131072)"),
+    "ragged-row": (b"a,b\n1,2,3\n", " row 2: expected 2 fields, got 3"),
+}
 
 
 @pytest.fixture
@@ -151,7 +160,41 @@ def test_unreadable_config_or_mock_file_is_a_usage_error(runner, fixture_paths,
     assert f"Invalid value for '{option}': {message}" in result.output
 
 
+@pytest.mark.parametrize("command", ["describe", "plan-run"])
+@pytest.mark.parametrize("case", sorted(UNLOADABLE_CSVS))
+def test_unloadable_table_is_a_usage_error(runner, tmp_path, command, case):
+    content, message = UNLOADABLE_CSVS[case]
+    table = tmp_path / "t.csv"
+    table.write_bytes(content)
+    plan = tmp_path / "plan.txt"
+    plan.write_text("answer = count_rows(df)\n", encoding="utf-8")
+    extra = [str(plan)] if command == "plan-run" else []
+    result = runner.invoke(main, [command, str(table)] + extra)
+    assert result.exit_code == 2, result.output
+    assert "Invalid value for 'TABLE_PATH': " in result.output
+    assert f"{str(table)!r}{message}" in result.output
+
+
 class TestBench:
+    @pytest.mark.parametrize("case", ["undecodable", "field-too-large"])
+    def test_unloadable_table_fails_its_runs_with_the_load_error(
+            self, runner, fixture_paths, tmp_path, case):
+        tables_dir, questions_path, mock_path = fixture_paths
+        table = os.path.join(tables_dir, "encuestas.csv")
+        with open(table, "wb") as fh:
+            fh.write(UNLOADABLE_CSVS[case][0])
+        with pytest.raises(TableError) as error:
+            load_csv(table)
+        out_dir = tmp_path / "bench_out"
+        result = runner.invoke(main, [
+            "bench", questions_path, "--tables-dir", tables_dir,
+            "--mock", mock_path, "--repetitions", "1", "--out-dir", str(out_dir),
+        ])
+        assert result.exit_code == 0, result.output
+        reps = json.loads((out_dir / "repetitions.json").read_text("utf-8"))
+        assert {r["failure"] for runs in reps["runs"].values() for r in runs} == \
+            {f"profile: {error.value}"}
+
     def test_full_benchmark(self, runner, fixture_paths, tmp_path):
         tables_dir, questions_path, mock_path = fixture_paths
         out_dir = str(tmp_path / "bench_out")

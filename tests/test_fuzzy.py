@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from reference import (
     ref_best_fuzzy_match,
@@ -23,6 +23,10 @@ words = st.text(alphabet="abcdeíó ", max_size=10)
 # small alphabet makes long common subsequences likely.
 long_words = st.one_of(st.text(alphabet="abñé😀 A", max_size=200),
                        st.text(max_size=200))
+# Lengths on both sides of best_fuzzy_match's length bound, and "İ", which
+# lowercases to two characters ("i" and a combining dot above).
+DOTTED_I, DOTTED_I_LOWER = "\u0130", "i\u0307"
+bound_words = st.text(alphabet="ab" + DOTTED_I + DOTTED_I_LOWER, max_size=20)
 
 
 class TestSimilarity:
@@ -119,13 +123,58 @@ class TestBestFuzzyMatch:
         assert best_fuzzy_match(["azzzz"], "abcde", 20) is None
         assert ref_best_fuzzy_match(["azzzz"], "abcde", 20) is None
 
-    @given(st.lists(st.one_of(st.none(), words,
+    # The length bound and the score both exactly at the threshold.
+    @example(["a" * 11], "a" * 9, 90)
+    # An early short value ties a later same-length one at 100 * (1 - 1/3).
+    @example(["abc", "abcdxx"], "abcdef", 60)
+    # Lowercasing doubles the target's length, and not the value's; then
+    # the value's, and not the target's.
+    @example([DOTTED_I_LOWER * 4], DOTTED_I * 4, 100)
+    @example([DOTTED_I * 2], DOTTED_I_LOWER * 2, 100)
+    @given(st.lists(st.one_of(st.none(), words, bound_words,
                               st.floats(allow_nan=False, allow_infinity=False)),
                     max_size=8),
-           words, st.integers(0, 100))
+           st.one_of(words, bound_words), st.integers(0, 100))
     def test_matches_exhaustive_reference(self, values, target, threshold):
         assert best_fuzzy_match(values, target, threshold) == \
             ref_best_fuzzy_match(values, target, threshold)
+
+    def test_scores_only_values_whose_length_bound_can_win(self, monkeypatch):
+        scored = []
+
+        def counting(masks, length, other):
+            scored.append(other)
+            return indel_similarity(masks, length, other)
+
+        indel_similarity = fuzzy._indel_similarity
+        monkeypatch.setattr(fuzzy, "_indel_similarity", counting)
+        # "abcd" and "ab" cannot reach 90 against "abc"; "abd" can still tie
+        # the best (its bound is 100), "a" * 50 cannot.
+        assert best_fuzzy_match(["abcd", "ab", "abc", "a" * 50, "abd"], "abc", 90) == "abc"
+        assert scored == ["abc", "abd"]
+
+    @given(st.lists(st.one_of(words, bound_words), max_size=8),
+           st.one_of(words, bound_words), st.integers(0, 100))
+    def test_never_scores_a_value_whose_length_bound_cannot_win(
+            self, values, target, threshold):
+        scored = []
+        indel_similarity = fuzzy._indel_similarity
+
+        def counting(masks, length, other):
+            score = indel_similarity(masks, length, other)
+            scored.append((other, score))
+            return score
+
+        fuzzy._indel_similarity = counting
+        try:
+            best_fuzzy_match(values, target, threshold)
+        finally:
+            fuzzy._indel_similarity = indel_similarity
+        best, t = -1.0, target.lower()
+        for other, score in scored:
+            bound = 100.0 * (1.0 - abs(len(t) - len(other)) / (len(t) + len(other) or 1))
+            assert bound >= max(threshold, best)
+            best = max(best, score)
 
 
 class TestCorrectName:

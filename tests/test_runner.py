@@ -1,11 +1,13 @@
 import gc
 import random
+import time
 import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_table
+from tableqa import tablefns
 from tableqa.answerer import AnswerType, format_answer
 from tableqa.explainer import InstructionSet
 from tableqa.llm_client import MockClient
@@ -196,6 +198,28 @@ class TestSolve:
         assert trace.attempts_used == 2
         assert trace.attempts[0].error_stage == "execute"
         assert trace.attempts[0].error_message == "head_n: n must be a finite number, got inf"
+
+    def test_flatten_chain_over_the_row_budget_is_repaired(self):
+        # Nine chained flattens of four-valued cells would build 200 * 4**9
+        # (~52M) rows; the sixth, at 819,200 rows, is refused unbuilt.
+        budget = tablefns.MAX_FLATTEN_ROWS
+        names = [f"c{i}" for i in range(9)]
+        t = Table("t", tuple(Column.from_cells(n, ["a;b;c;d"] * 200) for n in names))
+        chain = "".join(f't{i + 1} = flatten_column_values({f"t{i}" if i else "df"}, "{n}")\n'
+                        for i, n in enumerate(names))
+        mock = MockClient.from_list([
+            {"stage": "coder", "reply": chain + "answer = count_rows(t9)", "consume_once": True},
+            {"stage": "coder", "reply": VALID_PLAN},
+        ])
+        start = time.perf_counter()
+        trace = solve(self.prompt(), t, mock)
+        assert time.perf_counter() - start < 1.0
+        error = ("flatten_column_values: would build 819200 rows, "
+                 f"over the budget of {budget} rows")
+        assert (trace.attempts[0].error_stage, trace.attempts[0].error_message) == \
+            ("execute", error)
+        assert f"Error: {error}" in mock.calls[1].last_user_content
+        assert trace.succeeded and trace.final_value == 200.0
 
     def test_formatting_a_memoised_list_leaves_it_unchanged(self, mes_table):
         plan = 'answer = head_n(unique(column(df, "Mes")), 1)'

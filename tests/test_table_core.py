@@ -4,14 +4,16 @@ import random
 import tempfile
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import random_table
-from reference import ref_extract_numeric, ref_load_csv, ref_render
+from reference import ref_cells_equal, ref_extract_numeric, ref_load_csv, ref_render
+from tableqa.profiler import profile_table
 from tableqa.table_core import (
     Column,
     ColumnKind,
     TableError,
+    equal_to,
     extract_numeric,
     infer_column_kind,
     load_csv,
@@ -46,6 +48,66 @@ def test_load_csv_matches_the_row_by_row_loader(rows):
         with open(path, "w", encoding="utf-8", newline="") as fh:
             csv.writer(fh).writerows(rows)
         assert shape(load_csv(path)) == shape(ref_load_csv(path))
+
+
+# Unicode digits, padded numbers and boolean cases on top of _LOAD_TEXTS;
+# a column may also draw from the missing texts alone.
+_VIEW_TEXTS = _LOAD_TEXTS + ["\u0663", "\u0661\u0662", " \u0663 ", "1,5 kg", "S\u00cd", " no "]
+_MISSING_TEXTS = ["", "  "]
+
+
+@st.composite
+def view_csv_files(draw):
+    width = draw(st.integers(1, 4))
+    pools = [draw(st.one_of(st.just(_MISSING_TEXTS),
+                            st.lists(st.sampled_from(_VIEW_TEXTS), min_size=1, max_size=4)))
+             for _ in range(width)]
+    rows = draw(st.lists(st.tuples(*(st.sampled_from(p) for p in pools)), max_size=12))
+    return [[f"c{i}" for i in range(width)]] + [list(r) for r in rows]
+
+
+def _by_cell(col):
+    """`counts` merged by cell, in first-seen order: a loaded column codes
+    by raw text, so " a" and "a" are two codes of one cell."""
+    merged = {}
+    for code, n in col.counts.items():
+        cell = col.uniques[code]
+        merged[type(cell), cell] = merged.get((type(cell), cell), 0) + n
+    return [(repr(cell), n) for (_, cell), n in merged.items()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(view_csv_files())
+@example([["c0", "c1"], ["0", ""], ["-0", "  "], [" 1 ", ""], ["1,5", ""]])
+def test_load_time_views_match_a_column_rebuilt_from_the_cells(rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "t.csv")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        table = load_csv(path)
+    loaded = {"counts", "unique_numbers"}
+    assert all(loaded <= set(vars(col)) for col in table.columns)
+    profile_table(table)
+    for col in table.columns:
+        rebuilt = Column(col.name, col.kind, col.cells)
+        assert _by_cell(col) == _by_cell(rebuilt)
+        assert sum(col.counts.values()) == len(col.cells)
+        # per row, through the codes ("0" and "-0" are one code when rebuilt)
+        assert [col.unique_numbers[c] for c in col.codes] == \
+            [rebuilt.unique_numbers[c] for c in rebuilt.codes]
+        assert [(k, repr(first), n) for k, (first, n) in col.distinct.items()] == \
+            [(k, repr(first), n) for k, (first, n) in rebuilt.distinct.items()]
+
+
+_EQUALITY_CELLS = st.one_of(
+    st.none(), st.booleans(), st.floats(allow_nan=False),
+    st.sampled_from(_VIEW_TEXTS + ["1", "01", "1.5", "-1", "Enero", " Enero"]))
+
+
+@settings(max_examples=500)
+@given(_EQUALITY_CELLS, _EQUALITY_CELLS)
+def test_equal_to_matches_the_reference_equality(a, b):
+    assert equal_to(b)(a) is ref_cells_equal(a, b)
 
 
 class TestLoadCsv:

@@ -42,6 +42,12 @@ class TestFlattenColumnValues:
         out = tablefns.flatten_column_values(t, "c")
         assert col_values(out, "d") == ["keep", "keep"]
 
+    def test_row_budget_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(tablefns, "MAX_FLATTEN_ROWS", 5)
+        assert tablefns.flatten_column_values(one_col("c", ["a;b", "x", "p|q"]), "c").row_count == 5
+        with pytest.raises(TableFnError, match="^would build 6 rows, over the budget of 5 rows$"):
+            tablefns.flatten_column_values(one_col("c", ["a;b", "x,y", "p|q"]), "c")
+
 
 class TestTopN:
     def test_head_skips_missing(self):
