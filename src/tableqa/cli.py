@@ -27,8 +27,8 @@ from .pipeline import (
     load_table_profiles,
     score,
 )
-from .planlang import dsl_reference, parse_plan, validate_plan
-from .runner import execute_plan, render_value
+from .planlang import dsl_reference
+from .runner import render_value, try_plan
 from .table_core import TableError, load_csv
 
 
@@ -140,11 +140,14 @@ def ask(table_path, question, answer_type, repetitions, trace_dir,
 def bench(questions_path, tables_dir, repetitions, out_dir, config_path,
           mock_path, deterministic, cache_dir):
     """Run the benchmark: answer every question, vote, score, report."""
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        questions = load_questions(questions_path)
+    except (OSError, ValueError) as exc:
+        raise click.BadParameter(str(exc), param_hint="'QUESTIONS_PATH'") from exc
     ctx = _build_context(config_path, mock_path, deterministic,
                          cache_dir or os.path.join(out_dir, "cache"),
                          trace_dir=os.path.join(out_dir, "trace"))
-    questions = load_questions(questions_path)
+    os.makedirs(out_dir, exist_ok=True)
     cfg = EnsembleConfig(repetitions=repetitions)
     finals, records = ensemble_answers(questions, tables_dir, ctx, cfg)
 
@@ -192,8 +195,9 @@ def plan_run(table_path, plan_path):
     except TableError as exc:
         raise click.BadParameter(str(exc), param_hint="'TABLE_PATH'") from exc
     with open(plan_path, encoding="utf-8") as fh:
-        plan = validate_plan(parse_plan(fh.read()), table.column_names)
-    value = execute_plan(plan, table)
+        stage, message, value = try_plan(fh.read(), table)
+    if stage:
+        raise click.ClickException(f"{stage}: {message}")  # exit 1
     _echo_json(render_value(value))
 
 

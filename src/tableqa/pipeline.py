@@ -418,8 +418,7 @@ def score(predictions: list[tuple[Question, Optional[Answer]]]) -> ScoreReport:
 
 
 def ensemble_curve(records_by_question: dict[str, list[RunRecord]],
-                   questions: list[Question], max_n: int,
-                   cfg: EnsembleConfig = EnsembleConfig()) -> list[tuple[int, float]]:
+                   questions: list[Question], max_n: int) -> list[tuple[int, float]]:
     """Accuracy when voting over only the first n repetitions, for
     n = 1..max_n."""
     by_id = {q.id: q for q in questions}
@@ -434,23 +433,28 @@ def ensemble_curve(records_by_question: dict[str, list[RunRecord]],
         preds = []
         for qid, recs in records_by_question.items():
             subset = [r for r in recs if r.repetition < n]
-            preds.append((by_id[qid], vote(subset, cfg)))
+            preds.append((by_id[qid], vote(subset, EnsembleConfig())))
         points.append((n, score(preds).overall_accuracy))
     return points
 
 
 def load_questions(path: str) -> list[Question]:
     """Questions JSONL: {id, table_id, question, answer_type, answer}.
-    A gold answer its type cannot read raises ValueError naming the
-    question id."""
+    A malformed line raises ValueError naming its line number, and a gold
+    answer its type cannot read one naming the question id."""
     questions = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
                 continue
-            obj = json.loads(line)
-            at = AnswerType(obj["answer_type"])
+            try:
+                obj = json.loads(line)
+                if not isinstance(obj, dict):
+                    raise TypeError(f"a JSON {type(obj).__name__}, not an object")
+                at, table_id = AnswerType(obj["answer_type"]), str(obj["table_id"])
+                qid, text = str(obj["id"]), obj["question"]
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValueError(f"line {lineno}: {type(exc).__name__}: {exc}") from exc
             gold = None
             if obj.get("answer") is not None:
                 try:
@@ -459,11 +463,5 @@ def load_questions(path: str) -> list[Question]:
                     raise ValueError(
                         f"question {obj['id']!r}: bad {at.value} gold answer: {exc}"
                     ) from exc
-            questions.append(Question(
-                id=str(obj["id"]),
-                table_id=str(obj["table_id"]),
-                text=obj["question"],
-                answer_type=at,
-                gold=gold,
-            ))
+            questions.append(Question(qid, table_id, text, at, gold))
     return questions

@@ -31,7 +31,7 @@ from typing import Callable, Optional, Sequence, Union
 
 from . import tablefns
 from .fuzzy import correct_name, similarity
-from .table_core import Cell, Table, cells_equal, extract_numeric, render_cell
+from .table_core import Cell, Table, equal_to, extract_numeric, render_cell
 from .tablefns import TableFnError
 
 # `ast.parse` warns on stderr about some malformed replies (`1if`, "\d").
@@ -236,6 +236,10 @@ def _first(items: list) -> Cell:
     return items[0]
 
 
+# The four orders, each spelled once: (name, symbol, doc, operator).
+_ORDERS = (("le", "<=", "Less or equal.", operator.le), ("lt", "<", "Less than.", operator.lt),
+           ("ge", ">=", "Greater or equal.", operator.ge), ("gt", ">", "Greater than.", operator.gt))
+
 # Implementations look tablefns functions up at call time, so a function
 # replaced on the module (by a tracer, say) is the one that runs.
 BUILTINS: dict[str, Builtin] = {b.name: b for b in [
@@ -244,18 +248,18 @@ BUILTINS: dict[str, Builtin] = {b.name: b for b in [
             lambda t, c: tablefns.flatten_column_values(t, c)),
     *(Builtin(f"{name}_n_non_missing(table, column, n) -> table",
               f"{which} n rows whose cell in the column is not missing, original order.",
-              lambda t, c, n, end=end: tablefns.top_n_non_missing(t, c, n, end))
-      for name, which, end in (("top", "First", "head"), ("tail", "Last", "tail"))),
+              lambda t, c, n, tail=tail: tablefns.top_n_non_missing(t, c, n, tail))
+      for name, which, tail in (("top", "First", False), ("tail", "Last", True))),
     Builtin("delete_rows_by_column_value(table, column, value) -> table",
             "Remove rows whose cell equals the value exactly.",
             lambda t, c, v: tablefns.delete_rows_by_column_value(t, c, v)),
     Builtin("sort_alphabetical(table, column) -> table",
             "Sort rows alphabetically (case-insensitive) by the column; missing last.",
             lambda t, c: tablefns.sort_alphabetical(t, c)),
-    *(Builtin(f"filter_{cmp}(table, column, number) -> table",
+    *(Builtin(f"filter_{name}(table, column, number) -> table",
               f"Keep rows whose numeric value in the column is {symbol} the number.",
-              lambda t, c, x, cmp=cmp: tablefns.filter_numeric(t, c, cmp, x))
-      for cmp, symbol in (("le", "<="), ("lt", "<"), ("ge", ">="), ("gt", ">"))),
+              lambda t, c, x, op=op: tablefns.filter_numeric(t, c, op, x))
+      for name, symbol, _, op in _ORDERS),
     Builtin("filter_contains(table, column, value) -> table",
             "Keep rows whose cell contains the value (case-insensitive substring; "
             "falls back to fuzzy matching of the stored value).",
@@ -316,12 +320,8 @@ BUILTINS: dict[str, Builtin] = {b.name: b for b in [
     Builtin("div(number, number) -> number",
             "Division; dividing by zero is a runtime error.", _div),
     *(Builtin(f"{name}(scalar, scalar) -> boolean", doc, _compare(op))
-      for name, doc, op in (("gt", "Greater than.", operator.gt),
-                            ("ge", "Greater or equal.", operator.ge),
-                            ("lt", "Less than.", operator.lt),
-                            ("le", "Less or equal.", operator.le))),
-    Builtin("eq(scalar, scalar) -> boolean", "Equality.",
-            cells_equal),
+      for name, _, doc, op in reversed(_ORDERS)),
+    Builtin("eq(scalar, scalar) -> boolean", "Equality.", lambda a, b: equal_to(b)(a)),
     Builtin("not_(boolean) -> boolean", "Logical negation.", lambda v: not v),
     Builtin("to_number(scalar) -> number",
             "Extract a number from a scalar (first number in a string).",

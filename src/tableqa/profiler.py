@@ -21,7 +21,7 @@ from .table_core import ColumnKind, Table
 
 PROFILER_VERSION = "1"
 EXAMPLE_COUNT = 3  # example values per column, in profiles and prompts
-DESCRIBE_CHUNK_SIZE = 25  # columns per descriptor prompt
+DESCRIBE_CHUNK_SIZE = 25  # columns per descriptor and selector prompt
 
 
 @dataclass

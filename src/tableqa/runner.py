@@ -133,7 +133,7 @@ def _repair_prompt(base_prompt: str, plan_text: str, stage: str, message: str) -
     )
 
 
-def _try_plan(plan_text: str, t: Table) -> tuple[str, str, Optional[RuntimeValue]]:
+def try_plan(plan_text: str, t: Table) -> tuple[str, str, Optional[RuntimeValue]]:
     """Parse, validate and execute one plan: ("", "", value), or the
     failed stage, its error text and None."""
     try:
@@ -164,7 +164,7 @@ def solve(base_prompt: str, t: Table, llm, memo: Optional[dict] = None) -> RunTr
             trace.attempts.append(Attempt("", "error", "transport", str(exc)))
             break
         if plan_text not in memo:
-            memo[plan_text] = _try_plan(plan_text, t)
+            memo[plan_text] = try_plan(plan_text, t)
         stage, message, value = memo[plan_text]
         if not stage:
             trace.attempts.append(Attempt(plan_text, "executed"))

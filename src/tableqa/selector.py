@@ -1,5 +1,5 @@
 """Column selection: rule-based pruning of uninformative columns, then an
-LLM relevance pass over chunks of at most CHUNK_SIZE (25) columns.
+LLM relevance pass over chunks of at most DESCRIBE_CHUNK_SIZE (25) columns.
 
 The selection is biased toward recall: the prompt tells the model to keep
 a column when in doubt, an unparseable chunk reply keeps the whole chunk,
@@ -14,9 +14,8 @@ from typing import Optional
 
 from .fuzzy import correct_name
 from .llm_client import ChatRequest, LLMError, Message, first_json
-from .profiler import ColumnProfile
+from .profiler import DESCRIBE_CHUNK_SIZE, ColumnProfile
 
-CHUNK_SIZE = 25  # columns per selector prompt
 DENYLIST = re.compile(r"^N_R")  # names of columns that are never informative
 SUFFIX_FAMILY_MIN = 5  # members from which a `stem_<digits>` family is dropped
 PARSE_ATTEMPTS = 2  # selector replies asked for per chunk before keeping it whole
@@ -73,8 +72,8 @@ def select_columns(question: str, profiles: list[ColumnProfile], llm,
     if warnings is None:
         warnings = []
     selected_names: set[str] = set()
-    for start in range(0, len(profiles), CHUNK_SIZE):
-        chunk = profiles[start:start + CHUNK_SIZE]
+    for start in range(0, len(profiles), DESCRIBE_CHUNK_SIZE):
+        chunk = profiles[start:start + DESCRIBE_CHUNK_SIZE]
         chunk_names = [p.name for p in chunk]
         prompt = _chunk_prompt(question, chunk)
         names: Optional[list] = None

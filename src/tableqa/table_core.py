@@ -19,11 +19,11 @@ index tuple and copies no column.
 Columns never change, so derived values are cached on them:
 
 - per unique, on the root: `unique_lowered` (lowercased rendering) and
-  `unique_numbers` (`extract_numeric`), computed once per loaded table;
-- per column: `counts` (code -> rows, first-seen order), `distinct`
+  `unique_numbers` (`extract_numeric`), computed once per loaded table
+  and read per row through `codes`;
+- per column: `counts` (code -> rows, first-seen order) and `distinct`
   (rendering -> (first cell, count) over the non-missing cells, in
-  first-seen order), and the per-row `lowered` and `numbers`, gathered
-  through `codes`.
+  first-seen order).
 
 Loading strips and classifies each distinct raw text once and fills
 `cells`, `uniques`, `codes`, `counts` and `unique_numbers` (the numbers
@@ -71,14 +71,6 @@ def is_number(cell: Cell) -> bool:
     return isinstance(cell, (int, float)) and not isinstance(cell, bool)
 
 
-def parse_full_number(text: str) -> Optional[float]:
-    """Parse `text` as a complete number, or None if it is not one."""
-    text = text.strip()
-    if not _FULL_NUMBER_RE.match(text):
-        return None
-    return float(text.replace(",", "."))
-
-
 def extract_numeric(cell: Cell) -> Optional[float]:
     """Pull the first number out of a cell.
 
@@ -119,12 +111,15 @@ def render_cell(cell: Cell) -> str:
 def _as_number(cell: Cell) -> Optional[float]:
     """A number, or a text that fully parses as one, as a float."""
     if isinstance(cell, str):
-        return parse_full_number(cell)
+        text = cell.strip()
+        return float(text.replace(",", ".")) if _FULL_NUMBER_RE.match(text) else None
     return float(cell) if is_number(cell) else None
 
 
 def equal_to(value: Cell) -> Callable[[Cell], bool]:
-    """The test `cells_equal(cell, value)`, with `value` parsed once."""
+    """The test `cell == value`, with `value` parsed once: numeric equality
+    for numbers (including a number vs. a fully-numeric string), trimmed
+    case-sensitive text otherwise; missing only equals missing."""
     number = _as_number(value)
     if number is not None:
         return lambda cell: _as_number(cell) == number
@@ -135,17 +130,14 @@ def equal_to(value: Cell) -> Callable[[Cell], bool]:
                          and _as_number(cell) is None and str(cell).strip() == text)
 
 
-def cells_equal(a: Cell, b: Cell) -> bool:
-    """Exact cell equality: numeric equality for numbers (including a
-    number vs. a fully-numeric string), trimmed case-sensitive text
-    otherwise; missing only equals missing."""
-    return equal_to(b)(a)
-
-
 def _classify(cells: Sequence[Cell], weights: Sequence[int]
               ) -> tuple[ColumnKind, tuple[Cell, ...], tuple[Optional[float], ...]]:
-    """`infer_column_kind` and coercion, parsing each cell once, where each
-    cell stands for `weights` rows: (kind, coerced cells, their numbers)."""
+    """Kind inference and coercion, parsing each cell once, where each
+    cell stands for `weights` rows: (kind, coerced cells, their numbers).
+    Numeric when every non-missing cell is (or fully parses as) a number,
+    Boolean when every one sits in the boolean lexicon, MixedNumeric when
+    at least half the non-missing rows carry an extractable number, and
+    Categorical otherwise, or when no cell is present."""
     numbers: list[Optional[float]] = []
     for c in cells:
         n = _as_number(c)
@@ -169,18 +161,6 @@ def _classify(cells: Sequence[Cell], weights: Sequence[int]
     extractable = sum(w for n, w in zip(numbers, weights) if n is not None)
     kind = ColumnKind.MIXED_NUMERIC if extractable * 2 >= rows else ColumnKind.CATEGORICAL
     return kind, tuple(cells), numbers
-
-
-def infer_column_kind(cells: Sequence[Cell]) -> ColumnKind:
-    """Deterministic kind inference over a cell list.
-
-    Numeric when every non-missing cell is (or fully parses as) a number;
-    Boolean when every non-missing cell sits in the boolean lexicon;
-    MixedNumeric when at least half the non-missing cells carry an
-    extractable number but not all parse fully; Categorical otherwise.
-    Empty or all-missing columns are Categorical.
-    """
-    return _classify(cells, [1] * len(cells))[0]
 
 
 class Column:
@@ -209,9 +189,6 @@ class Column:
         if not isinstance(other, Column):
             return NotImplemented
         return (self.name, self.kind, self.cells) == (other.name, other.kind, other.cells)
-
-    def __hash__(self) -> int:
-        return hash((self.name, self.kind, self.cells))
 
     def __repr__(self) -> str:
         return f"Column(name={self.name!r}, kind={self.kind!r}, cells={self.cells!r})"
@@ -260,14 +237,6 @@ class Column:
             first, count = out.get(key, (cell, 0))
             out[key] = (first, count + n)
         return out
-
-    @cached_property
-    def lowered(self) -> tuple[str, ...]:
-        return tuple(map(self.unique_lowered.__getitem__, self.codes))
-
-    @cached_property
-    def numbers(self) -> tuple[Optional[float], ...]:
-        return tuple(map(self.unique_numbers.__getitem__, self.codes))
 
 
 @dataclass(frozen=True)

@@ -79,16 +79,14 @@ def flatten_column_values(t: Table, column: str) -> Table:
     return Table(t.name, out[:j] + (flat,) + out[j + 1:])
 
 
-def top_n_non_missing(t: Table, column: str, n: int, end: str = "head") -> Table:
-    """First (head) or last (tail) n rows whose cell is non-missing, in
+def top_n_non_missing(t: Table, column: str, n: int, tail: bool = False) -> Table:
+    """First (or with `tail`, last) n rows whose cell is non-missing, in
     original order; fewer than n available returns all of them."""
     if n < 0:
         raise TableFnError(f"n must be >= 0, got {n}")
-    if end not in ("head", "tail"):
-        raise TableFnError(f"end must be 'head' or 'tail', got {end!r}")
     col = _resolve(t, column)
     idx = _rows_where(col, lambda code: col.uniques[code] is not None)
-    chosen = idx[:n] if end == "head" else idx[len(idx) - min(n, len(idx)):]
+    chosen = idx[len(idx) - min(n, len(idx)):] if tail else idx[:n]
     return t.take_rows(chosen)
 
 
@@ -112,27 +110,18 @@ def sort_alphabetical(t: Table, column: str) -> Table:
     return t.take_rows(sorted(range(len(col)), key=keys.__getitem__))
 
 
-_COMPARATORS = {
-    "le": lambda x, v: x <= v,
-    "lt": lambda x, v: x < v,
-    "ge": lambda x, v: x >= v,
-    "gt": lambda x, v: x > v,
-}
-
-
-def filter_numeric(t: Table, column: str, cmp: str, value: float) -> Table:
-    """Keep rows where the cell's extracted number satisfies the
-    comparator; cells with no extractable number are excluded."""
-    if cmp not in _COMPARATORS:
-        raise TableFnError(f"unknown comparator {cmp!r}")
+def filter_numeric(t: Table, column: str, operator: Callable[[float, float], bool],
+                   value: float) -> Table:
+    """Keep rows where `operator(cell's extracted number, value)` holds
+    (`operator.ge`, say); cells with no extractable number are excluded."""
     col = _resolve(t, column)
     numbers = col.unique_numbers
     if all(numbers[code] is None for code in col.counts) \
             and any(col.uniques[code] is not None for code in col.counts):
         raise TableFnError(f"non-numeric column {col.name!r}")
-    op, v = _COMPARATORS[cmp], float(value)
+    v = float(value)
     return t.take_rows(_rows_where(
-        col, lambda code: numbers[code] is not None and op(numbers[code], v)))
+        col, lambda code: numbers[code] is not None and operator(numbers[code], v)))
 
 
 def _contains(col: Column, value: Cell) -> Callable[[int], bool]:

@@ -211,6 +211,13 @@ def rows_of(t: Table) -> list[dict]:
     return [{c.name: c.cells[i] for c in t.columns} for i in range(t.row_count)]
 
 
+def per_row_views(col) -> tuple[tuple, tuple]:
+    """The column's per-row lowered renderings and numbers, gathered from
+    its per-unique views through `codes`."""
+    return (tuple(col.unique_lowered[c] for c in col.codes),
+            tuple(col.unique_numbers[c] for c in col.codes))
+
+
 def table_equals_rows(t: Table, rows: list[dict]) -> bool:
     return rows_of(t) == rows
 

@@ -135,6 +135,32 @@ def test_repetitions_below_one_is_a_usage_error(runner, fixture_paths, command, 
     assert not isinstance(result.exception, ValueError)
 
 
+@pytest.mark.parametrize("line, message", [
+    ("{not json", "line 2: JSONDecodeError: Expecting property name"),
+    ('["q2", "encuestas"]', "line 2: TypeError: a JSON list, not an object"),
+    ('{"id": "q2", "question": "?", "answer_type": "Number"}', "line 2: KeyError: 'table_id'"),
+    ('{"id": "q2", "table_id": "encuestas", "question": "?", "answer_type": "Numero"}',
+     "line 2: ValueError: 'Numero' is not a valid AnswerType"),
+    (None, "[Errno 21] Is a directory"),
+], ids=["not-json", "not-an-object", "no-table-id", "unknown-answer-type", "directory"])
+def test_malformed_questions_file_is_a_usage_error(runner, fixture_paths, tmp_path,
+                                                   line, message):
+    tables_dir, questions_path, mock_path = fixture_paths
+    with open(questions_path, encoding="utf-8") as fh:
+        first = fh.readline()
+    bad = tmp_path / "bad.jsonl"
+    if line is None:
+        bad.mkdir()
+    else:
+        bad.write_text(first + line + "\n", encoding="utf-8")
+    out_dir = tmp_path / "out"
+    result = runner.invoke(main, ["bench", str(bad), "--tables-dir", tables_dir,
+                                  "--mock", mock_path, "--out-dir", str(out_dir)])
+    assert result.exit_code == 2, result.output
+    assert f"Invalid value for 'QUESTIONS_PATH': {message}" in result.output
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("option, text, message", [
     ("--config", "temperature: hot\n",
      "ValueError: temperature must be a finite number, not 'hot'"),
@@ -146,18 +172,19 @@ def test_repetitions_below_one_is_a_usage_error(runner, fixture_paths, command, 
         "config-directory"])
 def test_unreadable_config_or_mock_file_is_a_usage_error(runner, fixture_paths,
                                                          tmp_path, option, text, message):
-    tables_dir, _, _ = fixture_paths
+    tables_dir, questions_path, _ = fixture_paths
     path = tmp_path / "settings"
     if text is None:
         path.mkdir()
     else:
         path.write_text(text, encoding="utf-8")
-    result = runner.invoke(main, [
-        "ask", os.path.join(tables_dir, "encuestas.csv"), "¿Q?", "--type", "Number",
-        option, str(path),
-    ])
-    assert result.exit_code == 2, result.output
-    assert f"Invalid value for '{option}': {message}" in result.output
+    out_dir = tmp_path / "out"
+    for args in (["ask", os.path.join(tables_dir, "encuestas.csv"), "¿Q?", "--type", "Number"],
+                 ["bench", questions_path, "--tables-dir", tables_dir, "--out-dir", str(out_dir)]):
+        result = runner.invoke(main, args + [option, str(path)])
+        assert result.exit_code == 2, result.output
+        assert f"Invalid value for '{option}': {message}" in result.output
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("command", ["describe", "plan-run"])
@@ -317,14 +344,27 @@ class TestPlanRun:
         assert result.exit_code == 0, result.output
         assert json.loads(result.output) == "3"
 
-    def test_syntax_error_fails(self, runner, fixture_paths, tmp_path):
+    def _fails(self, runner, fixture_paths, tmp_path, plan, message):
         tables_dir, _, _ = fixture_paths
         plan_path = tmp_path / "plan.txt"
-        plan_path.write_text("answer = count_rows(", encoding="utf-8")
+        plan_path.write_text(plan, encoding="utf-8")
         result = runner.invoke(main, [
             "plan-run", os.path.join(tables_dir, "encuestas.csv"), str(plan_path),
         ])
-        assert result.exit_code != 0
+        assert result.exit_code == 1, result.output
+        assert result.output == f"Error: {message}\n"
+
+    def test_syntax_error_fails(self, runner, fixture_paths, tmp_path):
+        self._fails(runner, fixture_paths, tmp_path, "answer = count_rows(",
+                    "parse: line 1, column 20: '(' was never closed")
+
+    def test_validation_error_fails(self, runner, fixture_paths, tmp_path):
+        self._fails(runner, fixture_paths, tmp_path, "answer = nope(df)",
+                    "validate: unknown builtin 'nope' (did you mean 'not_'?)")
+
+    def test_runtime_error_fails(self, runner, fixture_paths, tmp_path):
+        self._fails(runner, fixture_paths, tmp_path, 'answer = to_number("x")',
+                    "execute: to_number: value 'x' is not numeric")
 
 
 def test_dsl_reference_lists_builtins(runner):

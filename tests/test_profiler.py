@@ -49,11 +49,10 @@ class TestProfileTable:
 
     def test_fills_distinct_but_no_per_row_view(self, survey_table):
         """The explainer and the builtins read `distinct` again, so the
-        profile keeps it on the column; it builds no per-row view."""
+        profile keeps it on the column."""
         profile_table(survey_table)
         for col in survey_table.columns:
             assert "distinct" in vars(col)
-            assert not {"lowered", "numbers"} & set(vars(col))
 
 
 def described(profiles, llm):

@@ -56,6 +56,30 @@ class TestExecutePlan:
         assert run("answer = mean([1, 2, 3])", mes_table) == 2.0
         assert run('answer = sum(["1 - No", "2 - Si"])', mes_table) == 3.0
 
+    # Thresholds below, at and above a value, and n below, at and above the
+    # 3 present cells: a swapped operator or end changes some result.
+    @pytest.mark.parametrize("builtin, threshold, expected", [
+        ("filter_le", 1.5, [1.0]), ("filter_le", 2, [1.0, 2.0]), ("filter_le", 2.5, [1.0, 2.0]),
+        ("filter_lt", 1.5, [1.0]), ("filter_lt", 2, [1.0]), ("filter_lt", 2.5, [1.0, 2.0]),
+        ("filter_ge", 1.5, [2.0, 3.0]), ("filter_ge", 2, [2.0, 3.0]), ("filter_ge", 2.5, [3.0]),
+        ("filter_gt", 1.5, [2.0, 3.0]), ("filter_gt", 2, [3.0]), ("filter_gt", 2.5, [3.0]),
+        ("top_n_non_missing", 2, [1.0, 2.0]), ("top_n_non_missing", 3, [1.0, 2.0, 3.0]),
+        ("top_n_non_missing", 4, [1.0, 2.0, 3.0]),
+        ("tail_n_non_missing", 2, [2.0, 3.0]), ("tail_n_non_missing", 3, [1.0, 2.0, 3.0]),
+        ("tail_n_non_missing", 4, [1.0, 2.0, 3.0]),
+    ])
+    def test_row_selecting_variants(self, builtin, threshold, expected):
+        t = Table("t", (Column.from_cells("v", ["1", "2", None, "3"]),))
+        assert run(f'answer = column({builtin}(df, "v", {threshold}), "v")', t) == expected
+
+    @pytest.mark.parametrize("builtin, expected", [
+        ("gt", [False, False, True]), ("ge", [False, True, True]),
+        ("lt", [True, False, False]), ("le", [True, True, False]),
+        ("eq", [False, True, False]),
+    ])
+    def test_comparison_variants(self, mes_table, builtin, expected):
+        assert [run(f"answer = {builtin}({x}, 2)", mes_table) for x in (1, 2, 3)] == expected
+
     def test_head_n_rejects_negative_n(self, mes_table):
         with pytest.raises(PlanRuntimeError) as info:
             run('answer = head_n(column(df, "Mes"), -1)', mes_table)

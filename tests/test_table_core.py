@@ -7,7 +7,8 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import random_table
-from reference import ref_cells_equal, ref_extract_numeric, ref_load_csv, ref_render
+from reference import (per_row_views, ref_cells_equal, ref_extract_numeric, ref_load_csv,
+                       ref_render)
 from tableqa.profiler import profile_table
 from tableqa.table_core import (
     Column,
@@ -15,7 +16,6 @@ from tableqa.table_core import (
     TableError,
     equal_to,
     extract_numeric,
-    infer_column_kind,
     load_csv,
     render_cell,
 )
@@ -163,6 +163,10 @@ class TestLoadCsv:
             load_csv(str(tmp_path / "does_not_exist.csv"))
 
 
+def infer_column_kind(cells):
+    return Column.from_cells("c", cells).kind
+
+
 class TestInferColumnKind:
     def test_numeric(self):
         assert infer_column_kind(["1", "2", "3"]) is ColumnKind.NUMERIC
@@ -239,7 +243,8 @@ def test_table_is_immutable(survey_table):
 
 
 def _fresh_views(cells):
-    """The three views recomputed row by row, without any memo."""
+    """`distinct` and the per-row lowered renderings and numbers,
+    recomputed row by row, without any memo."""
     distinct = {}
     for c in cells:
         if c is not None:
@@ -253,15 +258,15 @@ def _fresh_views(cells):
 class TestColumnViews:
     def test_typed_cells_stay_apart(self):
         col = Column("c", ColumnKind.CATEGORICAL, (True, 1.0, "1"))
-        assert col.lowered == ("true", "1", "1")
-        assert col.numbers == (1.0, 1.0, 1.0)
+        assert per_row_views(col) == (("true", "1", "1"), (1.0, 1.0, 1.0))
         assert col.distinct == {"true": (True, 1), "1": (1.0, 2)}
         assert col.distinct["1"][0] is col.cells[1]
 
     def test_equal_cells_share_one_derived_object(self):
         col = Column("c", ColumnKind.CATEGORICAL, ("Ab", None, "Ab", "Ab"))
-        assert col.lowered == ("ab", "", "ab", "ab")
-        assert col.lowered[0] is col.lowered[2] is col.lowered[3]
+        assert per_row_views(col)[0] == ("ab", "", "ab", "ab")
+        assert col.codes[0] == col.codes[2] == col.codes[3]
+        assert len(col.unique_lowered) == 2
         assert col.distinct == {"Ab": ("Ab", 3)}
 
     def test_first_seen_order_and_first_cell(self):
@@ -273,15 +278,15 @@ class TestColumnViews:
         path = tmp_path / "t.csv"
         path.write_text("a,b\nx,1\ny,2\n", encoding="utf-8")
         for col in load_csv(str(path)).columns:
-            assert not {"distinct", "lowered", "numbers"} & set(vars(col))
+            assert not {"distinct", "unique_lowered"} & set(vars(col))
 
     def test_take_rows_views_match_fresh_recomputation(self):
         rng = random.Random(11)
         for _ in range(200):
             t = random_table(rng, max_rows=30)
             for col in t.columns:  # fill the parent's views first
-                col.distinct, col.lowered, col.numbers
+                col.distinct, col.unique_lowered, col.unique_numbers
             indices = [rng.randrange(t.row_count) for _ in range(rng.randint(0, 40))] \
                 if t.row_count else []
             for col in t.take_rows(indices).columns:
-                assert (col.distinct, col.lowered, col.numbers) == _fresh_views(col.cells)
+                assert (col.distinct, *per_row_views(col)) == _fresh_views(col.cells)
