@@ -8,6 +8,7 @@ and deterministic sampling.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import sys
@@ -32,24 +33,29 @@ from .runner import render_value, try_plan
 from .table_core import TableError, load_csv
 
 
+@contextlib.contextmanager
+def _usage_error(param: str, *errors: type, named: bool = False):
+    """Raise any of `errors` from the block, which loads the file given as
+    `param`, as a usage error naming it (exit 2), typed when `named`."""
+    try:
+        yield
+    except errors as exc:
+        message = f"{type(exc).__name__}: {exc}" if named else str(exc)
+        raise click.BadParameter(message, param_hint=f"'{param}'") from exc
+
+
 def _build_context(config_path, mock_path, deterministic, cache_dir,
                    trace_dir=None) -> PipelineContext:
     cfg = LLMConfig()
     if config_path:
         import yaml  # only runs with a config file pay for it
-        try:
-            with open(config_path, encoding="utf-8") as fh:
-                cfg = LLMConfig.from_dict(yaml.safe_load(fh) or {})
-        except (OSError, ValueError, yaml.YAMLError) as exc:
-            raise click.BadParameter(f"{type(exc).__name__}: {exc}",
-                                     param_hint="'--config'") from exc
+        with _usage_error("--config", OSError, ValueError, yaml.YAMLError, named=True), \
+                open(config_path, encoding="utf-8") as fh:
+            cfg = LLMConfig.from_dict(yaml.safe_load(fh) or {})
     if deterministic:
         cfg.temperature = 0.0
-    try:
+    with _usage_error("--mock", OSError, KeyError, TypeError, ValueError, named=True):
         llm = MockClient.from_file(mock_path) if mock_path else HTTPClient(cfg)
-    except (OSError, KeyError, TypeError, ValueError) as exc:
-        raise click.BadParameter(f"{type(exc).__name__}: {exc}",
-                                 param_hint="'--mock'") from exc
     return PipelineContext(
         llm=llm,
         cache_dir=cache_dir,
@@ -90,10 +96,8 @@ def describe(table_path, config_path, mock_path, deterministic, cache_dir):
     ctx = _build_context(config_path, mock_path, deterministic, cache_dir)
     if mock_path is None and config_path is None:
         ctx.llm = None  # offline: template descriptions
-    try:
+    with _usage_error("TABLE_PATH", TableError):
         _, profiles = load_table_profiles(table_path, ctx)
-    except TableError as exc:
-        raise click.BadParameter(str(exc), param_hint="'TABLE_PATH'") from exc
     _echo_json([p.to_dict() for p in profiles], indent=2)
 
 
@@ -140,10 +144,8 @@ def ask(table_path, question, answer_type, repetitions, trace_dir,
 def bench(questions_path, tables_dir, repetitions, out_dir, config_path,
           mock_path, deterministic, cache_dir):
     """Run the benchmark: answer every question, vote, score, report."""
-    try:
+    with _usage_error("QUESTIONS_PATH", OSError, ValueError):
         questions = load_questions(questions_path)
-    except (OSError, ValueError) as exc:
-        raise click.BadParameter(str(exc), param_hint="'QUESTIONS_PATH'") from exc
     ctx = _build_context(config_path, mock_path, deterministic,
                          cache_dir or os.path.join(out_dir, "cache"),
                          trace_dir=os.path.join(out_dir, "trace"))
@@ -190,10 +192,8 @@ def bench(questions_path, tables_dir, repetitions, out_dir, config_path,
 @click.argument("plan_path", type=click.Path(exists=True))
 def plan_run(table_path, plan_path):
     """Parse, validate and execute a plan file against a table."""
-    try:
+    with _usage_error("TABLE_PATH", TableError):
         table = load_csv(table_path)
-    except TableError as exc:
-        raise click.BadParameter(str(exc), param_hint="'TABLE_PATH'") from exc
     with open(plan_path, encoding="utf-8") as fh:
         stage, message, value = try_plan(fh.read(), table)
     if stage:
@@ -208,19 +208,21 @@ def plan_run(table_path, plan_path):
 def ensemble_curve_cmd(bench_dir, max_n):
     """Recompute voting accuracy for n=1..max-n from a bench run; emits
     CSV (n,accuracy) on stdout."""
-    with open(os.path.join(bench_dir, "repetitions.json"), encoding="utf-8") as fh:
+    # A run the vote cannot read (a repetition that is not a number) fails there.
+    with _usage_error("BENCH_DIR", OSError, KeyError, TypeError, ValueError,
+                      AttributeError, named=True), \
+            open(os.path.join(bench_dir, "repetitions.json"), encoding="utf-8") as fh:
         data = json.load(fh)
-    questions = []
-    for qd in data["questions"]:
-        at = AnswerType(qd["answer_type"])
-        gold = None
-        if qd["gold"] is not None:
-            gold = Answer.from_dict({"type": at.value, "value": qd["gold"]})
-        questions.append(Question(qd["id"], "", "", at, gold))
-    records = {qid: [RunRecord.from_dict(qid, r) for r in runs]
-               for qid, runs in data["runs"].items()}
+        questions = []
+        for qd in data["questions"]:
+            at, gold = AnswerType(qd["answer_type"]), qd["gold"]
+            gold = None if gold is None else Answer.from_dict({"type": at.value, "value": gold})
+            questions.append(Question(qd["id"], "", "", at, gold))
+        records = {qid: [RunRecord.from_dict(qid, r) for r in runs]
+                   for qid, runs in data["runs"].items()}
+        points = ensemble_curve(records, questions, max_n)
     click.echo("n,accuracy")
-    for n, acc in ensemble_curve(records, questions, max_n):
+    for n, acc in points:
         click.echo(f"{n},{acc:.4f}")
 
 

@@ -1,13 +1,14 @@
 """Pipeline orchestration, majority-voting ensemble, and benchmark
 scoring.
 
-An ensemble loads and profiles each distinct table once, then runs every
+An ensemble loads and profiles each distinct table once, and runs every
 (question, repetition) pair as one independent task: prune+select ->
 explain+clarify -> solve -> format.  Tasks run on a thread pool of
-`PipelineContext.concurrency` workers, which first send the column
-descriptor requests of all the tables together while the calling thread
-loads the next table; each reply is read once, for the descriptions and
-the cache rule alike.  A task runs pipeline code only while it holds a
+`PipelineContext.concurrency` workers.  The calling thread loads the
+tables in order of first use, and submits each table's column descriptor
+requests and then its runs before it loads the next; a run first waits
+for its table's replies, each read once, for the descriptions and the
+cache rule alike.  A task runs pipeline code only while it holds a
 shared turn lock, which it gives up while it waits on the LLM: pipeline
 code never runs in two threads at once, and the LLM waits of up to
 `concurrency` runs overlap.  A plan text already run on a table in this
@@ -15,22 +16,22 @@ ensemble reuses its outcome from the table's memo, which dies with the
 ensemble; only the plan's parse, validation and runtime errors are
 memoised.  Any exception inside a task becomes that run's failure,
 prefixed with its stage (`select:`, `explain:`, `solve:`, `format:`); a
-table that fails to load fails every run of its questions with
-`profile:`.
+table that fails to load or to be described fails every run of its
+questions, and no other, with `profile:`.
 
-Tasks are submitted repetition by repetition, questions in order within
-a repetition, and records come back in that order whatever order the
-runs finish in.  The calling thread writes them in that order to the run
-log, `<trace_dir>/runs.jsonl`, one line per run; an ensemble then adds a
-vote line per question.  A run line's `explainer_prompt` and
-`coder_prompt` are the very prompts its stages sent first.  A lone
-surrogate (from a question id, say) is written as its JSON escape.  A
-failed log write fails that run and every later one with `trace:`.  At
-concurrency 1 the LLM sees each stage's prompts in that order, which
-scripted mocks with `consume_once` entries rely on.  Failed runs and
-sentinel answers ("No matching records were found") are discarded before
-voting, and a question with no surviving runs abstains (scored
-incorrect).
+Records come back repetition by repetition, questions in order within a
+repetition, whatever order the runs finish in, and the calling thread
+writes them in that order to the run log, `<trace_dir>/runs.jsonl`, one
+line per run; an ensemble then adds a vote line per question.  A run
+line's `explainer_prompt` and `coder_prompt` are the very prompts its
+stages sent first.  A lone surrogate (from a question id, say) is
+written as its JSON escape; a failed log write fails that run and every
+later one with `trace:`.  At concurrency 1 the LLM sees the prompts
+table by table and a table's runs repetition by repetition, in question
+order, which scripted mocks with `consume_once` entries rely on.  Failed
+runs and sentinel answers ("No matching records were found") are
+discarded before voting; a question with no surviving runs abstains
+(scored incorrect).
 """
 
 from __future__ import annotations
@@ -258,47 +259,48 @@ def _run_one(q: Question, repetition: int, loaded, ctx: PipelineContext,
 
 def _run_repetitions(questions: list[Question], tables_dir: str, ctx: PipelineContext,
                      repetitions, log: TraceWriter) -> list[RunRecord]:
-    """Load and profile each distinct table once, then run every
-    (question, repetition) pair as one task on a pool of
-    `ctx.concurrency` threads.  Records come back, and go to `log`, in
-    submission order: repetitions in order, questions in order within a
-    repetition.  Tables load on this thread in order of first use while
-    the pool sends the descriptor requests of the cache misses; the runs
-    start after."""
+    """Run every (question, repetition) pair as one task on a pool of
+    `ctx.concurrency` threads.  Tables load on this thread in order of
+    first use; right after a table's descriptor requests its runs are
+    submitted (repetition by repetition, questions in order), so the FIFO
+    pool has started those requests before a run waits for their replies.
+    Records come back, and go to `log`, in repetition order, then question order."""
     turn = threading.Lock()
     task_ctx = replace(ctx, llm=_TurnTakingLLM(ctx.llm, turn))
     loaded: dict[str, object] = {}
 
-    def task(q: Question, repetition: int):
+    def task(q: Question, repetition: int, table_lock: threading.Lock):
         artifacts: dict = {}
+        with table_lock:  # waiting under the turn lock would stop every other run
+            if callable(loaded[q.table_id]):
+                try:
+                    loaded[q.table_id] = (*loaded[q.table_id](), {})  # the table's plan memo
+                except Exception as exc:
+                    loaded[q.table_id] = f"profile: {exc}"
         with turn:
             rec = _run_one(q, repetition, loaded[q.table_id], task_ctx, artifacts)
         return rec, artifacts
 
     pool = ThreadPoolExecutor(max_workers=ctx.concurrency)
+    futures: dict = {}
     try:
-        for q in questions:
-            if q.table_id not in loaded:
-                path = os.path.join(tables_dir, f"{q.table_id}.csv")
-                try:
-                    loaded[q.table_id] = _load_table(path, ctx, pool)
-                except Exception as exc:
-                    loaded[q.table_id] = f"profile: {exc}"
-        for table_id, finish in loaded.items():
-            if callable(finish):
-                try:
-                    loaded[table_id] = (*finish(), {})  # the table's plan memo
-                except Exception as exc:
-                    loaded[table_id] = f"profile: {exc}"
-
-        # Each task runs in a copy of the caller's context, so context
-        # variables (a tracer's current span, say) reach the workers.
-        futures = [pool.submit(contextvars.copy_context().run, task, q, rep)
-                   for rep in repetitions for q in questions]
+        for table_id in dict.fromkeys(q.table_id for q in questions):
+            path = os.path.join(tables_dir, f"{table_id}.csv")
+            try:
+                loaded[table_id] = _load_table(path, ctx, pool)
+            except Exception as exc:
+                loaded[table_id] = f"profile: {exc}"
+            table_lock = threading.Lock()
+            # Each task runs in a copy of the caller's context, so context
+            # variables (a tracer's current span, say) reach the workers.
+            futures.update({(rep, i): pool.submit(contextvars.copy_context().run, task,
+                                                  q, rep, table_lock)
+                            for rep in repetitions
+                            for i, q in enumerate(questions) if q.table_id == table_id})
         records = []
-        for future in futures:
+        for key in sorted(futures):  # (repetition, question index)
             # Logged while later runs go on; a failed log fails the rest.
-            rec, artifacts = future.result()
+            rec, artifacts = futures[key].result()
             log.write({"question_id": rec.question_id, **rec.to_dict(), **artifacts})
             if log.error:
                 rec.answer, rec.failure = None, f"trace: {log.error}"
@@ -395,17 +397,13 @@ class ScoreReport:
 def score(predictions: list[tuple[Question, Optional[Answer]]]) -> ScoreReport:
     """Accuracy overall and per answer type; abstains count as wrong,
     questions without gold are excluded with a warning."""
-    totals: dict[str, list[int]] = {}
-    correct_all = 0
-    count_all = 0
+    totals: dict[str, list[int]] = {}  # answer type -> [correct, count]
     skipped = []
     for q, pred in predictions:
         if q.gold is None:
             skipped.append(q.id)
             continue
         ok = pred is not None and compare_answers(pred, q.gold)
-        count_all += 1
-        correct_all += int(ok)
         bucket = totals.setdefault(q.answer_type.value, [0, 0])
         bucket[0] += int(ok)
         bucket[1] += 1
@@ -413,7 +411,8 @@ def score(predictions: list[tuple[Question, Optional[Answer]]]) -> ScoreReport:
         at.value: (totals[at.value][0] / totals[at.value][1], totals[at.value][1])
         for at in AnswerType if at.value in totals
     }
-    overall = correct_all / count_all if count_all else 0.0
+    count_all = sum(n for _, n in totals.values())
+    overall = sum(c for c, _ in totals.values()) / count_all if count_all else 0.0
     return ScoreReport(overall, count_all, per_type, skipped)
 
 
@@ -422,12 +421,8 @@ def ensemble_curve(records_by_question: dict[str, list[RunRecord]],
     """Accuracy when voting over only the first n repetitions, for
     n = 1..max_n."""
     by_id = {q.id: q for q in questions}
-    available = max(
-        (len({r.repetition for r in recs}) for recs in records_by_question.values()),
-        default=0,
-    )
-    if max_n > available:
-        max_n = available
+    max_n = min(max_n, max((len({r.repetition for r in recs})
+                            for recs in records_by_question.values()), default=0))
     points = []
     for n in range(1, max_n + 1):
         preds = []
@@ -453,6 +448,8 @@ def load_questions(path: str) -> list[Question]:
                     raise TypeError(f"a JSON {type(obj).__name__}, not an object")
                 at, table_id = AnswerType(obj["answer_type"]), str(obj["table_id"])
                 qid, text = str(obj["id"]), obj["question"]
+                if not isinstance(text, str):
+                    raise TypeError(f"question is {json.dumps(text)}, not a string")
             except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"line {lineno}: {type(exc).__name__}: {exc}") from exc
             gold = None

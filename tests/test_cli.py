@@ -141,8 +141,11 @@ def test_repetitions_below_one_is_a_usage_error(runner, fixture_paths, command, 
     ('{"id": "q2", "question": "?", "answer_type": "Number"}', "line 2: KeyError: 'table_id'"),
     ('{"id": "q2", "table_id": "encuestas", "question": "?", "answer_type": "Numero"}',
      "line 2: ValueError: 'Numero' is not a valid AnswerType"),
+    ('{"id": "q2", "table_id": "encuestas", "question": null, "answer_type": "Number"}',
+     "line 2: TypeError: question is null, not a string"),
     (None, "[Errno 21] Is a directory"),
-], ids=["not-json", "not-an-object", "no-table-id", "unknown-answer-type", "directory"])
+], ids=["not-json", "not-an-object", "no-table-id", "unknown-answer-type", "null-question",
+        "directory"])
 def test_malformed_questions_file_is_a_usage_error(runner, fixture_paths, tmp_path,
                                                    line, message):
     tables_dir, questions_path, mock_path = fixture_paths
@@ -322,6 +325,49 @@ class TestBench:
         curve = runner.invoke(main, ["ensemble-curve", out_dir, "--max-n", "2"])
         assert curve.exit_code == 0, curve.output
         assert curve.output.splitlines() == ["n,accuracy", "1,0.6667", "2,0.8333"]
+
+
+GOOD_REPETITIONS = {
+    "questions": [{"id": "q1", "answer_type": "Number", "gold": 3}],
+    "runs": {"q1": [{"repetition": 0, "answer": {"type": "Number", "value": 3},
+                     "failure": None}]},
+}
+
+
+@pytest.mark.parametrize("content, message", [
+    (json.dumps(GOOD_REPETITIONS)[:-1], "JSONDecodeError: Expecting ',' delimiter"),
+    (b"\xff", "UnicodeDecodeError: 'utf-8' codec can't decode byte 0xff"),
+    (None, "FileNotFoundError: [Errno 2] No such file or directory"),
+    ({"questions": GOOD_REPETITIONS["questions"]}, "KeyError: 'runs'"),
+    ([GOOD_REPETITIONS], "TypeError: list indices must be integers"),
+    ({**GOOD_REPETITIONS, "runs": [["q1"]]}, "AttributeError: 'list' object has no attribute"),
+    ({**GOOD_REPETITIONS, "runs": {"q1": [[0, None, None]]}}, "TypeError: list indices"),
+    ({**GOOD_REPETITIONS, "runs": {"q1": [{"repetition": "0", "answer": None,
+                                           "failure": "x"}]}},
+     "TypeError: '<' not supported"),
+    ({**GOOD_REPETITIONS, "runs": {"q9": GOOD_REPETITIONS["runs"]["q1"]}}, "KeyError: 'q9'"),
+    ({**GOOD_REPETITIONS, "questions": [{"id": "q1", "answer_type": "Number", "gold": "x"}]},
+     "ValueError: "),
+], ids=["truncated", "not-utf8", "missing", "no-runs", "not-an-object", "runs-a-list",
+        "run-a-list", "repetition-a-string", "unknown-question", "bad-gold"])
+def test_malformed_repetitions_file_is_a_usage_error(runner, tmp_path, content, message):
+    if isinstance(content, (dict, list)):
+        content = json.dumps(content)
+    if isinstance(content, str):
+        content = content.encode("utf-8")
+    if content is not None:
+        (tmp_path / "repetitions.json").write_bytes(content)
+    result = runner.invoke(main, ["ensemble-curve", str(tmp_path)])
+    assert result.exit_code == 2, result.output
+    assert f"Invalid value for 'BENCH_DIR': {message}" in result.output
+    assert "n,accuracy" not in result.output
+
+
+def test_ensemble_curve_reads_a_well_formed_file(runner, tmp_path):
+    (tmp_path / "repetitions.json").write_text(json.dumps(GOOD_REPETITIONS), encoding="utf-8")
+    result = runner.invoke(main, ["ensemble-curve", str(tmp_path)])
+    assert result.exit_code == 0, result.output
+    assert result.output.splitlines() == ["n,accuracy", "1,1.0000"]
 
 
 def test_ensemble_curve_max_n_below_one_is_a_usage_error(runner, tmp_path):

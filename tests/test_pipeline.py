@@ -289,6 +289,17 @@ class TestLoadQuestions:
         with pytest.raises(ValueError, match=pattern):
             load_questions(path)
 
+    @pytest.mark.parametrize("text, spelt", [
+        (None, "null"), (3, "3"), (["Q?"], '["Q?"]'), ({"es": "Q?"}, '{"es": "Q?"}'),
+    ], ids=["null", "number", "list", "object"])
+    def test_question_text_must_be_a_string(self, tmp_path, text, spelt):
+        path = tmp_path / "questions.jsonl"
+        path.write_text(json.dumps({"id": "g1", "table_id": "t", "question": text,
+                                    "answer_type": "Number"}) + "\n", encoding="utf-8")
+        message = f"line 1: TypeError: question is {spelt}, not a string"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_questions(str(path))
+
 
 class TestEnsembleCurve:
     def _records(self, per_question):
@@ -690,8 +701,8 @@ def _read_tree(root):
 
 
 class TestDescriptorFanOut:
-    """Every cache-missing table's descriptor requests go out together
-    on the run pool, before any run starts."""
+    """Every cache-missing table's descriptor requests go out on the run
+    pool, each table's before any of its runs starts."""
 
     def test_all_tables_chunks_in_flight_at_once(self, tmp_path):
         tables_dir = str(tmp_path / "tables")
@@ -794,6 +805,93 @@ class TestDescriptorFanOut:
                                      EnsembleConfig(repetitions=2))
         assert fingerprinted == []
         assert answer_dict(finals["q_wide_a"]) == {"type": "Number", "value": 3.0}
+
+
+def _table_of(req):
+    """Which wide table, "a" or "b", a descriptor or selector request is about."""
+    text = req.last_user_content
+    return "b" if "wide_b" in text or re.search(r"\n- b\d+ \(", text) else "a"
+
+
+class TestRunsStartPerTable:
+    """A table's runs are submitted right after its descriptor requests,
+    before the next table loads, and each waits for its own table alone."""
+
+    def test_first_table_runs_while_second_is_described(self, tmp_path):
+        tables_dir = str(tmp_path / "tables")
+        mock = MockClient.from_list(_write_wide_tables(tables_dir))
+        a_selecting = threading.Event()
+        b_answered_after_a_selected = []
+
+        class SlowSecondTable:
+            """wide_b's descriptor calls wait (at most 2 s) for wide_a's
+            first selector request."""
+
+            def complete(self, req):
+                if req.stage_tag == "selector" and _table_of(req) == "a":
+                    a_selecting.set()
+                elif req.stage_tag == "descriptor" and _table_of(req) == "b":
+                    b_answered_after_a_selected.append(a_selecting.wait(timeout=2.0))
+                return mock.complete(req)
+
+        ctx = _context(tmp_path, "run", SlowSecondTable(), concurrency=8)
+        finals, _ = ensemble_answers(_wide_questions("wide_a", "wide_b"), tables_dir, ctx,
+                                     EnsembleConfig(repetitions=2))
+        assert b_answered_after_a_selected == [True] * 3
+        assert {q: answer_dict(a) for q, a in finals.items()} == {
+            "q_wide_a": {"type": "Number", "value": 3.0},
+            "q_wide_b": {"type": "Number", "value": 4.0}}
+
+    def test_failed_description_fails_only_its_table(self, tmp_path, monkeypatch):
+        tables_dir = str(tmp_path / "tables")
+        llm = _Held(MockClient.from_list(_write_wide_tables(tables_dir)))
+        described = collections.Counter()
+        real_describe = pipeline.describe_columns
+
+        def describe(profiles, replies):
+            described[profiles[0].name] += 1
+            if profiles[0].name == "a0":
+                raise RuntimeError("descriptions lost")
+            return real_describe(profiles, replies)
+
+        monkeypatch.setattr(pipeline, "describe_columns", describe)
+        ctx = _context(tmp_path, "run", llm, concurrency=8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            finals, records = ensemble_answers(_wide_questions("wide_a", "wide_b"),
+                                               tables_dir, ctx, EnsembleConfig(repetitions=6))
+        finally:
+            sys.setswitchinterval(interval)
+        assert described == {"a0": 1, "b0": 1}
+        assert [r.failure for r in records["q_wide_a"]] == ["profile: descriptions lost"] * 6
+        assert finals["q_wide_a"] is None
+        assert answer_dict(finals["q_wide_b"]) == {"type": "Number", "value": 4.0}
+        assert len(os.listdir(ctx.cache_dir)) == 1  # wide_b's profiles only
+
+    def test_serial_prompts_go_table_by_table(self, tmp_path):
+        tables_dir = str(tmp_path / "tables")
+        mock = MockClient.from_list(_write_wide_tables(tables_dir))
+        questions = [Question("q1", "wide_a", "¿Cuántas filas tiene wide_a?", AnswerType.NUMBER),
+                     Question("q2", "wide_b", "¿Cuántas filas tiene wide_b?", AnswerType.NUMBER),
+                     Question("q3", "wide_a", "¿Y filas en wide_a?", AnswerType.NUMBER)]
+        ctx = _context(tmp_path, "run", mock, 1)
+        ensemble_answers(questions, tables_dir, ctx, EnsembleConfig(repetitions=2))
+        selector = [c for c in mock.calls if c.stage_tag == "selector"]
+        per_run = len(selector) // 6
+        order = [next(q.id for q in questions if q.text in c.last_user_content)
+                 for c in selector]
+        assert order == [qid for qid in ("q1", "q3", "q1", "q3", "q2", "q2")
+                         for _ in range(per_run)]
+        # wide_b's descriptor requests go out after wide_a's runs.
+        assert [(c.stage_tag, _table_of(c)) for c in mock.calls
+                if c.stage_tag in ("descriptor", "selector")] == (
+            [("descriptor", "a")] * 3 + [("selector", "a")] * 4 * per_run
+            + [("descriptor", "b")] * 3 + [("selector", "b")] * 2 * per_run)
+        # The run log stays in repetition order, questions in order.
+        runs, _ = e2e_fixtures.read_run_log(ctx.trace_dir)
+        assert [(r["question_id"], r["repetition"]) for r in runs] == [
+            (q.id, rep) for rep in range(2) for q in questions]
 
 
 class _Down:
