@@ -15,7 +15,7 @@ import sys
 
 import click
 
-from .answerer import Answer, AnswerType
+from .answerer import AnswerType
 from .llm_client import HTTPClient, LLMConfig, MockClient
 from .pipeline import (
     EnsembleConfig,
@@ -49,12 +49,14 @@ def _build_context(config_path, mock_path, deterministic, cache_dir,
     cfg = LLMConfig()
     if config_path:
         import yaml  # only runs with a config file pay for it
-        with _usage_error("--config", OSError, ValueError, yaml.YAMLError, named=True), \
+        with _usage_error("--config", OSError, ValueError, OverflowError, RecursionError,
+                          yaml.YAMLError, named=True), \
                 open(config_path, encoding="utf-8") as fh:
             cfg = LLMConfig.from_dict(yaml.safe_load(fh) or {})
     if deterministic:
         cfg.temperature = 0.0
-    with _usage_error("--mock", OSError, KeyError, TypeError, ValueError, named=True):
+    with _usage_error("--mock", OSError, KeyError, TypeError, ValueError, RecursionError,
+                      named=True):
         llm = MockClient.from_file(mock_path) if mock_path else HTTPClient(cfg)
     return PipelineContext(
         llm=llm,
@@ -124,8 +126,7 @@ def ask(table_path, question, answer_type, repetitions, trace_dir,
                          trace_dir)
     tables_dir = os.path.dirname(os.path.abspath(table_path))
     q = Question("q0", table_id, question, AnswerType(answer_type))
-    finals, _ = ensemble_answers([q], tables_dir, ctx,
-                                 EnsembleConfig(repetitions=repetitions))
+    finals, _ = ensemble_answers([q], tables_dir, ctx, EnsembleConfig(repetitions))
     answer = finals["q0"]
     if answer is None:
         _echo_json({"abstain": True})
@@ -150,33 +151,15 @@ def bench(questions_path, tables_dir, repetitions, out_dir, config_path,
                          cache_dir or os.path.join(out_dir, "cache"),
                          trace_dir=os.path.join(out_dir, "trace"))
     os.makedirs(out_dir, exist_ok=True)
-    cfg = EnsembleConfig(repetitions=repetitions)
-    finals, records = ensemble_answers(questions, tables_dir, ctx, cfg)
+    finals, _ = ensemble_answers(questions, tables_dir, ctx, EnsembleConfig(repetitions))
 
     def output(name):  # writes a lone surrogate (from a question id, say) as its escape
         return open(os.path.join(out_dir, name), "w", encoding="utf-8", errors="backslashreplace")
 
     with output("predictions.jsonl") as fh:
         for q in questions:
-            answer = finals[q.id]
-            fh.write(json.dumps({
-                "id": q.id,
-                "answer": answer.to_dict() if answer else None,
-            }, ensure_ascii=False) + "\n")
-
-    # Per-repetition answers, for ensemble-curve recomputation.
-    with output("repetitions.json") as fh:
-        json.dump({
-            "questions": [
-                {
-                    "id": q.id,
-                    "answer_type": q.answer_type.value,
-                    "gold": q.gold.value if q.gold else None,
-                }
-                for q in questions
-            ],
-            "runs": {qid: [r.to_dict() for r in recs] for qid, recs in records.items()},
-        }, fh, ensure_ascii=False, indent=2)
+            answer = finals[q.id] and finals[q.id].to_dict()
+            fh.write(json.dumps({"id": q.id, "answer": answer}, ensure_ascii=False) + "\n")
 
     if any(q.gold is not None for q in questions):
         report = score([(q, finals[q.id]) for q in questions])
@@ -194,35 +177,38 @@ def plan_run(table_path, plan_path):
     """Parse, validate and execute a plan file against a table."""
     with _usage_error("TABLE_PATH", TableError):
         table = load_csv(table_path)
-    with open(plan_path, encoding="utf-8") as fh:
-        stage, message, value = try_plan(fh.read(), table)
+    with _usage_error("PLAN_PATH", OSError, UnicodeDecodeError), \
+            open(plan_path, encoding="utf-8") as fh:
+        plan = fh.read()
+    stage, message, value = try_plan(plan, table)
     if stage:
         raise click.ClickException(f"{stage}: {message}")  # exit 1
     _echo_json(render_value(value))
 
 
 @main.command("ensemble-curve")
+@click.argument("questions_path", type=click.Path(exists=True))
 @click.argument("bench_dir", type=click.Path(exists=True))
 @click.option("--max-n", default=8, show_default=True,
               type=click.IntRange(min=1))
-def ensemble_curve_cmd(bench_dir, max_n):
-    """Recompute voting accuracy for n=1..max-n from a bench run; emits
-    CSV (n,accuracy) on stdout."""
-    # A run the vote cannot read (a repetition that is not a number) fails there.
-    with _usage_error("BENCH_DIR", OSError, KeyError, TypeError, ValueError,
-                      AttributeError, named=True), \
-            open(os.path.join(bench_dir, "repetitions.json"), encoding="utf-8") as fh:
-        data = json.load(fh)
-        questions = []
-        for qd in data["questions"]:
-            at, gold = AnswerType(qd["answer_type"]), qd["gold"]
-            gold = None if gold is None else Answer.from_dict({"type": at.value, "value": gold})
-            questions.append(Question(qd["id"], "", "", at, gold))
-        records = {qid: [RunRecord.from_dict(qid, r) for r in runs]
-                   for qid, runs in data["runs"].items()}
-        points = ensemble_curve(records, questions, max_n)
+def ensemble_curve_cmd(questions_path, bench_dir, max_n):
+    """Recompute voting accuracy for n=1..max-n from the run log of a
+    bench run over QUESTIONS_PATH; emits CSV (n,accuracy) on stdout."""
+    with _usage_error("QUESTIONS_PATH", OSError, ValueError):
+        questions = load_questions(questions_path)
+    records = {q.id: [] for q in questions}  # a question with no run lines abstains
+    with _usage_error("BENCH_DIR", OSError, ValueError), \
+            open(os.path.join(bench_dir, "trace", "runs.jsonl"), "rb") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            try:  # every line names a known question; vote lines are then skipped
+                line = json.loads(raw)
+                runs = records[line["question_id"]]
+                if "repetition" in line:
+                    runs.append(RunRecord.from_dict(line["question_id"], line))
+            except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
+                raise ValueError(f"line {lineno}: {type(exc).__name__}: {exc}") from exc
     click.echo("n,accuracy")
-    for n, acc in points:
+    for n, acc in ensemble_curve(records, questions, max_n):
         click.echo(f"{n},{acc:.4f}")
 
 

@@ -100,7 +100,7 @@ class RunRecord:
         return self.answer is not None
 
     def to_dict(self) -> dict:
-        """The run as the run log and repetitions.json store it."""
+        """The run as its line in the run log stores it."""
         return {
             "repetition": self.repetition,
             "answer": self.answer.to_dict() if self.answer else None,
@@ -109,6 +109,8 @@ class RunRecord:
 
     @staticmethod
     def from_dict(question_id: str, d: dict) -> "RunRecord":
+        if not isinstance(d["repetition"], (int, float)):  # the vote sorts by it
+            raise TypeError(f"repetition is {d['repetition']!r}, not a number")
         answer = Answer.from_dict(d["answer"]) if d["answer"] else None
         return RunRecord(question_id, d["repetition"], answer, d["failure"])
 
@@ -450,13 +452,13 @@ def load_questions(path: str) -> list[Question]:
                 qid, text = str(obj["id"]), obj["question"]
                 if not isinstance(text, str):
                     raise TypeError(f"question is {json.dumps(text)}, not a string")
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, RecursionError) as exc:
                 raise ValueError(f"line {lineno}: {type(exc).__name__}: {exc}") from exc
             gold = None
             if obj.get("answer") is not None:
                 try:
                     gold = Answer.from_dict({"type": at.value, "value": obj["answer"]})
-                except (TypeError, ValueError) as exc:
+                except (TypeError, ValueError, OverflowError) as exc:
                     raise ValueError(
                         f"question {obj['id']!r}: bad {at.value} gold answer: {exc}"
                     ) from exc

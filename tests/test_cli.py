@@ -1,8 +1,12 @@
 import json
 import os
+import pathlib
+import tempfile
 
 import pytest
+import yaml
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 import e2e_fixtures
 from tableqa.cli import main
@@ -190,6 +194,24 @@ def test_unreadable_config_or_mock_file_is_a_usage_error(runner, fixture_paths,
     assert not out_dir.exists()
 
 
+DEEP = "[" * 100_000 + "]" * 100_000  # deeper than any parser recurses
+
+
+@pytest.mark.parametrize("param", ["QUESTIONS_PATH", "--mock", "--config"])
+def test_deeply_nested_input_is_a_usage_error(runner, fixture_paths, tmp_path, param):
+    tables_dir, questions_path, mock_path = fixture_paths
+    deep = tmp_path / "deep"
+    deep.write_text(DEEP, encoding="utf-8")
+    files = {"QUESTIONS_PATH": questions_path, "--mock": mock_path, param: str(deep)}
+    config = ["--config", str(deep)] if param == "--config" else []
+    result = runner.invoke(main, ["bench", files["QUESTIONS_PATH"], "--tables-dir", tables_dir,
+                                  "--mock", files["--mock"], *config,
+                                  "--out-dir", str(tmp_path / "out")])
+    assert result.exit_code == 2, result.output
+    assert f"Invalid value for '{param}': " in result.output
+    assert "RecursionError: maximum recursion depth exceeded" in result.output
+
+
 @pytest.mark.parametrize("command", ["describe", "plan-run"])
 @pytest.mark.parametrize("case", sorted(UNLOADABLE_CSVS))
 def test_unloadable_table_is_a_usage_error(runner, tmp_path, command, case):
@@ -221,9 +243,8 @@ class TestBench:
             "--mock", mock_path, "--repetitions", "1", "--out-dir", str(out_dir),
         ])
         assert result.exit_code == 0, result.output
-        reps = json.loads((out_dir / "repetitions.json").read_text("utf-8"))
-        assert {r["failure"] for runs in reps["runs"].values() for r in runs} == \
-            {f"profile: {error.value}"}
+        runs, _ = e2e_fixtures.read_run_log(out_dir / "trace")
+        assert {r["failure"] for r in runs} == {f"profile: {error.value}"}
 
     def test_full_benchmark(self, runner, fixture_paths, tmp_path):
         tables_dir, questions_path, mock_path = fixture_paths
@@ -247,12 +268,9 @@ class TestBench:
         assert report["overall"]["count"] == 6
         assert report["overall"]["accuracy"] == pytest.approx(5 / 6)
 
-        with open(os.path.join(out_dir, "repetitions.json"), encoding="utf-8") as fh:
-            reps = json.load(fh)
-        assert len(reps["runs"]["q1"]) == 2
-
         # Explainability trace: prompts, instruction sets, plans.
         runs, votes = e2e_fixtures.read_run_log(os.path.join(out_dir, "trace"))
+        assert [r["repetition"] for r in runs if r["question_id"] == "q1"] == [0, 1]
         run = next(r for r in runs if r["question_id"] == "q1" and r["repetition"] == 0)
         assert "explainer_prompt" in run and "coder_prompt" in run
         assert "count_containing" in json.dumps(run["run_trace"])
@@ -274,9 +292,8 @@ class TestBench:
         preds = [json.loads(line) for line in
                  (out_dir / "predictions.jsonl").read_text("utf-8").splitlines()]
         assert {p["id"]: p["answer"] for p in preds}["q3"] == category
-        reps = json.loads((out_dir / "repetitions.json").read_text("utf-8"))
-        assert reps["runs"]["q3"][0]["answer"] == category
-        _, votes = e2e_fixtures.read_run_log(out_dir / "trace")
+        runs, votes = e2e_fixtures.read_run_log(out_dir / "trace")
+        assert next(r for r in runs if r["question_id"] == "q3")["answer"] == category
         assert votes[2] == {"question_id": "q3", "final": category}
 
     def test_bench_then_ensemble_curve(self, runner, fixture_paths, tmp_path):
@@ -287,7 +304,7 @@ class TestBench:
             "--mock", mock_path, "--repetitions", "3", "--out-dir", out_dir,
         ])
         assert result.exit_code == 0, result.output
-        curve = runner.invoke(main, ["ensemble-curve", out_dir, "--max-n", "8"])
+        curve = runner.invoke(main, ["ensemble-curve", questions_path, out_dir, "--max-n", "8"])
         assert curve.exit_code == 0, curve.output
         lines = curve.output.strip().splitlines()
         assert lines[0] == "n,accuracy"
@@ -305,74 +322,129 @@ class TestBench:
             "--mock", mock_path, "--repetitions", "2", "--out-dir", out_dir,
         ])
         assert result.exit_code == 0, result.output
-        reps_path = os.path.join(out_dir, "repetitions.json")
-        with open(reps_path, encoding="utf-8") as fh:
-            reps = json.load(fh)
-        # Every run is written as in the run log.
-        logged, _ = e2e_fixtures.read_run_log(os.path.join(out_dir, "trace"))
-        for qid, runs in reps["runs"].items():
-            assert [{k: r[k] for k in ("repetition", "answer", "failure")}
-                    for r in logged if r["question_id"] == qid] == runs
+        log_path = os.path.join(out_dir, "trace", "runs.jsonl")
+        with open(log_path, encoding="utf-8") as fh:
+            lines = [json.loads(line) for line in fh]
+        runs = {(r["question_id"], r["repetition"]): r for r in lines if "repetition" in r}
         # q6 is the designed solve failure: failed runs, then an abstain.
-        assert [r["answer"] for r in reps["runs"]["q6"]] == [None, None]
-        assert all(r["failure"].startswith("solve: ") for r in reps["runs"]["q6"])
-        assert reps["runs"]["q2"][1]["answer"] == {"type": "Number", "value": 3.0}
+        assert [runs["q6", rep]["answer"] for rep in (0, 1)] == [None, None]
+        assert all(runs["q6", rep]["failure"].startswith("solve: ") for rep in (0, 1))
+        assert runs["q2", 1]["answer"] == {"type": "Number", "value": 3.0}
         # A failed first repetition of q2 abstains q2 at n=1 only.
-        reps["runs"]["q2"][0] = {"repetition": 0, "answer": None,
-                                 "failure": "explain: no JSON object"}
-        with open(reps_path, "w", encoding="utf-8") as fh:
-            json.dump(reps, fh)
-        curve = runner.invoke(main, ["ensemble-curve", out_dir, "--max-n", "2"])
+        runs["q2", 0].update(answer=None, failure="explain: no JSON object")
+        with open(log_path, "w", encoding="utf-8") as fh:
+            fh.writelines(json.dumps(line, ensure_ascii=False) + "\n" for line in lines)
+        curve = runner.invoke(main, ["ensemble-curve", questions_path, out_dir, "--max-n", "2"])
         assert curve.exit_code == 0, curve.output
         assert curve.output.splitlines() == ["n,accuracy", "1,0.6667", "2,0.8333"]
 
 
-GOOD_REPETITIONS = {
-    "questions": [{"id": "q1", "answer_type": "Number", "gold": 3}],
-    "runs": {"q1": [{"repetition": 0, "answer": {"type": "Number", "value": 3},
-                     "failure": None}]},
-}
+GOOD_QUESTIONS = [
+    {"id": "q1", "table_id": "t", "question": "?", "answer_type": "Number", "answer": 3},
+    {"id": "q2", "table_id": "t", "question": "?", "answer_type": "Boolean", "answer": True},
+]
+# A bench run's log: each run line, then a vote line per question.
+GOOD_LOG = [
+    {"question_id": "q1", "repetition": 0, "answer": {"type": "Number", "value": 3},
+     "failure": None, "coder_prompt": "..."},
+    {"question_id": "q2", "repetition": 0, "answer": {"type": "Boolean", "value": True},
+     "failure": None},
+    {"question_id": "q1", "final": {"type": "Number", "value": 3}},
+    {"question_id": "q2", "final": {"type": "Boolean", "value": True}},
+]
 
 
-@pytest.mark.parametrize("content, message", [
-    (json.dumps(GOOD_REPETITIONS)[:-1], "JSONDecodeError: Expecting ',' delimiter"),
-    (b"\xff", "UnicodeDecodeError: 'utf-8' codec can't decode byte 0xff"),
-    (None, "FileNotFoundError: [Errno 2] No such file or directory"),
-    ({"questions": GOOD_REPETITIONS["questions"]}, "KeyError: 'runs'"),
-    ([GOOD_REPETITIONS], "TypeError: list indices must be integers"),
-    ({**GOOD_REPETITIONS, "runs": [["q1"]]}, "AttributeError: 'list' object has no attribute"),
-    ({**GOOD_REPETITIONS, "runs": {"q1": [[0, None, None]]}}, "TypeError: list indices"),
-    ({**GOOD_REPETITIONS, "runs": {"q1": [{"repetition": "0", "answer": None,
-                                           "failure": "x"}]}},
-     "TypeError: '<' not supported"),
-    ({**GOOD_REPETITIONS, "runs": {"q9": GOOD_REPETITIONS["runs"]["q1"]}}, "KeyError: 'q9'"),
-    ({**GOOD_REPETITIONS, "questions": [{"id": "q1", "answer_type": "Number", "gold": "x"}]},
-     "ValueError: "),
-], ids=["truncated", "not-utf8", "missing", "no-runs", "not-an-object", "runs-a-list",
-        "run-a-list", "repetition-a-string", "unknown-question", "bad-gold"])
-def test_malformed_repetitions_file_is_a_usage_error(runner, tmp_path, content, message):
-    if isinstance(content, (dict, list)):
-        content = json.dumps(content)
-    if isinstance(content, str):
-        content = content.encode("utf-8")
-    if content is not None:
-        (tmp_path / "repetitions.json").write_bytes(content)
-    result = runner.invoke(main, ["ensemble-curve", str(tmp_path)])
+def write_bench_dir(root, questions=GOOD_QUESTIONS, log=GOOD_LOG):
+    """Write a questions file and a bench dir whose run log holds `log`
+    (lines given as bytes are written as they are); returns their paths."""
+    questions_path = root / "questions.jsonl"
+    questions_path.write_text("".join(json.dumps(q) + "\n" for q in questions), "utf-8")
+    (root / "bench" / "trace").mkdir(parents=True)
+    if log is not None:
+        (root / "bench" / "trace" / "runs.jsonl").write_bytes(b"".join(
+            line if isinstance(line, bytes) else json.dumps(line).encode() + b"\n"
+            for line in log))
+    return str(questions_path), str(root / "bench")
+
+
+def _run_line(**changes):
+    return {**GOOD_LOG[1], **changes}
+
+
+# The run log is the one file of repetitions a bench run writes.
+@pytest.mark.parametrize("log, message", [
+    (GOOD_LOG[:1] + [json.dumps(GOOD_LOG[1]).encode()[:-5]],
+     "line 2: JSONDecodeError: Expecting value"),  # a torn last line
+    (GOOD_LOG[:1] + [b"\xff\n"], "line 2: UnicodeDecodeError: 'utf-8' codec can't decode byte 0xff"),
+    (None, "[Errno 2] No such file or directory"),
+    (GOOD_LOG[:1] + [b"5\n"], "line 2: TypeError: 'int' object is not subscriptable"),
+    (GOOD_LOG[:1] + [b'["q2", 0, null, null]\n'], "line 2: TypeError: list indices must be integers"),
+    (GOOD_LOG[:1] + [_run_line(repetition="0")],
+     "line 2: TypeError: repetition is '0', not a number"),
+    (GOOD_LOG[:1] + [_run_line(question_id="q9")], "line 2: KeyError: 'q9'"),
+    (GOOD_LOG[:3] + [{"final": None}], "line 4: KeyError: 'question_id'"),
+    (GOOD_LOG[:1] + [{k: v for k, v in GOOD_LOG[1].items() if k != "failure"}],
+     "line 2: KeyError: 'failure'"),
+    (GOOD_LOG[:1] + [_run_line(answer={"type": "Boolean", "value": "maybe"})],
+     "line 2: FormatError: cannot coerce 'maybe' to Boolean"),
+    (GOOD_LOG[:1] + [DEEP.encode() + b"\n"], "line 2: RecursionError: maximum recursion depth exceeded"),
+], ids=["truncated", "not-utf8", "missing", "not-an-object", "run-a-list", "repetition-a-string",
+        "unknown-question", "no-question-id", "no-failure", "bad-answer", "deep-nesting"])
+def test_malformed_repetitions_file_is_a_usage_error(runner, tmp_path, log, message):
+    result = runner.invoke(main, ["ensemble-curve", *write_bench_dir(tmp_path, log=log)])
     assert result.exit_code == 2, result.output
     assert f"Invalid value for 'BENCH_DIR': {message}" in result.output
     assert "n,accuracy" not in result.output
 
 
+HUGE = 10 ** 400  # an integer too large for a float
+
+
+@pytest.mark.parametrize("param", ["QUESTIONS_PATH", "--config", "BENCH_DIR"])
+def test_number_too_large_for_a_float_is_a_usage_error(runner, fixture_paths, tmp_path, param):
+    tables_dir, questions_path, mock_path = fixture_paths
+    path = tmp_path / "input"
+    if param == "BENCH_DIR":
+        log = GOOD_LOG[:1] + [_run_line(answer={"type": "Number", "value": HUGE})]
+        args = ["ensemble-curve", *write_bench_dir(tmp_path, log=log)]
+    elif param == "--config":
+        path.write_text(f"temperature: {HUGE}\n", encoding="utf-8")
+        args = ["bench", questions_path, "--config", str(path)]
+    else:
+        path.write_text(json.dumps({**e2e_fixtures.QUESTIONS[1], "answer": HUGE}), "utf-8")
+        args = ["bench", str(path)]
+    if args[0] == "bench":
+        args += ["--tables-dir", tables_dir, "--mock", mock_path, "--out-dir", str(tmp_path / "out")]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert f"Invalid value for '{param}': " in result.output
+    assert "int too large to convert to float" in result.output
+
+
+def test_ensemble_curve_reads_questions_with_load_questions(runner, tmp_path):
+    questions = [{**GOOD_QUESTIONS[0], "answer": "x"}]
+    result = runner.invoke(main, ["ensemble-curve", *write_bench_dir(tmp_path, questions)])
+    assert result.exit_code == 2, result.output
+    assert "Invalid value for 'QUESTIONS_PATH': question 'q1': bad Number gold answer" \
+        in result.output
+
+
 def test_ensemble_curve_reads_a_well_formed_file(runner, tmp_path):
-    (tmp_path / "repetitions.json").write_text(json.dumps(GOOD_REPETITIONS), encoding="utf-8")
-    result = runner.invoke(main, ["ensemble-curve", str(tmp_path)])
+    result = runner.invoke(main, ["ensemble-curve", *write_bench_dir(tmp_path)])
     assert result.exit_code == 0, result.output
     assert result.output.splitlines() == ["n,accuracy", "1,1.0000"]
 
 
+def test_question_without_run_lines_abstains(runner, tmp_path):
+    # As when the log failed partway: the rest of the runs are missing.
+    log = [line for line in GOOD_LOG if line["question_id"] == "q1"]
+    result = runner.invoke(main, ["ensemble-curve", *write_bench_dir(tmp_path, log=log)])
+    assert result.exit_code == 0, result.output
+    assert result.output.splitlines() == ["n,accuracy", "1,0.5000"]
+
+
 def test_ensemble_curve_max_n_below_one_is_a_usage_error(runner, tmp_path):
-    (tmp_path / "repetitions.json").write_text('{"questions": [], "runs": {}}')
-    result = runner.invoke(main, ["ensemble-curve", str(tmp_path), "--max-n", "0"])
+    result = runner.invoke(main, ["ensemble-curve", *write_bench_dir(tmp_path), "--max-n", "0"])
     assert result.exit_code == 2, result.output
     assert "--max-n" in result.output
 
@@ -413,6 +485,21 @@ class TestPlanRun:
                     "execute: to_number: value 'x' is not numeric")
 
 
+@pytest.mark.parametrize("content, message", [
+    (b"\xff\xfe", "'utf-8' codec can't decode byte 0xff in position 0"),
+    (None, "[Errno 21] Is a directory"),
+], ids=["not-utf8", "directory"])
+def test_unreadable_plan_file_is_a_usage_error(runner, survey_csv, tmp_path, content, message):
+    plan = tmp_path / "plan.txt"
+    if content is None:
+        plan.mkdir()
+    else:
+        plan.write_bytes(content)
+    result = runner.invoke(main, ["plan-run", survey_csv, str(plan)])
+    assert result.exit_code == 2, result.output
+    assert f"Invalid value for 'PLAN_PATH': {message}" in result.output
+
+
 def test_dsl_reference_lists_builtins(runner):
     result = runner.invoke(main, ["dsl-reference"])
     assert result.exit_code == 0
@@ -428,3 +515,120 @@ def test_config_concurrency_sets_runs_in_flight(tmp_path):
     config.write_text("concurrency: 2\n", encoding="utf-8")
     assert _build_context(str(config), None, False, None).concurrency == 2
     assert _build_context(None, None, False, None).concurrency == DEFAULT_CONCURRENCY
+
+
+# Every input file is untrusted: seeded mutations of valid inputs must end
+# each subcommand with exit 0, 1 (an abstain or a failed plan) or 2 (a usage
+# error), never an uncaught exception.
+FUZZ_PLAN = 'x = filter_contains(df, "Mes de realización", "enero")\nanswer = count_rows(x)\n'
+FUZZ_FILES = {  # name -> (path in the run's dir, kind)
+    "questions": ("questions.jsonl", "jsonl"),
+    "mock": ("mock.json", "json"),
+    "config": ("config.yaml", "yaml"),
+    "table": ("t.csv", "text"),
+    "plan": ("plan.txt", "text"),
+    "log": ("bench/trace/runs.jsonl", "jsonl"),
+}
+FUZZ_COMMANDS = {  # subcommand -> (the files it reads, its arguments given their paths)
+    "bench": (["questions", "mock", "config"], lambda f, tables_dir, out: [
+        "bench", f["questions"], "--tables-dir", tables_dir, "--repetitions", "1",
+        "--mock", f["mock"], "--config", f["config"], "--out-dir", out]),
+    "plan-run": (["table", "plan"], lambda f, tables_dir, out: [
+        "plan-run", f["table"], f["plan"]]),
+    "ensemble-curve": (["questions", "log"], lambda f, tables_dir, out: [
+        "ensemble-curve", f["questions"], os.path.dirname(os.path.dirname(f["log"]))]),
+}
+MUTATIONS = ["drop-key", "wrong-type", "truncate", "invalid-utf8", "lone-surrogate",
+             "deep-nesting", "directory"]
+WRONG_TYPES = [None, True, -1, 1.5, HUGE, "x", [], {}, [None]]
+DEEP_MARKER = "<deep>"
+# PyYAML's scanner is quadratic in the nesting depth, and 600 levels already
+# exceed the recursion limit of its composer.
+YAML_DEEP = "[" * 600 + "]" * 600
+
+
+def _slots(doc) -> list:
+    """Every (container, key) slot of a parsed document, in walk order."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    slots = []
+    for key, value in items:
+        slots += [(doc, key)] + _slots(value)
+    return slots
+
+
+def mutate(kind: str, data: bytes, mutation: str, pick: int):
+    """`data` with one mutation, placed by `pick`; None stands for a directory."""
+    if mutation == "directory":
+        return None
+    if mutation == "truncate":
+        return data[:pick % len(data)]
+    if mutation == "invalid-utf8":
+        at = pick % (len(data) + 1)
+        return data[:at] + b"\xff" + data[at:]
+    if kind == "text":  # a CSV or a plan: replace one of its lines
+        lines = data.decode("utf-8").splitlines(keepends=True)
+        i = pick % len(lines)
+        lines[i] = {"drop-key": "",
+                    "wrong-type": json.dumps(WRONG_TYPES[pick % len(WRONG_TYPES)]) + "\n",
+                    "lone-surrogate": "\ud800" + lines[i],
+                    "deep-nesting": DEEP + "\n"}[mutation]
+        return "".join(lines).encode("utf-8", "surrogatepass")
+    # JSON, JSON lines or YAML: edit one slot of the parsed document, then
+    # write it back as JSON (which YAML reads too).
+    doc = ([json.loads(line) for line in data.splitlines()] if kind == "jsonl"
+           else json.loads(data) if kind == "json" else yaml.safe_load(data))
+    slots = [s for s in _slots(doc) if mutation != "drop-key" or isinstance(s[0], dict)]
+    container, key = slots[pick % len(slots)]
+    if mutation == "drop-key":
+        del container[key]
+    else:
+        container[key] = {"wrong-type": WRONG_TYPES[pick % len(WRONG_TYPES)],
+                          "lone-surrogate": "\ud800", "deep-nesting": DEEP_MARKER}[mutation]
+    text = ("".join(json.dumps(line) + "\n" for line in doc) if kind == "jsonl"
+            else json.dumps(doc))
+    deep = YAML_DEEP if kind == "yaml" else DEEP
+    return text.replace(json.dumps(DEEP_MARKER), deep).encode("utf-8")
+
+
+@pytest.fixture(scope="module")
+def valid_inputs(tmp_path_factory):
+    """The tables dir, and each fuzzed file's valid bytes by name."""
+    root = tmp_path_factory.mktemp("valid")
+    tables_dir, questions_path, mock_path = e2e_fixtures.write_fixture(root)
+    result = CliRunner().invoke(main, ["bench", questions_path, "--tables-dir", tables_dir,
+                                       "--mock", mock_path, "--repetitions", "1",
+                                       "--out-dir", str(root / "out")])
+    assert result.exit_code == 0, result.output
+    read = lambda path: pathlib.Path(path).read_bytes()  # noqa: E731
+    return tables_dir, {
+        "questions": read(questions_path), "mock": read(mock_path),
+        "config": b"concurrency: 2\ntemperature: 0.0\nmodel:\n  general: m\n",
+        "table": read(os.path.join(tables_dir, "encuestas.csv")),
+        "plan": FUZZ_PLAN.encode("utf-8"), "log": read(root / "out" / "trace" / "runs.jsonl"),
+    }
+
+
+@pytest.mark.parametrize("command", sorted(FUZZ_COMMANDS))
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_mutated_input_files_never_raise(valid_inputs, command, data):
+    tables_dir, valid = valid_inputs
+    names, args = FUZZ_COMMANDS[command]
+    name = data.draw(st.sampled_from(names), label="file")
+    mutation = data.draw(st.sampled_from(MUTATIONS), label="mutation")
+    content = mutate(FUZZ_FILES[name][1], valid[name], mutation,
+                     data.draw(st.integers(0, 2**16), label="pick"))
+    with tempfile.TemporaryDirectory() as root:
+        files = {n: os.path.join(root, FUZZ_FILES[n][0]) for n in names}
+        for n, path in files.items():
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            if n != name:
+                pathlib.Path(path).write_bytes(valid[n])
+            elif content is None:
+                os.mkdir(path)
+            else:
+                pathlib.Path(path).write_bytes(content)
+        result = CliRunner().invoke(main, args(files, tables_dir, os.path.join(root, "out")))
+    assert result.exit_code in (0, 1, 2), result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit), \
+        repr(result.exception)

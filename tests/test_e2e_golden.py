@@ -1,7 +1,6 @@
 """`tableqa bench --mock` on the shared e2e fixture writes the same bytes
 every time: each file of the out-dir (profile cache, the run log
-`trace/runs.jsonl`, predictions, repetitions and report) is pinned by its
-sha256.
+`trace/runs.jsonl`, predictions and report) is pinned by its sha256.
 
 A change that means to alter these outputs rewrites `e2e_golden.json`
 from a run of the same command and says why.
@@ -33,5 +32,5 @@ def test_bench_outputs_match_recorded_digests(tmp_path):
     ])
     assert result.exit_code == 0, result.output
     expected = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    assert len(expected) == 5
+    assert len(expected) == 4
     assert digests(out_dir) == expected
