@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .fuzzy import MATCH_THRESHOLD, best_fuzzy_match, correct_name
-from .llm_client import ChatRequest, Message, first_json
+from .llm_client import ChatRequest, first_json
 from .profiler import EXAMPLE_COUNT, ColumnProfile
 from .table_core import ColumnKind, Table, render_cell
 
@@ -110,8 +110,7 @@ def parse_instruction_set(reply: str) -> InstructionSet:
 def request_instructions(prompt: str, llm) -> InstructionSet:
     """Send the explainer `prompt` (see `build_explainer_prompt`),
     re-asking on parse failure up to EXPLAINER_ATTEMPTS total attempts."""
-    req = ChatRequest(messages=(Message("system", EXPLAINER_SYSTEM), Message("user", prompt)),
-                      stage_tag="explainer")
+    req = ChatRequest("explainer", EXPLAINER_SYSTEM, prompt)
     last_error: Optional[Exception] = None
     for _ in range(EXPLAINER_ATTEMPTS):
         try:

@@ -28,7 +28,7 @@ STAGES = ("descriptor", "selector", "explainer", "coder")
 RETRY_BASE_SECONDS = 1.0
 REQUEST_TIMEOUT_SECONDS = 120
 
-DEFAULT_CONCURRENCY = 8  # runs in flight: an ensemble's default repetitions
+DEFAULT_CONCURRENCY = 8  # runs in flight: `bench`'s default repetitions
 
 
 class LLMError(Exception):
@@ -42,13 +42,15 @@ class UnscriptedRequestError(LLMError):
 def first_json(reply: str, kind: type) -> Optional[object]:
     """The first JSON value of `kind` (dict or list) in an LLM reply,
     wherever it starts: prose and code fences around it are skipped.
-    None when the reply holds no such value."""
+    None when the reply holds none before a value nested too deep to parse."""
     decoder = json.JSONDecoder()
     for m in re.finditer(r"\{" if kind is dict else r"\[", reply):
         try:
             value, _ = decoder.raw_decode(reply, m.start())
         except ValueError:
             continue
+        except RecursionError:  # rather than recurse as deep from each later start
+            return None
         if isinstance(value, kind):
             return value
     return None
@@ -62,23 +64,22 @@ class Message:
 
 @dataclass(frozen=True)
 class ChatRequest:
-    messages: tuple[Message, ...]
+    """One stage's request: a system message, then one user message."""
     stage_tag: str
+    system: str
+    user: str
 
     def __post_init__(self) -> None:
-        if not self.messages:
-            raise ValueError("ChatRequest needs at least one message")
-        if self.messages[0].role not in ("system", "user"):
-            raise ValueError("first message must be system or user")
         if self.stage_tag not in STAGES:
             raise ValueError(f"unknown stage tag {self.stage_tag!r}")
 
     @property
+    def messages(self) -> tuple[Message, Message]:
+        return Message("system", self.system), Message("user", self.user)
+
+    @property
     def last_user_content(self) -> str:
-        for msg in reversed(self.messages):
-            if msg.role == "user":
-                return msg.content
-        return ""
+        return self.user
 
 
 @dataclass

@@ -43,7 +43,7 @@ import threading
 import traceback
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .answerer import Answer, AnswerType, compare_answers, format_answer
@@ -215,13 +215,12 @@ class _TurnTakingLLM:
             self._turn.acquire()
 
 
-def _run_one(q: Question, repetition: int, loaded, ctx: PipelineContext,
-             artifacts: dict) -> RunRecord:
+def _run_one(q: Question, repetition: int, loaded, llm, artifacts: dict) -> RunRecord:
     """One pipeline pass over one question: prune+select ->
     explain+clarify -> solve -> format.  `loaded` is the question's
     (table, profiles, plan memo) triple, or the failure text of its table
-    load.  Any exception becomes the run's failure, prefixed with its
-    stage.  The run log's artifacts go into `artifacts` by name, unwritten."""
+    load; its stages call `llm`.  Any exception becomes the run's failure,
+    prefixed with its stage.  Log artifacts go into `artifacts`, unwritten."""
     rec = RunRecord(q.id, repetition)
     if isinstance(loaded, str):
         rec.failure = loaded
@@ -231,7 +230,7 @@ def _run_one(q: Question, repetition: int, loaded, ctx: PipelineContext,
     try:
         kept, dropped = prune_uninformative(profiles)
         warnings: list[str] = []
-        chosen = select_columns(q.text, kept, ctx.llm, warnings)
+        chosen = select_columns(q.text, kept, llm, warnings)
         artifacts["selector"] = {
             "dropped_by_rule": dropped,
             "selected": [p.name for p in chosen],
@@ -240,12 +239,12 @@ def _run_one(q: Question, repetition: int, loaded, ctx: PipelineContext,
 
         stage = "explain"
         artifacts["explainer_prompt"] = prompt = build_explainer_prompt(q.text, chosen)
-        inst = clarify(request_instructions(prompt, ctx.llm), table, profiles)
+        inst = clarify(request_instructions(prompt, llm), table, profiles)
         artifacts["instruction_set"] = inst.to_dict()
 
         stage = "solve"
         artifacts["coder_prompt"] = prompt = build_coder_prompt(inst, chosen)
-        run = solve(prompt, table, ctx.llm, memo)
+        run = solve(prompt, table, llm, memo)
         artifacts["run_trace"] = run.to_dict()
         if not run.succeeded:
             rec.failure = f"solve: {run.attempts[-1].error_message}"
@@ -268,7 +267,7 @@ def _run_repetitions(questions: list[Question], tables_dir: str, ctx: PipelineCo
     pool has started those requests before a run waits for their replies.
     Records come back, and go to `log`, in repetition order, then question order."""
     turn = threading.Lock()
-    task_ctx = replace(ctx, llm=_TurnTakingLLM(ctx.llm, turn))
+    task_llm = _TurnTakingLLM(ctx.llm, turn)
     loaded: dict[str, object] = {}
 
     def task(q: Question, repetition: int, table_lock: threading.Lock):
@@ -280,7 +279,7 @@ def _run_repetitions(questions: list[Question], tables_dir: str, ctx: PipelineCo
                 except Exception as exc:
                     loaded[q.table_id] = f"profile: {exc}"
         with turn:
-            rec = _run_one(q, repetition, loaded[q.table_id], task_ctx, artifacts)
+            rec = _run_one(q, repetition, loaded[q.table_id], task_llm, artifacts)
         return rec, artifacts
 
     pool = ThreadPoolExecutor(max_workers=ctx.concurrency)
@@ -436,10 +435,10 @@ def ensemble_curve(records_by_question: dict[str, list[RunRecord]],
 
 
 def load_questions(path: str) -> list[Question]:
-    """Questions JSONL: {id, table_id, question, answer_type, answer}.
-    A malformed line raises ValueError naming its line number, and a gold
-    answer its type cannot read one naming the question id."""
-    questions = []
+    """Questions JSONL: {id, table_id, question, answer_type, answer}.  A malformed
+    line, a repeated id or a table_id outside the tables dir raises ValueError naming
+    its line number, and a gold answer its type cannot read one naming the question id."""
+    questions: dict[str, Question] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             if not line.strip():
@@ -452,6 +451,10 @@ def load_questions(path: str) -> list[Question]:
                 qid, text = str(obj["id"]), obj["question"]
                 if not isinstance(text, str):
                     raise TypeError(f"question is {json.dumps(text)}, not a string")
+                if qid in questions:
+                    raise ValueError(f"duplicate question id {qid!r}")
+                if os.path.isabs(table_id) or ".." in table_id.replace("\\", "/").split("/"):
+                    raise ValueError(f"table_id {table_id!r} leaves the tables directory")
             except (KeyError, TypeError, ValueError, RecursionError) as exc:
                 raise ValueError(f"line {lineno}: {type(exc).__name__}: {exc}") from exc
             gold = None
@@ -462,5 +465,5 @@ def load_questions(path: str) -> list[Question]:
                     raise ValueError(
                         f"question {obj['id']!r}: bad {at.value} gold answer: {exc}"
                     ) from exc
-            questions.append(Question(qid, table_id, text, at, gold))
-    return questions
+            questions[qid] = Question(qid, table_id, text, at, gold)
+    return list(questions.values())

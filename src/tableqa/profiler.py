@@ -16,7 +16,7 @@ import tempfile
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .llm_client import ChatRequest, Message, first_json
+from .llm_client import ChatRequest, first_json
 from .table_core import ColumnKind, Table
 
 PROFILER_VERSION = "1"
@@ -101,14 +101,16 @@ def _describe_prompt(profiles: list[ColumnProfile]) -> str:
     return "\n".join(lines)
 
 
+def column_chunks(profiles: list[ColumnProfile]) -> list[list[ColumnProfile]]:
+    """`profiles` in column order, in chunks of at most DESCRIBE_CHUNK_SIZE."""
+    return [profiles[start:start + DESCRIBE_CHUNK_SIZE]
+            for start in range(0, len(profiles), DESCRIBE_CHUNK_SIZE)]
+
+
 def describe_requests(profiles: list[ColumnProfile]) -> list[ChatRequest]:
-    """The descriptor requests for `profiles`: one per chunk of at most
-    DESCRIBE_CHUNK_SIZE columns, in column order."""
-    return [ChatRequest(
-        messages=(Message("system", DESCRIBE_SYSTEM),
-                  Message("user", _describe_prompt(profiles[start:start + DESCRIBE_CHUNK_SIZE]))),
-        stage_tag="descriptor",
-    ) for start in range(0, len(profiles), DESCRIBE_CHUNK_SIZE)]
+    """The descriptor requests for `profiles`, one per column chunk."""
+    return [ChatRequest("descriptor", DESCRIBE_SYSTEM, _describe_prompt(chunk))
+            for chunk in column_chunks(profiles)]
 
 
 def describe_columns(profiles: list[ColumnProfile], replies: list) -> bool:
@@ -117,11 +119,11 @@ def describe_columns(profiles: list[ColumnProfile], replies: list) -> bool:
     failed).  A chunk whose reply is None, missing or does not parse
     keeps the template.  Returns whether every chunk's reply parsed."""
     parsed_all = True
-    for i, start in enumerate(range(0, len(profiles), DESCRIBE_CHUNK_SIZE)):
+    for i, chunk in enumerate(column_chunks(profiles)):
         reply = replies[i] if i < len(replies) else None
         parsed = (reply is not None and first_json(reply, dict)) or {}
         parsed_all = parsed_all and bool(parsed)
-        for p in profiles[start:start + DESCRIBE_CHUNK_SIZE]:
+        for p in chunk:
             desc = parsed.get(p.name)
             ok = isinstance(desc, str) and desc.strip()
             p.description = desc.strip() if ok else fallback_description(p)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .explainer import InstructionSet
-from .llm_client import ChatRequest, LLMError, Message
+from .llm_client import ChatRequest, LLMError
 from .planlang import (
     BUILTINS,
     Expr,
@@ -156,10 +156,7 @@ def solve(base_prompt: str, t: Table, llm, memo: Optional[dict] = None) -> RunTr
     prompt = base_prompt
     for _ in range(DEFAULT_MAX_ATTEMPTS):
         try:
-            plan_text = llm.complete(ChatRequest(
-                messages=(Message("system", CODER_SYSTEM), Message("user", prompt)),
-                stage_tag="coder",
-            ))
+            plan_text = llm.complete(ChatRequest("coder", CODER_SYSTEM, prompt))
         except LLMError as exc:
             trace.attempts.append(Attempt("", "error", "transport", str(exc)))
             break

@@ -1,5 +1,5 @@
 """Column selection: rule-based pruning of uninformative columns, then an
-LLM relevance pass over chunks of at most DESCRIBE_CHUNK_SIZE (25) columns.
+LLM relevance pass over chunks of at most 25 columns (`column_chunks`).
 
 The selection is biased toward recall: the prompt tells the model to keep
 a column when in doubt, an unparseable chunk reply keeps the whole chunk,
@@ -13,8 +13,8 @@ import re
 from typing import Optional
 
 from .fuzzy import correct_name
-from .llm_client import ChatRequest, LLMError, Message, first_json
-from .profiler import DESCRIBE_CHUNK_SIZE, ColumnProfile
+from .llm_client import ChatRequest, LLMError, first_json
+from .profiler import ColumnProfile, column_chunks
 
 DENYLIST = re.compile(r"^N_R")  # names of columns that are never informative
 SUFFIX_FAMILY_MIN = 5  # members from which a `stem_<digits>` family is dropped
@@ -72,18 +72,13 @@ def select_columns(question: str, profiles: list[ColumnProfile], llm,
     if warnings is None:
         warnings = []
     selected_names: set[str] = set()
-    for start in range(0, len(profiles), DESCRIBE_CHUNK_SIZE):
-        chunk = profiles[start:start + DESCRIBE_CHUNK_SIZE]
+    for chunk in column_chunks(profiles):
         chunk_names = [p.name for p in chunk]
-        prompt = _chunk_prompt(question, chunk)
+        req = ChatRequest("selector", SELECT_SYSTEM, _chunk_prompt(question, chunk))
         names: Optional[list] = None
         for _ in range(PARSE_ATTEMPTS):
             try:
-                reply = llm.complete(ChatRequest(
-                    messages=(Message("system", SELECT_SYSTEM),
-                              Message("user", prompt)),
-                    stage_tag="selector",
-                ))
+                reply = llm.complete(req)
             except LLMError as exc:
                 warnings.append(f"selector transport failure, keeping all columns: {exc}")
                 return list(profiles)

@@ -148,8 +148,14 @@ def test_repetitions_below_one_is_a_usage_error(runner, fixture_paths, command, 
     ('{"id": "q2", "table_id": "encuestas", "question": null, "answer_type": "Number"}',
      "line 2: TypeError: question is null, not a string"),
     (None, "[Errno 21] Is a directory"),
+    ('{"id": "q1", "table_id": "encuestas", "question": "?", "answer_type": "Category"}',
+     "line 2: ValueError: duplicate question id 'q1'"),
+    ('{"id": "q2", "table_id": "../../outside/secret", "question": "?", "answer_type": "Number"}',
+     "line 2: ValueError: table_id '../../outside/secret' leaves the tables directory"),
+    ('{"id": "q2", "table_id": "/etc/secret", "question": "?", "answer_type": "Number"}',
+     "line 2: ValueError: table_id '/etc/secret' leaves the tables directory"),
 ], ids=["not-json", "not-an-object", "no-table-id", "unknown-answer-type", "null-question",
-        "directory"])
+        "directory", "duplicate-id", "table-id-parent", "table-id-absolute"])
 def test_malformed_questions_file_is_a_usage_error(runner, fixture_paths, tmp_path,
                                                    line, message):
     tables_dir, questions_path, mock_path = fixture_paths
@@ -161,10 +167,12 @@ def test_malformed_questions_file_is_a_usage_error(runner, fixture_paths, tmp_pa
     else:
         bad.write_text(first + line + "\n", encoding="utf-8")
     out_dir = tmp_path / "out"
-    result = runner.invoke(main, ["bench", str(bad), "--tables-dir", tables_dir,
-                                  "--mock", mock_path, "--out-dir", str(out_dir)])
-    assert result.exit_code == 2, result.output
-    assert f"Invalid value for 'QUESTIONS_PATH': {message}" in result.output
+    for args in (["bench", str(bad), "--tables-dir", tables_dir, "--mock", mock_path,
+                  "--out-dir", str(out_dir)],
+                 ["ensemble-curve", str(bad), str(tmp_path)]):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert f"Invalid value for 'QUESTIONS_PATH': {message}" in result.output
     assert not out_dir.exists()
 
 

@@ -2,6 +2,7 @@ import contextlib
 import http.server
 import json
 import threading
+import time
 
 import pytest
 
@@ -20,17 +21,18 @@ from tableqa.llm_client import (
 
 
 def req(stage, content):
-    return ChatRequest(messages=(Message("user", content),), stage_tag=stage)
+    return ChatRequest(stage, "You answer.", content)
 
 
 class TestChatRequest:
     def test_validation(self):
         with pytest.raises(ValueError):
-            ChatRequest(messages=(), stage_tag="coder")
-        with pytest.raises(ValueError):
-            ChatRequest(messages=(Message("assistant", "x"),), stage_tag="coder")
-        with pytest.raises(ValueError):
             req("nope", "x")
+
+    def test_one_system_then_one_user_message(self):
+        r = req("coder", "write a plan")
+        assert r.messages == (Message("system", "You answer."), Message("user", "write a plan"))
+        assert r.last_user_content == "write a plan"
 
     def test_no_stage_after_the_coder(self):
         # The answer stage formats the run's value by rule; it asks no LLM.
@@ -45,9 +47,16 @@ class TestChatRequest:
     ('["x"] {"b": 2}', dict, {"b": 2}),
     ("[1, 2", list, None),
     ("no json here", dict, None),
+    # Nested past the recursion limit: None, and not one deep recursion per
+    # later start, each ~0.1 ms, so that 20,000 starts would take seconds.
+    pytest.param('{"a": ' * 5000, dict, None, id="unclosed-objects"),
+    pytest.param("[" * 5000, list, None, id="unclosed-lists"),
+    pytest.param('{"a": ' * 20000 + '{"b": 2}', dict, None, id="value-after-120-kchar"),
 ])
 def test_first_json(reply, kind, expected):
+    start = time.perf_counter()
     assert first_json(reply, kind) == expected
+    assert time.perf_counter() - start < 1.0
 
 
 class TestRouting:
@@ -283,7 +292,8 @@ class TestHTTPClient:
         assert headers["content-type"] == "application/json"
         assert json.loads(body) == {
             "model": cfg.model_general,
-            "messages": [{"role": "user", "content": "¿hola?"}],
+            "messages": [{"role": "system", "content": "You answer."},
+                         {"role": "user", "content": "¿hola?"}],
             "temperature": cfg.temperature,
             "max_tokens": cfg.max_tokens,
         }

@@ -15,7 +15,7 @@ from hypothesis import given, strategies as st
 
 import e2e_fixtures
 import reference as ref
-from tableqa import pipeline, planlang, runner
+from tableqa import pipeline, planlang, runner, selector
 from tableqa.answerer import Answer, AnswerType
 from tableqa.llm_client import LLMError, MockClient
 from tableqa.pipeline import (
@@ -299,6 +299,20 @@ class TestLoadQuestions:
         message = f"line 1: TypeError: question is {spelt}, not a string"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             load_questions(str(path))
+
+
+    def test_table_id_may_name_a_subdirectory(self, tmp_path):
+        tables_dir, _, mock_path = e2e_fixtures.write_fixture(tmp_path)
+        os.mkdir(os.path.join(tables_dir, "2024..25"))
+        os.rename(os.path.join(tables_dir, "encuestas.csv"),
+                  os.path.join(tables_dir, "2024..25", "encuestas.csv"))
+        path = tmp_path / "sub.jsonl"
+        path.write_text(json.dumps({**e2e_fixtures.QUESTIONS[1], "table_id": "2024..25/encuestas"},
+                                   ensure_ascii=False) + "\n", encoding="utf-8")
+        questions = load_questions(str(path))
+        [rec] = run_pipeline_batch(questions, tables_dir,
+                                   PipelineContext(llm=MockClient.from_file(mock_path)))
+        assert answer_dict(rec.answer) == e2e_fixtures.EXPECTED["q2"]
 
 
 class TestEnsembleCurve:
@@ -935,6 +949,48 @@ class TestProfileCacheAfterOutage:
                                                                     cache_dir=cache_dir))
             assert profiles[0].description == "Month \ud800"
         assert len(os.listdir(cache_dir)) == 1
+
+
+DEEP_REPLY = '[{"a": ' * 2500  # lists and objects nested past the recursion limit
+
+
+class TestRepliesNestedTooDeep:
+    """A reply nested past the recursion limit reads as a reply that does
+    not parse, at every stage: no run fails for it."""
+
+    def _ensemble(self, tmp_path, script):
+        tables_dir, questions_path, _ = e2e_fixtures.write_fixture(tmp_path)
+        ctx = PipelineContext(llm=MockClient.from_list(script),
+                              cache_dir=str(tmp_path / "cache"), trace_dir=str(tmp_path / "trace"))
+        finals, _ = ensemble_answers(load_questions(questions_path), tables_dir, ctx,
+                                     EnsembleConfig(repetitions=1))
+        for qid, expected in e2e_fixtures.EXPECTED.items():
+            assert answer_dict(finals[qid]) == expected, qid
+        return ctx, [c for c in ctx.llm.calls if c.stage_tag != "descriptor"]
+
+    def test_descriptor_reply_keeps_the_templates_uncached(self, tmp_path):
+        script = [{"stage": "descriptor", "reply": DEEP_REPLY}] + e2e_fixtures.MOCK_SCRIPT[1:]
+        ctx, calls = self._ensemble(tmp_path, script)
+        assert "- Mes de realización: Column 'Mes de realización' of type" \
+            in calls[0].last_user_content
+        assert os.listdir(ctx.cache_dir) == []
+
+    def test_selector_reply_keeps_the_chunk_whole(self, tmp_path):
+        script = [{"stage": "selector", "reply": DEEP_REPLY} if e["stage"] == "selector" else e
+                  for e in e2e_fixtures.MOCK_SCRIPT]
+        ctx, calls = self._ensemble(tmp_path, script)
+        runs, _ = e2e_fixtures.read_run_log(ctx.trace_dir)
+        assert all(r["selector"]["selected"] == ["Mes de realización", "Edad", "Partido",
+                                                 "Valoración"] for r in runs)
+        selector_calls = [c for c in calls if c.stage_tag == "selector"]
+        assert len(selector_calls) == selector.PARSE_ATTEMPTS * len(runs)
+
+    def test_explainer_reply_is_asked_again(self, tmp_path):
+        script = [{"stage": "explainer", "reply": DEEP_REPLY, "consume_once": True},
+                  *e2e_fixtures.MOCK_SCRIPT]
+        _, calls = self._ensemble(tmp_path, script)
+        explainer_calls = [c for c in calls if c.stage_tag == "explainer"]
+        assert len(explainer_calls) == len(e2e_fixtures.QUESTIONS) + 1
 
 
 class _CountedExecutions:
