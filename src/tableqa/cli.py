@@ -49,14 +49,13 @@ def _build_context(config_path, mock_path, deterministic, cache_dir,
     cfg = LLMConfig()
     if config_path:
         import yaml  # only runs with a config file pay for it
-        with _usage_error("--config", OSError, ValueError, OverflowError, RecursionError,
-                          yaml.YAMLError, named=True), \
+        with _usage_error("--config", OSError, TypeError, ValueError, OverflowError,
+                          RecursionError, yaml.YAMLError, named=True), \
                 open(config_path, encoding="utf-8") as fh:
             cfg = LLMConfig.from_dict(yaml.safe_load(fh) or {})
     if deterministic:
         cfg.temperature = 0.0
-    with _usage_error("--mock", OSError, KeyError, TypeError, ValueError, RecursionError,
-                      named=True):
+    with _usage_error("--mock", OSError, TypeError, ValueError, RecursionError, named=True):
         llm = MockClient.from_file(mock_path) if mock_path else HTTPClient(cfg)
     return PipelineContext(
         llm=llm,
@@ -80,7 +79,7 @@ def _global_options(fn):
                       default=None, help="Scripted mock LLM (JSON).")(fn)
     fn = click.option("--deterministic", is_flag=True,
                       help="Temperature 0 for reproducible runs.")(fn)
-    fn = click.option("--cache-dir", type=click.Path(), default=None,
+    fn = click.option("--cache-dir", type=click.Path(file_okay=False), default=None,
                       help="Column-profile cache directory.")(fn)
     return fn
 
@@ -111,7 +110,7 @@ def describe(table_path, config_path, mock_path, deterministic, cache_dir):
               help="Expected answer type.")
 @click.option("--repetitions", default=1, show_default=True,
               type=click.IntRange(min=1))
-@click.option("--trace-dir", type=click.Path(), default=None)
+@click.option("--trace-dir", type=click.Path(file_okay=False), default=None)
 @_global_options
 def ask(table_path, question, answer_type, repetitions, trace_dir,
         config_path, mock_path, deterministic, cache_dir):
@@ -139,7 +138,7 @@ def ask(table_path, question, answer_type, repetitions, trace_dir,
 @click.option("--tables-dir", required=True, type=click.Path(exists=True))
 @click.option("--repetitions", default=8, show_default=True,
               type=click.IntRange(min=1))
-@click.option("--out-dir", type=click.Path(), default="bench_out",
+@click.option("--out-dir", type=click.Path(file_okay=False), default="bench_out",
               show_default=True, help="Predictions, report and traces.")
 @_global_options
 def bench(questions_path, tables_dir, repetitions, out_dir, config_path,

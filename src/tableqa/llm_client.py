@@ -82,68 +82,70 @@ class ChatRequest:
         return self.user
 
 
+def _check_types(obj, kinds: tuple, what: str, *keys: str, prefix: str = "") -> None:
+    """Raise ValueError naming the first of `keys` whose value is none of `kinds`;
+    a bool is no int here (bool is an int subclass, and YAML reads `true` as one)."""
+    for key in keys:
+        value = getattr(obj, key)
+        if not isinstance(value, kinds) or isinstance(value, bool) and bool not in kinds:
+            raise ValueError(f"{prefix}{key} must be {what}, not {value!r}")
+
+
+@dataclass
+class ModelNames:
+    """The config file's `model:` mapping."""
+    general: str = "qwen2.5-14b-instruct"  # descriptor, selector and explainer
+    coder: str = "qwen2.5-coder-14b-instruct"
+    explainer_override: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        _check_types(self, (str,), "a string", "general", "coder", prefix="model.")
+        _check_types(self, (str, type(None)), "a string or null", "explainer_override",
+                     prefix="model.")
+
+
 @dataclass
 class LLMConfig:
+    """The config file: its keys are these fields' names."""
     base_url: str = "http://localhost:8000/v1"
-    api_key_env: str = "TABLEQA_API_KEY"
-    model_general: str = "qwen2.5-14b-instruct"
-    model_coder: str = "qwen2.5-coder-14b-instruct"
-    model_explainer_override: Optional[str] = None
+    api_key: str = "TABLEQA_API_KEY"  # names the environment variable that holds the key
+    model: ModelNames = field(default_factory=ModelNames)
     temperature: float = 0.7
     max_tokens: int = 2048
     concurrency: int = DEFAULT_CONCURRENCY
     retries: int = 3
 
     def __post_init__(self) -> None:
-        # bool is an int subclass, and YAML reads `true` as one.
-        value = self.temperature
-        if isinstance(value, bool) or not isinstance(value, (int, float)) \
-                or not math.isfinite(value):
-            raise ValueError(f"temperature must be a finite number, not {value!r}")
-        for key in ("max_tokens", "concurrency", "retries"):
-            value = getattr(self, key)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{key} must be an integer, not {value!r}")
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
-        if self.max_tokens < 1:
-            raise ValueError("max_tokens must be >= 1")
-        if self.concurrency < 1:
-            raise ValueError("concurrency must be >= 1")
-        if self.retries < 0:
-            raise ValueError("retries must be >= 0")
+        _check_types(self, (str,), "a string", "base_url", "api_key")
+        _check_types(self, (int, float), "a finite number", "temperature")
+        if not math.isfinite(self.temperature):
+            raise ValueError(f"temperature must be a finite number, not {self.temperature!r}")
+        _check_types(self, (int,), "an integer", "max_tokens", "concurrency", "retries")
+        for key, low in (("temperature", 0), ("max_tokens", 1), ("concurrency", 1), ("retries", 0)):
+            if getattr(self, key) < low:
+                raise ValueError(f"{key} must be >= {low}")
 
     @staticmethod
     def from_dict(data: dict) -> "LLMConfig":
-        """The config from a parsed config file; a setting of the wrong
-        shape, type or range raises ValueError naming it."""
+        """The config from a parsed config file; an unknown key raises TypeError,
+        and a setting of the wrong shape, type or range ValueError, naming it."""
         if not isinstance(data, dict):
             raise ValueError(f"config must be a mapping, not {data!r}")
-        defaults = LLMConfig()
-        model = data.get("model")
+        data = dict(data)
+        model = data.pop("model", None)
         if model is None:  # `model:` with nothing under it
             model = {}
         elif not isinstance(model, dict):
             raise ValueError(f"model must be a mapping of model names, not {model!r}")
-        return LLMConfig(
-            base_url=data.get("base_url", defaults.base_url),
-            api_key_env=data.get("api_key", defaults.api_key_env),
-            model_general=model.get("general", defaults.model_general),
-            model_coder=model.get("coder", defaults.model_coder),
-            model_explainer_override=model.get("explainer_override"),
-            temperature=data.get("temperature", defaults.temperature),
-            max_tokens=data.get("max_tokens", defaults.max_tokens),
-            concurrency=data.get("concurrency", defaults.concurrency),
-            retries=data.get("retries", defaults.retries),
-        )
+        return LLMConfig(**data, model=ModelNames(**model))
 
 
 def route_model(stage_tag: str, config: LLMConfig) -> str:
     if stage_tag == "coder":
-        return config.model_coder
-    if stage_tag == "explainer" and config.model_explainer_override:
-        return config.model_explainer_override
-    return config.model_general
+        return config.model.coder
+    if stage_tag == "explainer" and config.model.explainer_override:
+        return config.model.explainer_override
+    return config.model.general
 
 
 class HTTPClient:
@@ -169,7 +171,7 @@ class HTTPClient:
         import http.client
         url = self.config.base_url.rstrip("/") + "/chat/completions"
         headers = {"Content-Type": "application/json"}
-        api_key = os.environ.get(self.config.api_key_env, "")
+        api_key = os.environ.get(self.config.api_key, "")
         if api_key:
             headers["Authorization"] = f"Bearer {api_key}"
         data = json.dumps(self._body(req)).encode()
@@ -214,11 +216,18 @@ def _post(url: str, data: bytes, headers: dict) -> tuple[int, str]:
 
 @dataclass
 class MockEntry:
+    """One mock script entry: the script's keys are these fields' names."""
     stage: str
-    match: str  # substring over the last user message; "" matches anything
     reply: str
+    match: str = ""  # substring over the last user message; "" matches anything
     consume_once: bool = False
-    _consumed: bool = field(default=False, repr=False)
+    _consumed: bool = field(default=False, init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.stage not in STAGES:
+            raise ValueError(f"stage must be one of {', '.join(STAGES)}, not {self.stage!r}")
+        _check_types(self, (str,), "a string", "reply", "match")
+        _check_types(self, (bool,), "true or false", "consume_once")
 
 
 class MockClient:
@@ -234,35 +243,19 @@ class MockClient:
     @staticmethod
     def from_file(path: str) -> "MockClient":
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-        return MockClient.from_list(data)
+            return MockClient.from_list(json.load(fh))
 
     @staticmethod
     def from_list(data: Sequence[dict]) -> "MockClient":
-        entries = [
-            MockEntry(
-                stage=e["stage"],
-                match=e.get("match", ""),
-                reply=e["reply"],
-                consume_once=e.get("consume_once", False),
-            )
-            for e in data
-        ]
-        return MockClient(entries)
+        return MockClient([MockEntry(**e) for e in data])
 
     def complete(self, req: ChatRequest) -> str:
         with self._lock:
             self.calls.append(req)
             prompt = req.last_user_content
-            for entry in self.entries:
-                if entry.stage != req.stage_tag:
-                    continue
-                if entry.consume_once and entry._consumed:
-                    continue
-                if entry.match and entry.match not in prompt:
-                    continue
-                if entry.consume_once:
-                    entry._consumed = True
-                return entry.reply
+            for entry in self.entries:  # "" is in every prompt
+                if entry.stage == req.stage_tag and not entry._consumed and entry.match in prompt:
+                    entry._consumed = entry.consume_once
+                    return entry.reply
         raise UnscriptedRequestError(
             f"unscripted request for stage {req.stage_tag!r}")

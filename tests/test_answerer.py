@@ -57,7 +57,7 @@ class TestFormatAnswer:
 
 class TestAnswerFromDict:
     @pytest.mark.parametrize("text, value", [
-        ("False", False), ("no", False), ("TRUE", True), ("sí", True),
+        ("False", False), ("TRUE", True), ("si", True), ("yes", True),
     ])
     def test_boolean_text(self, text, value):
         assert Answer.from_dict({"type": "Boolean", "value": text}).value is value

@@ -1,6 +1,7 @@
 import json
 import os
 import pathlib
+import re
 import tempfile
 
 import pytest
@@ -176,15 +177,33 @@ def test_malformed_questions_file_is_a_usage_error(runner, fixture_paths, tmp_pa
     assert not out_dir.exists()
 
 
+# `message` is a regex: an unknown or missing key is matched on the key, not
+# on the wording of Python's TypeError, which differs between versions.
 @pytest.mark.parametrize("option, text, message", [
     ("--config", "temperature: hot\n",
      "ValueError: temperature must be a finite number, not 'hot'"),
     ("--config", "base_url: [unclosed\n", "ParserError: while parsing a flow sequence"),
-    ("--mock", '[{"stage": "coder"}]', "KeyError: 'reply'"),
+    ("--mock", '[{"stage": "coder"}]', "TypeError: .*'reply'"),
     ("--mock", '[{"stage": ', "JSONDecodeError: Expecting value"),
     ("--config", None, "IsADirectoryError"),
+    ("--config", "concurency: 1\n", "TypeError: .*'concurency'"),
+    ("--config", "model: {genral: x}\n", "TypeError: .*'genral'"),
+    ("--config", "base_url: 5\n", "ValueError: base_url must be a string, not 5"),
+    ("--config", "api_key: 5\n", "ValueError: api_key must be a string, not 5"),
+    ("--mock", '[{"stage": "coder", "reply": "x", "consume_onse": true}]',
+     "TypeError: .*'consume_onse'"),
+    ("--mock", '[{"stage": "coder", "reply": "x", "match": 5}]',
+     "ValueError: match must be a string, not 5"),
+    ("--mock", '[{"stage": "coder", "reply": 5}]', "ValueError: reply must be a string, not 5"),
+    ("--mock", '[{"stage": "explainr", "reply": "x"}]',
+     "ValueError: stage must be one of descriptor, selector, explainer, coder, not 'explainr'"),
+    ("--mock", '[{"stage": "coder", "reply": "x", "consume_once": "yes"}]',
+     "ValueError: consume_once must be true or false, not 'yes'"),
 ], ids=["config-bad-setting", "config-bad-yaml", "mock-no-reply", "mock-bad-json",
-        "config-directory"])
+        "config-directory", "config-unknown-key", "config-unknown-model-key",
+        "config-url-not-text", "config-key-not-text", "mock-unknown-key",
+        "mock-match-not-text", "mock-reply-not-text", "mock-unknown-stage",
+        "mock-consume-once-not-bool"])
 def test_unreadable_config_or_mock_file_is_a_usage_error(runner, fixture_paths,
                                                          tmp_path, option, text, message):
     tables_dir, questions_path, _ = fixture_paths
@@ -198,7 +217,24 @@ def test_unreadable_config_or_mock_file_is_a_usage_error(runner, fixture_paths,
                  ["bench", questions_path, "--tables-dir", tables_dir, "--out-dir", str(out_dir)]):
         result = runner.invoke(main, args + [option, str(path)])
         assert result.exit_code == 2, result.output
-        assert f"Invalid value for '{option}': {message}" in result.output
+        assert re.search(f"Invalid value for '{option}': {message}", result.output)
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command, option", [
+    ("bench", "--out-dir"), ("bench", "--cache-dir"), ("ask", "--trace-dir"), ("ask", "--cache-dir"),
+])
+def test_output_directory_that_is_a_file_is_a_usage_error(runner, fixture_paths, tmp_path,
+                                                           command, option):
+    tables_dir, questions_path, mock_path = fixture_paths
+    taken = tmp_path / "taken"
+    taken.write_text("", encoding="utf-8")
+    out_dir = tmp_path / "out"  # the last --out-dir given wins
+    args = {"bench": ["bench", questions_path, "--tables-dir", tables_dir, "--out-dir", str(out_dir)],
+            "ask": ["ask", os.path.join(tables_dir, "encuestas.csv"), "¿Q?", "--type", "Number"]}
+    result = runner.invoke(main, args[command] + ["--mock", mock_path, option, str(taken)])
+    assert result.exit_code == 2, result.output
+    assert re.search(f"Invalid value for '{option}': .* is a file", result.output)
     assert not out_dir.exists()
 
 

@@ -1,10 +1,13 @@
 import contextlib
 import http.server
 import json
+import pathlib
+import re
 import threading
 import time
 
 import pytest
+import yaml
 
 from tableqa import cli, llm_client
 from tableqa.llm_client import (
@@ -14,6 +17,7 @@ from tableqa.llm_client import (
     LLMError,
     Message,
     MockClient,
+    ModelNames,
     UnscriptedRequestError,
     first_json,
     route_model,
@@ -62,13 +66,13 @@ def test_first_json(reply, kind, expected):
 class TestRouting:
     def test_coder_model(self):
         cfg = LLMConfig()
-        assert route_model("coder", cfg) == cfg.model_coder
-        assert route_model("explainer", cfg) == cfg.model_general
+        assert route_model("coder", cfg) == cfg.model.coder
+        assert route_model("explainer", cfg) == cfg.model.general
 
     def test_explainer_override(self):
-        cfg = LLMConfig(model_explainer_override="qwen3-14b")
+        cfg = LLMConfig(model=ModelNames(explainer_override="qwen3-14b"))
         assert route_model("explainer", cfg) == "qwen3-14b"
-        assert route_model("selector", cfg) == cfg.model_general
+        assert route_model("selector", cfg) == cfg.model.general
 
 
 class TestMockClient:
@@ -203,7 +207,7 @@ class TestHTTPClient:
         cfg = LLMConfig(base_url=stub_server, retries=0)
         client = HTTPClient(cfg)
         out = client.complete(req("coder", "hola"))
-        assert out == f"echo:{cfg.model_coder}:hola"
+        assert out == f"echo:{cfg.model.coder}:hola"
 
     def test_transport_error_after_retries(self):
         cfg = LLMConfig(base_url="http://127.0.0.1:1/v1", retries=1)
@@ -278,7 +282,7 @@ class TestHTTPClient:
             monkeypatch.setenv("TABLEQA_TEST_KEY", key)
         handler, server = scripted_server(GOOD_REPLY)
         with server as url:
-            cfg = LLMConfig(base_url=url, retries=0, api_key_env="TABLEQA_TEST_KEY")
+            cfg = LLMConfig(base_url=url, retries=0, api_key="TABLEQA_TEST_KEY")
             HTTPClient(cfg).complete(req("coder", "x"))
         headers, _ = handler.received[0]
         assert headers.get("authorization") == (key and f"Bearer {key}")
@@ -291,7 +295,7 @@ class TestHTTPClient:
         headers, body = handler.received[0]
         assert headers["content-type"] == "application/json"
         assert json.loads(body) == {
-            "model": cfg.model_general,
+            "model": cfg.model.general,
             "messages": [{"role": "system", "content": "You answer."},
                          {"role": "user", "content": "¿hola?"}],
             "temperature": cfg.temperature,
@@ -319,8 +323,7 @@ def test_config_from_dict():
         "concurrency": 2,
     })
     assert cfg.base_url == "http://host/v1"
-    assert cfg.model_coder == "c"
-    assert cfg.model_explainer_override == "e"
+    assert cfg.model == ModelNames("g", "c", "e")
     assert cfg.concurrency == 2
 
 
@@ -339,8 +342,7 @@ def test_config_rejects_out_of_range_settings(setting, value):
 
 def test_config_model_key_with_nothing_under_it():
     cfg = LLMConfig.from_dict({"model": None})
-    assert cfg.model_general == LLMConfig().model_general
-    assert cfg.model_explainer_override is None
+    assert cfg.model == ModelNames()
 
 
 @pytest.mark.parametrize("data, key", [
@@ -356,10 +358,24 @@ def test_config_model_key_with_nothing_under_it():
     ({"concurrency": True}, "concurrency"),
     ({"retries": False}, "retries"),
     ({"retries": "3"}, "retries"),
+    ({"base_url": 5}, "base_url"),
+    ({"base_url": None}, "base_url"),
+    ({"api_key": 5}, "api_key"),
+    ({"model": {"general": 5}}, "model.general"),
+    ({"model": {"coder": None}}, "model.coder"),
+    ({"model": {"explainer_override": ["qwen3"]}}, "model.explainer_override"),
 ])
 def test_config_rejects_wrong_shape_or_type(data, key):
-    with pytest.raises(ValueError, match=f"^{key} must be"):
+    with pytest.raises(ValueError, match=f"^{re.escape(key)} must be"):
         LLMConfig.from_dict(data)
+
+
+def test_readme_config_example_is_the_default_config():
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme[readme.index("### Config file"):]
+    start = section.index("```yaml\n") + len("```yaml\n")
+    block = section[start:section.index("```", start)]
+    assert LLMConfig.from_dict(yaml.safe_load(block)) == LLMConfig()
 
 
 def test_config_must_be_a_mapping():
