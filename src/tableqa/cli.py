@@ -149,7 +149,10 @@ def bench(questions_path, tables_dir, repetitions, out_dir, config_path,
     ctx = _build_context(config_path, mock_path, deterministic,
                          cache_dir or os.path.join(out_dir, "cache"),
                          trace_dir=os.path.join(out_dir, "trace"))
-    os.makedirs(out_dir, exist_ok=True)
+    for option, path in (("--out-dir", ctx.trace_dir),
+                         ("--cache-dir" if cache_dir else "--out-dir", ctx.cache_dir)):
+        with _usage_error(option, OSError):
+            os.makedirs(path, exist_ok=True)
     finals, _ = ensemble_answers(questions, tables_dir, ctx, EnsembleConfig(repetitions))
 
     def output(name):  # writes a lone surrogate (from a question id, say) as its escape

@@ -16,7 +16,9 @@ ignored, and code fences in LLM output are stripped before parsing.
 Each builtin is declared once in BUILTINS, by its signature line, its doc
 and its implementation.  The parameter names in the signature decide the
 arity, which arguments the validator snaps to the schema and how each
-argument is coerced before the implementation runs.
+argument is coerced before the implementation runs.  A table builtin
+names its `tablefns` function (by default its own name), looked up at
+call time.  An int result is a float; an overflow is a runtime error.
 """
 
 from __future__ import annotations
@@ -152,13 +154,16 @@ class Builtin:
     """One builtin: its signature line, its doc and its implementation.
     The signature's parameter names give the arity, the arguments the
     validator snaps to the schema (those named `*column`) and the
-    coercion of each argument.  `impl` takes the coerced arguments."""
+    coercion of each argument.  `impl` takes the coerced arguments, or
+    names the `tablefns` function (by default the builtin's own name) to
+    look up at each call, so a function replaced on the module (by a
+    tracer, say) is the one that runs.  An int result becomes a float."""
 
-    def __init__(self, signature: str, doc: str, impl: Callable):
+    def __init__(self, signature: str, doc: str, impl: Union[Callable, str, None] = None):
         self.signature = signature
         self.doc = doc
-        self.impl = impl
         self.name, rest = signature.split("(", 1)
+        self.impl = self.name if impl is None else impl
         params = rest.split(")", 1)[0].split(", ")
         self.arity = len(params)
         self.column_args = tuple(i for i, p in enumerate(params) if p.endswith("column"))
@@ -166,12 +171,13 @@ class Builtin:
 
     def call(self, args: Sequence):
         """Coerce the arguments and run the implementation; a failure
-        becomes a PlanRuntimeError that names the builtin."""
+        (arithmetic too) becomes a PlanRuntimeError naming the builtin."""
+        impl = getattr(tablefns, self.impl) if isinstance(self.impl, str) else self.impl
         try:
-            return self.impl(*(coerce(a) for coerce, a
-                               in zip(self._coercions, args, strict=True)))
-        except (TableFnError, TypeError, ValueError) as exc:
+            result = impl(*(coerce(a) for coerce, a in zip(self._coercions, args, strict=True)))
+        except (TableFnError, TypeError, ValueError, ArithmeticError) as exc:
             raise PlanRuntimeError(f"{self.name}: {exc}") from exc
+        return float(result) if type(result) is int else result
 
 
 def _numbers(items: list) -> list[float]:
@@ -240,68 +246,53 @@ def _first(items: list) -> Cell:
 _ORDERS = (("le", "<=", "Less or equal.", operator.le), ("lt", "<", "Less than.", operator.lt),
            ("ge", ">=", "Greater or equal.", operator.ge), ("gt", ">", "Greater than.", operator.gt))
 
-# Implementations look tablefns functions up at call time, so a function
-# replaced on the module (by a tracer, say) is the one that runs.
 BUILTINS: dict[str, Builtin] = {b.name: b for b in [
     Builtin("flatten_column_values(table, column) -> table",
-            "Split multi-valued cells (';', ',' or '|' separated) into one row per value.",
-            lambda t, c: tablefns.flatten_column_values(t, c)),
+            "Split multi-valued cells (';', ',' or '|' separated) into one row per value."),
     *(Builtin(f"{name}_n_non_missing(table, column, n) -> table",
               f"{which} n rows whose cell in the column is not missing, original order.",
               lambda t, c, n, tail=tail: tablefns.top_n_non_missing(t, c, n, tail))
       for name, which, tail in (("top", "First", False), ("tail", "Last", True))),
     Builtin("delete_rows_by_column_value(table, column, value) -> table",
-            "Remove rows whose cell equals the value exactly.",
-            lambda t, c, v: tablefns.delete_rows_by_column_value(t, c, v)),
+            "Remove rows whose cell equals the value exactly."),
     Builtin("sort_alphabetical(table, column) -> table",
-            "Sort rows alphabetically (case-insensitive) by the column; missing last.",
-            lambda t, c: tablefns.sort_alphabetical(t, c)),
+            "Sort rows alphabetically (case-insensitive) by the column; missing last."),
     *(Builtin(f"filter_{name}(table, column, number) -> table",
               f"Keep rows whose numeric value in the column is {symbol} the number.",
               lambda t, c, x, op=op: tablefns.filter_numeric(t, c, op, x))
       for name, symbol, _, op in _ORDERS),
     Builtin("filter_contains(table, column, value) -> table",
             "Keep rows whose cell contains the value (case-insensitive substring; "
-            "falls back to fuzzy matching of the stored value).",
-            lambda t, c, v: tablefns.filter_contains(t, c, v)),
+            "falls back to fuzzy matching of the stored value)."),
     Builtin("filter_not_contains(table, column, value) -> table",
-            "Keep rows whose cell does NOT contain the value.",
-            lambda t, c, v: tablefns.filter_not_contains(t, c, v)),
+            "Keep rows whose cell does NOT contain the value."),
     Builtin("exists_value(table, column, value) -> boolean",
-            "Whether any row's cell contains the value.",
-            lambda t, c, v: tablefns.exists_value(t, c, v)),
+            "Whether any row's cell contains the value."),
     Builtin("count_equal(table, column, value) -> number",
-            "Count cells exactly equal to the value (case-sensitive).",
-            lambda t, c, v: float(tablefns.count_equal(t, c, v))),
+            "Count cells exactly equal to the value (case-sensitive)."),
     Builtin("count_containing(table, column, value) -> number",
-            "Count rows whose cell contains the value.",
-            lambda t, c, v: float(tablefns.count_containing(t, c, v))),
-    Builtin("most_frequent(table, column) -> value",
-            "The most frequent value in the column.",
-            lambda t, c: tablefns.most_frequent(t, c)),
+            "Count rows whose cell contains the value."),
+    Builtin("most_frequent(table, column) -> value", "The most frequent value in the column."),
     Builtin("most_frequent_n(table, column, n) -> list",
-            "The n most frequent values in the column, most frequent first.",
-            lambda t, c, n: tablefns.most_frequent(t, c, n)),
+            "The n most frequent values in the column, most frequent first.", "most_frequent"),
     Builtin("most_frequent_in_subset(table, target_column, subset_column, filter_value)"
             " -> value",
-            "Most frequent value in target_column among rows matching filter_value.",
-            lambda t, tc, sc, fv: tablefns.most_frequent_in_subset(t, tc, sc, fv)),
+            "Most frequent value in target_column among rows matching filter_value."),
     Builtin("most_frequent_n_in_subset(table, target_column, subset_column, filter_value, n)"
             " -> list",
             "The n most frequent values in target_column among matching rows.",
-            lambda t, tc, sc, fv, n: tablefns.most_frequent_in_subset(t, tc, sc, fv, n)),
+            "most_frequent_in_subset"),
     Builtin("column(table, column) -> list",
             "The list of cell values of the column.",
             lambda t, c: list(tablefns._resolve(t, c).cells)),
     Builtin("count_rows(table) -> number", "Number of rows in the table.",
-            lambda t: float(t.row_count)),
+            lambda t: t.row_count),
     Builtin("unique(list) -> list",
             "Distinct values, first occurrence order, missing dropped.", _unique),
-    Builtin("length(list) -> number", "Number of elements.",
-            lambda items: float(len(items))),
+    Builtin("length(list) -> number", "Number of elements.", len),
     Builtin("sum(list) -> number",
             "Sum of the numeric values of the elements (missing skipped).",
-            lambda items: float(sum(_numbers(items)))),
+            lambda items: sum(_numbers(items))),
     Builtin("mean(list) -> number",
             "Mean of the numeric values of the elements (missing skipped).",
             _of_numbers(lambda xs: math.fsum(xs) / len(xs))),

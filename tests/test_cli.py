@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import e2e_fixtures
 from tableqa.cli import main
+from tableqa.llm_client import MockClient
 from tableqa.table_core import TableError, load_csv
 
 # CSV bytes that cannot be loaded, and the load error after the path.
@@ -236,6 +237,27 @@ def test_output_directory_that_is_a_file_is_a_usage_error(runner, fixture_paths,
     assert result.exit_code == 2, result.output
     assert re.search(f"Invalid value for '{option}': .* is a file", result.output)
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("taken, option", [
+    ("out/trace", "--out-dir"), ("out/cache", "--out-dir"), ("taken", "--cache-dir"),
+])
+def test_bench_refuses_an_output_directory_it_cannot_make_before_any_request(
+        runner, fixture_paths, tmp_path, monkeypatch, taken, option):
+    tables_dir, questions_path, mock_path = fixture_paths
+    calls = []
+    complete = MockClient.complete
+    monkeypatch.setattr(MockClient, "complete",
+                        lambda self, req: calls.append(req) or complete(self, req))
+    (tmp_path / "out").mkdir()
+    (tmp_path / taken).write_text("", encoding="utf-8")
+    cache = ["--cache-dir", str(tmp_path / "taken" / "cache")] if option == "--cache-dir" else []
+    result = runner.invoke(main, ["bench", questions_path, "--tables-dir", tables_dir,
+                                  "--mock", mock_path, "--out-dir", str(tmp_path / "out"),
+                                  *cache])
+    assert result.exit_code == 2, result.output
+    assert f"Invalid value for '{option}': [Errno" in result.output
+    assert calls == []
 
 
 DEEP = "[" * 100_000 + "]" * 100_000  # deeper than any parser recurses
@@ -527,6 +549,10 @@ class TestPlanRun:
     def test_runtime_error_fails(self, runner, fixture_paths, tmp_path):
         self._fails(runner, fixture_paths, tmp_path, 'answer = to_number("x")',
                     "execute: to_number: value 'x' is not numeric")
+
+    def test_arithmetic_overflow_fails(self, runner, fixture_paths, tmp_path):
+        self._fails(runner, fixture_paths, tmp_path, "answer = mean([1e308, 1e308])",
+                    "execute: mean: intermediate overflow in fsum")
 
 
 @pytest.mark.parametrize("content, message", [

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from reference import render_plan
+from tableqa import tablefns
 from tableqa.planlang import (
     BUILTINS,
     Call,
@@ -23,6 +24,7 @@ from tableqa.planlang import (
     strip_llm_wrapping,
     validate_plan,
 )
+from tableqa.table_core import Column, Table
 
 
 class TestParse:
@@ -391,3 +393,35 @@ def test_mean_is_statistics_fmean(numbers):
     """`mean` is fmean's own arithmetic (fsum, then one division), so
     results and overflow errors are the same, bit for bit."""
     assert _outcome(BUILTINS["mean"].impl, numbers) == _outcome(statistics.fmean, numbers)
+
+
+# Builtins whose implementation is named, not given: a tablefns function.
+NAMED = [name for name, b in BUILTINS.items() if isinstance(b.impl, str)]
+
+
+def test_named_builtins_are_the_table_functions():
+    assert NAMED == ["flatten_column_values", "delete_rows_by_column_value",
+                     "sort_alphabetical", "filter_contains", "filter_not_contains",
+                     "exists_value", "count_equal", "count_containing", "most_frequent",
+                     "most_frequent_n", "most_frequent_in_subset", "most_frequent_n_in_subset"]
+
+
+@pytest.mark.parametrize("name", NAMED)
+def test_named_impl_is_a_tablefns_function(name):
+    fn = getattr(tablefns, BUILTINS[name].impl)
+    assert callable(fn) and fn.__module__ == "tableqa.tablefns"
+
+
+@pytest.mark.parametrize("name", NAMED)
+def test_named_impl_is_looked_up_at_call_time(name, monkeypatch):
+    """A function replaced on `tablefns` after import (as a tracer does)
+    is the one the builtin runs, with the coerced arguments."""
+    builtin = BUILTINS[name]
+    table = Table("t", (Column.from_cells("c", ["x"]),))
+    raw = {"table": table, "n": 2.0}  # any other parameter is a column or a value
+    params = builtin.signature[builtin.signature.index("(") + 1:
+                               builtin.signature.index(")")].split(", ")
+    seen, result = [], object()
+    monkeypatch.setattr(tablefns, builtin.impl, lambda *args: seen.append(args) or result)
+    assert builtin.call([raw.get(p, "c") for p in params]) is result
+    assert seen == [tuple(raw.get(p, "c") for p in params)]

@@ -11,7 +11,7 @@ from tableqa import tablefns
 from tableqa.answerer import AnswerType, format_answer
 from tableqa.explainer import InstructionSet
 from tableqa.llm_client import MockClient
-from tableqa.planlang import parse_plan, validate_plan
+from tableqa.planlang import BUILTINS, parse_plan, validate_plan
 from tableqa.profiler import describe_columns, profile_table
 from tableqa.runner import (
     PlanRuntimeError,
@@ -55,6 +55,32 @@ class TestExecutePlan:
         assert run('answer = first(sort_desc([3, 1, 2]))', mes_table) == 3.0
         assert run("answer = mean([1, 2, 3])", mes_table) == 2.0
         assert run('answer = sum(["1 - No", "2 - Si"])', mes_table) == 3.0
+
+    # One plan per `-> number` builtin; counts and lengths come back as
+    # floats like every other number.
+    NUMBER_PLANS = {
+        "count_equal": 'answer = count_equal(df, "Mes", "Enero")',
+        "count_containing": 'answer = count_containing(df, "Mes", "ero")',
+        "count_rows": "answer = count_rows(df)",
+        "length": 'answer = length(column(df, "Mes"))',
+        "sum": "answer = sum([])",
+        "mean": "answer = mean([1, 2])",
+        "min_of": "answer = min_of([1, 2])",
+        "max_of": "answer = max_of([1, 2])",
+        "add": "answer = add(1, 2)",
+        "sub": "answer = sub(1, 2)",
+        "mul": "answer = mul(1, 2)",
+        "div": "answer = div(1, 2)",
+        "to_number": 'answer = to_number("3 - Tres")',
+    }
+
+    def test_every_number_builtin_has_a_plan(self):
+        assert sorted(self.NUMBER_PLANS) == sorted(
+            name for name, b in BUILTINS.items() if b.signature.endswith("-> number"))
+
+    @pytest.mark.parametrize("name", sorted(NUMBER_PLANS))
+    def test_number_builtins_return_floats(self, mes_table, name):
+        assert type(run(self.NUMBER_PLANS[name], mes_table)) is float
 
     # Thresholds below, at and above a value, and n below, at and above the
     # 3 present cells: a swapped operator or end changes some result.
@@ -199,6 +225,17 @@ class TestSolve:
         assert trace.succeeded
         assert trace.attempts[0].error_stage == "execute"
         assert "division by zero" in mock.calls[1].last_user_content
+
+    def test_overflow_feeds_repair(self, mes_table):
+        mock = MockClient.from_list([
+            {"stage": "coder", "reply": "answer = mean([1e308, 1e308])", "consume_once": True},
+            {"stage": "coder", "reply": VALID_PLAN},
+        ])
+        trace = solve(self.prompt(), mes_table, mock)
+        assert trace.succeeded
+        assert trace.final_value == 3.0
+        assert trace.attempts[0].error_stage == "execute"
+        assert "Error: mean: intermediate overflow in fsum" in mock.calls[1].last_user_content
 
     def test_unparseable_reply_is_repaired_not_raised(self, mes_table):
         deep = "answer = " + "head_n(" * 2000 + "1" + ", 1)" * 2000
