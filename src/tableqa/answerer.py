@@ -1,24 +1,28 @@
 """Coercion of runtime values into typed answers, and the benchmark
 comparator.
 
-The formatter is rule-based.  Category formatting is the identity on
-text scalars: "+65", "18-24" and "PP (Partido Popular)" come out
-byte-identical, never stripped or normalized.
-
-The comparator matches numbers within ABS_TOL or REL_TOL of the gold,
-categories up to case and surrounding spaces, and lists as multisets.
+`_RULES` gives each scalar type one row: its runtime coercion, its
+stored reading and the form the scorer compares; a list type applies
+its `_ELEMENT` type's row to each element.  Category coercion is the
+identity on text ("+65", "18-24" and "PP (Partido Popular)" come out
+byte-identical); only the compared form is stripped and lower-cased.
+`Answer.vote_key()` is the type and that form, for a list the sorted
+tuple of its elements' forms.  The comparator is key equality, except
+that numbers match when `a == b` (so infinities match themselves) or
+within ABS_TOL or REL_TOL of a finite gold; the vote keys stay exact.
 """
 
 from __future__ import annotations
 
 import enum
 import json
+import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, Hashable, NamedTuple, Union
 
 from .runner import RuntimeValue
 from .table_core import (
-    BOOLEAN_FALSE,
+    BOOLEAN_LEXICON,
     BOOLEAN_TRUE,
     Cell,
     Table,
@@ -57,24 +61,26 @@ class Answer:
         return Answer(at, _normalize_value(d["value"], at))
 
     def canonical_key(self) -> str:
-        """Stable serialization used as the ensemble vote key."""
+        """The exact JSON text of the answer; the vote counts `vote_key`."""
         return json.dumps(self.to_dict(), ensure_ascii=False, sort_keys=True)
+
+    def vote_key(self) -> tuple:
+        """(type, compared form): answers with equal keys score alike."""
+        element = _ELEMENT.get(self.type)
+        if element is None:
+            return self.type, _RULES[self.type].form(self.value)
+        return self.type, tuple(sorted(map(_RULES[element].form, self.value)))
 
 
 def _normalize_value(value, at: AnswerType) -> AnswerValue:
     """A stored answer value as its type's Python value: Boolean text goes
     through the boolean lexicon, and list types need a JSON array."""
-    if at is AnswerType.BOOLEAN:
-        return _coerce_boolean(value)
-    if at is AnswerType.NUMBER:
-        return float(value)
-    if at is AnswerType.CATEGORY:
-        return str(value)
+    element = _ELEMENT.get(at)
+    if element is None:
+        return _RULES[at].read(value)
     if not isinstance(value, list):
         raise FormatError(f"{at.value} needs a JSON array, not {value!r}")
-    if at is AnswerType.LIST_NUMBER:
-        return [float(v) for v in value]
-    return [str(v) for v in value]
+    return [_RULES[element].read(v) for v in value]
 
 
 def _unwrap_single(v: RuntimeValue) -> RuntimeValue:
@@ -91,17 +97,11 @@ def _coerce_boolean(v: Cell) -> bool:
     if isinstance(v, bool):
         return v
     if is_number(v):
-        if float(v) == 1:
-            return True
-        if float(v) == 0:
-            return False
-        raise FormatError(f"number {v!r} is not a boolean")
-    if isinstance(v, str):
-        word = v.strip().lower()
-        if word in BOOLEAN_TRUE:
-            return True
-        if word in BOOLEAN_FALSE:
-            return False
+        if float(v) not in (0, 1):
+            raise FormatError(f"number {v!r} is not a boolean")
+        return float(v) == 1
+    if isinstance(v, str) and v.strip().lower() in BOOLEAN_LEXICON:
+        return v.strip().lower() in BOOLEAN_TRUE
     raise FormatError(f"cannot coerce {v!r} to Boolean")
 
 
@@ -119,6 +119,21 @@ def _coerce_category(v: Cell) -> str:
     return render_cell(v)
 
 
+class _Rule(NamedTuple):
+    coerce: Callable[[Cell], AnswerValue]  # a runtime cell
+    read: Callable[[object], AnswerValue]  # a stored JSON value
+    form: Callable[[AnswerValue], Hashable]  # what the scorer compares
+
+
+_RULES = {
+    AnswerType.BOOLEAN: _Rule(_coerce_boolean, _coerce_boolean, bool),
+    AnswerType.NUMBER: _Rule(_coerce_number, float, float),
+    AnswerType.CATEGORY: _Rule(_coerce_category, str, lambda v: str(v).strip().lower()),
+}
+_ELEMENT = {AnswerType.LIST_CATEGORY: AnswerType.CATEGORY,
+            AnswerType.LIST_NUMBER: AnswerType.NUMBER}
+
+
 def _as_cell_list(v: RuntimeValue) -> list[Cell]:
     if isinstance(v, Table):
         if len(v.columns) != 1:
@@ -133,19 +148,13 @@ def _as_cell_list(v: RuntimeValue) -> list[Cell]:
 def format_answer(v: RuntimeValue, at: AnswerType) -> Answer:
     """Rule-based coercion of a successful runtime value to the target
     answer type; raises FormatError when no rule applies."""
-    if at in (AnswerType.BOOLEAN, AnswerType.NUMBER, AnswerType.CATEGORY):
+    element = _ELEMENT.get(at)
+    if element is None:
         scalar = _unwrap_single(v)
         if isinstance(scalar, (Table, list)):
             raise FormatError(f"cannot coerce a non-scalar value to {at.value}")
-        if at is AnswerType.BOOLEAN:
-            return Answer(at, _coerce_boolean(scalar))
-        if at is AnswerType.NUMBER:
-            return Answer(at, _coerce_number(scalar))
-        return Answer(at, _coerce_category(scalar))
-    cells = _as_cell_list(v)
-    if at is AnswerType.LIST_NUMBER:
-        return Answer(at, [_coerce_number(c) for c in cells])
-    return Answer(at, [_coerce_category(c) for c in cells])
+        return Answer(at, _RULES[at].coerce(scalar))
+    return Answer(at, [_RULES[element].coerce(c) for c in _as_cell_list(v)])
 
 
 ABS_TOL = 1e-9
@@ -153,11 +162,8 @@ REL_TOL = 1e-6
 
 
 def _numbers_close(a: float, b: float) -> bool:
-    return abs(a - b) <= max(ABS_TOL, REL_TOL * abs(b))
-
-
-def _category_equal(a: str, b: str) -> bool:
-    return a.strip().lower() == b.strip().lower()
+    # A tolerance around an infinite gold would take in every number.
+    return a == b or math.isfinite(b) and abs(a - b) <= max(ABS_TOL, REL_TOL * abs(b))
 
 
 def compare_answers(pred: Answer, gold: Answer) -> bool:
@@ -165,19 +171,9 @@ def compare_answers(pred: Answer, gold: Answer) -> bool:
     an exception.  Lists compare as multisets."""
     if pred.type is not gold.type:
         return False
-    at = gold.type
-    if at is AnswerType.BOOLEAN:
-        return bool(pred.value) is bool(gold.value)
+    at, (_, p), (_, g) = gold.type, pred.vote_key(), gold.vote_key()
     if at is AnswerType.NUMBER:
-        return _numbers_close(float(pred.value), float(gold.value))
-    if at is AnswerType.CATEGORY:
-        return _category_equal(str(pred.value), str(gold.value))
-    pv, gv = list(pred.value), list(gold.value)
-    if len(pv) != len(gv):
-        return False
+        return _numbers_close(p, g)
     if at is AnswerType.LIST_NUMBER:
-        pv, gv = sorted(map(float, pv)), sorted(map(float, gv))
-        return all(_numbers_close(a, b) for a, b in zip(pv, gv))
-    pv = sorted(pv, key=lambda s: str(s).strip().lower())
-    gv = sorted(gv, key=lambda s: str(s).strip().lower())
-    return all(_category_equal(str(a), str(b)) for a, b in zip(pv, gv))
+        return len(p) == len(g) and all(map(_numbers_close, p, g))
+    return p == g

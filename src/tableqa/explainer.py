@@ -144,9 +144,7 @@ def clarify(inst: InstructionSet, t: Table, profiles: list[ColumnProfile]) -> In
             firsts = [first for first, _ in distinct.values()]
             match = best_fuzzy_match(firsts, value, MATCH_THRESHOLD)
             if match is not None:
-                stored = render_cell(match)
-                if stored != value:
-                    be_careful.append(BE_CAREFUL_TEMPLATE.format(value=value, stored=stored))
+                be_careful.append(BE_CAREFUL_TEMPLATE.format(value=value, stored=render_cell(match)))
                 break
 
     type_lines: list[str] = []

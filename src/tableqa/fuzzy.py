@@ -113,11 +113,9 @@ def levenshtein(a: str, b: str) -> int:
 def best_fuzzy_match(values: Sequence[Cell], target: str, threshold: int) -> Optional[Cell]:
     """Best-scoring value against `target`, or None below `threshold`.
 
-    Values are deduplicated (first occurrence kept), missing dropped, and
-    compared lowercased.  A score exactly at the threshold matches.  Ties
-    keep the first value in deduplicated order.
+    Missing values are skipped, and the others compared lowercased.  A
+    score exactly at the threshold matches.  Ties keep the first value.
     """
-    seen = set()
     best_val: Optional[Cell] = None
     best_score = -1.0
     target_lower = target.lower()
@@ -125,11 +123,7 @@ def best_fuzzy_match(values: Sequence[Cell], target: str, threshold: int) -> Opt
     for v in values:
         if v is None:
             continue
-        text = render_cell(v)
-        if text in seen:
-            continue
-        seen.add(text)
-        lowered = text.lower()
+        lowered = render_cell(v).lower()
         total = length + len(lowered)
         # The length bound on the score (see the module docstring).
         if total and 100.0 * (1.0 - abs(length - len(lowered)) / total) < max(threshold, best_score):

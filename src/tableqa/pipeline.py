@@ -62,10 +62,8 @@ from .profiler import (
 )
 from .runner import build_coder_prompt, solve
 from .selector import prune_uninformative, select_columns
-from .table_core import load_csv, render_cell
+from .table_core import load_csv
 from .tablefns import NO_MATCHING_RECORDS
-
-DEFAULT_SENTINELS = [NO_MATCHING_RECORDS]
 
 
 @dataclass
@@ -80,7 +78,6 @@ class Question:
 @dataclass
 class EnsembleConfig:
     repetitions: int = 8
-    sentinel_messages: list[str] = field(default_factory=lambda: list(DEFAULT_SENTINELS))
 
     def __post_init__(self) -> None:
         if self.repetitions < 1:
@@ -320,28 +317,30 @@ def run_pipeline_batch(questions: list[Question], tables_dir: str,
         return _run_repetitions(questions, tables_dir, ctx, [repetition], log)
 
 
-def _is_sentinel(answer: Answer, sentinels: list[str]) -> bool:
+def _is_sentinel(answer: Answer) -> bool:
     value = answer.value
-    texts = [str(v) for v in value] if isinstance(value, list) else [render_cell(value) if not isinstance(value, str) else value]
-    return any(t in sentinels for t in texts)
+    return NO_MATCHING_RECORDS in (value if isinstance(value, list) else [value])
 
 
 def vote(records: list[RunRecord], cfg: EnsembleConfig) -> Optional[Answer]:
-    """Plurality vote over canonical answer serializations.
+    """Plurality vote over classes of equal `Answer.vote_key()`, the
+    answers the scorer counts as one (categories up to case and
+    surrounding spaces, lists as multisets, numbers by exact value).
 
-    Failed or sentinel runs are discarded; ties break toward the answer
-    whose first surviving repetition index is lowest; no survivors means
-    abstain (None).
+    Failed or sentinel runs are discarded; ties break toward the class
+    whose first surviving repetition is lowest, and the vote returns that
+    first member byte for byte; no survivors means abstain (None).  `cfg`
+    is unread, and stays because perfbench/selftest.py passes it.
     """
     survivors = [
         r for r in sorted(records, key=lambda r: r.repetition)
-        if r.succeeded and not _is_sentinel(r.answer, cfg.sentinel_messages)
+        if r.succeeded and not _is_sentinel(r.answer)
     ]
     if not survivors:
         return None
     # Keys in survivor order, and `max` keeps the first of equal counts:
-    # a tie goes to the answer of the earliest repetition.
-    keys = [r.answer.canonical_key() for r in survivors]
+    # a tie goes to the class of the earliest repetition.
+    keys = [r.answer.vote_key() for r in survivors]
     counts = Counter(keys)
     return survivors[keys.index(max(counts, key=counts.get))].answer
 

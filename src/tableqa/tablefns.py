@@ -143,17 +143,13 @@ def filter_contains(t: Table, column: str, value: Cell) -> Table:
     """
     col = _resolve(t, column)
     keep = _rows_where(col, _contains(col, value))
-    if keep:
-        return t.take_rows(keep)
     textual = col.kind in (ColumnKind.CATEGORICAL, ColumnKind.MIXED_NUMERIC)
-    if textual and isinstance(value, str) and value != "":
+    if not keep and textual and isinstance(value, str) and value != "":
         firsts = [first for first, _ in col.distinct.values()]
         match = best_fuzzy_match(firsts, value, FILTER_THRESHOLD)
         if match is not None:
             equal = equal_to(match)
-            fuzzy_keep = _rows_where(col, lambda code: equal(col.uniques[code]))
-            if fuzzy_keep:
-                return t.take_rows(fuzzy_keep)
+            keep = _rows_where(col, lambda code: equal(col.uniques[code]))
     return t.take_rows(keep)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from collections import Counter
 
 from tableqa.planlang import Call, Plan, Ref
@@ -316,12 +317,49 @@ def ref_most_frequent(rows, column, n=None):
 
 
 # ---------------------------------------------------------------------------
-# ensemble vote
+# answer scoring and the ensemble vote
+
+def ref_compare_answers(pred, gold):
+    """The README's scoring rules, type by type."""
+    if pred.type != gold.type:
+        return False
+
+    def fold(text):
+        return text.strip().lower()
+
+    def matches(p, g, kind):
+        if kind == "Boolean":
+            return p == g
+        if kind == "Number":
+            return p == g or (math.isfinite(g) and abs(p - g) <= max(1e-9, 1e-6 * abs(g)))
+        return fold(p) == fold(g)
+
+    kind = gold.type.value
+    if not kind.startswith("List["):
+        return matches(pred.value, gold.value, kind)
+    element = kind[len("List["):-1]
+    key = fold if element == "Category" else None
+    p, g = sorted(pred.value, key=key), sorted(gold.value, key=key)
+    return len(p) == len(g) and all(matches(a, b, element) for a, b in zip(p, g))
+
+
+def ref_vote_form(answer):
+    """What the scorer tells apart: the type, and a Category text
+    stripped and lower-cased, a list as the multiset of its elements'
+    forms, a Number or Boolean as its exact value."""
+    def form(v):
+        return v.strip().lower() if isinstance(v, str) else v
+
+    if isinstance(answer.value, list):
+        return answer.type.value, Counter(map(form, answer.value))
+    return answer.type.value, form(answer.value)
+
 
 def ref_vote(records, sentinels):
     """Brute force: keep runs with an answer none of whose texts is a
-    sentinel, count each canonical answer, and among the most counted
-    pick the one seen at the lowest repetition; None with no run kept."""
+    sentinel, count for each kept run the kept runs of equal form, and
+    among the most counted pick the one seen at the lowest repetition;
+    None with no run kept."""
     def texts(answer):
         values = answer.value if isinstance(answer.value, list) else [answer.value]
         return [v if isinstance(v, str) else ref_render(v) for v in values]
@@ -330,10 +368,10 @@ def ref_vote(records, sentinels):
             if r.answer is not None and not set(texts(r.answer)) & set(sentinels)]
     if not kept:
         return None
-    keys = {r.repetition: r.answer.canonical_key() for r in kept}
-    counts = Counter(keys.values())
+    forms = {r.repetition: ref_vote_form(r.answer) for r in kept}
+    counts = {rep: sum(f == g for g in forms.values()) for rep, f in forms.items()}
     top = max(counts.values())
-    earliest = min(rep for rep, key in keys.items() if counts[key] == top)
+    earliest = min(rep for rep, n in counts.items() if n == top)
     return next(r.answer for r in kept if r.repetition == earliest)
 
 
