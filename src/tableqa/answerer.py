@@ -7,9 +7,10 @@ its `_ELEMENT` type's row to each element.  Category coercion is the
 identity on text ("+65", "18-24" and "PP (Partido Popular)" come out
 byte-identical); only the compared form is stripped and lower-cased.
 `Answer.vote_key()` is the type and that form, for a list the sorted
-tuple of its elements' forms.  The comparator is key equality, except
-that numbers match when `a == b` (so infinities match themselves) or
-within ABS_TOL or REL_TOL of a finite gold; the vote keys stay exact.
+tuple of its elements' forms, NaN last; every NaN has one form, so NaN
+answers vote as one class.  The comparator is key equality, except that
+numbers match when `a == b` (so infinities match themselves) or within
+ABS_TOL or REL_TOL of a finite gold; the vote keys stay exact.
 """
 
 from __future__ import annotations
@@ -69,7 +70,8 @@ class Answer:
         element = _ELEMENT.get(self.type)
         if element is None:
             return self.type, _RULES[self.type].form(self.value)
-        return self.type, tuple(sorted(map(_RULES[element].form, self.value)))
+        return self.type, tuple(sorted(map(_RULES[element].form, self.value),
+                                       key=lambda x: (x != x, x)))
 
 
 def _normalize_value(value, at: AnswerType) -> AnswerValue:
@@ -127,7 +129,7 @@ class _Rule(NamedTuple):
 
 _RULES = {
     AnswerType.BOOLEAN: _Rule(_coerce_boolean, _coerce_boolean, bool),
-    AnswerType.NUMBER: _Rule(_coerce_number, float, float),
+    AnswerType.NUMBER: _Rule(_coerce_number, float, lambda v: math.nan if v != v else float(v)),
     AnswerType.CATEGORY: _Rule(_coerce_category, str, lambda v: str(v).strip().lower()),
 }
 _ELEMENT = {AnswerType.LIST_CATEGORY: AnswerType.CATEGORY,

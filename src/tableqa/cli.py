@@ -191,11 +191,9 @@ def plan_run(table_path, plan_path):
 @main.command("ensemble-curve")
 @click.argument("questions_path", type=click.Path(exists=True))
 @click.argument("bench_dir", type=click.Path(exists=True))
-@click.option("--max-n", default=8, show_default=True,
-              type=click.IntRange(min=1))
-def ensemble_curve_cmd(questions_path, bench_dir, max_n):
-    """Recompute voting accuracy for n=1..max-n from the run log of a
-    bench run over QUESTIONS_PATH; emits CSV (n,accuracy) on stdout."""
+def ensemble_curve_cmd(questions_path, bench_dir):
+    """Recompute voting accuracy for n=1..(most repetitions of any question)
+    from the run log of a bench run over QUESTIONS_PATH; emits CSV (n,accuracy)."""
     with _usage_error("QUESTIONS_PATH", OSError, ValueError):
         questions = load_questions(questions_path)
     records = {q.id: [] for q in questions}  # a question with no run lines abstains
@@ -210,7 +208,7 @@ def ensemble_curve_cmd(questions_path, bench_dir, max_n):
             except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
                 raise ValueError(f"line {lineno}: {type(exc).__name__}: {exc}") from exc
     click.echo("n,accuracy")
-    for n, acc in ensemble_curve(records, questions, max_n):
+    for n, acc in ensemble_curve(records, questions):
         click.echo(f"{n},{acc:.4f}")
 
 

@@ -3,8 +3,7 @@
 Two backends behind one `complete(request)` call: an HTTP client for any
 OpenAI-compatible chat-completions server, and a deterministic scripted
 mock for tests.  Model routing is per stage: one general model for
-descriptor/selector/explainer, a dedicated coder model, and an optional
-explainer override slot.
+descriptor/selector/explainer and a dedicated coder model.
 
 The HTTP client uses the standard library's `urllib.request`, imported on
 the first request, so mock and offline runs load no HTTP or TLS module.
@@ -23,8 +22,9 @@ from typing import Optional, Sequence
 
 STAGES = ("descriptor", "selector", "explainer", "coder")
 
-# HTTPClient sleeps RETRY_BASE_SECONDS * 2**attempt before each retry,
-# and gives up on a request that has not answered in REQUEST_TIMEOUT_SECONDS.
+# HTTPClient retries a request up to RETRIES times, RETRY_BASE_SECONDS * 2**attempt
+# apart, and gives up on one that has not answered in REQUEST_TIMEOUT_SECONDS.
+RETRIES = 3
 RETRY_BASE_SECONDS = 1.0
 REQUEST_TIMEOUT_SECONDS = 120
 
@@ -96,12 +96,9 @@ class ModelNames:
     """The config file's `model:` mapping."""
     general: str = "qwen2.5-14b-instruct"  # descriptor, selector and explainer
     coder: str = "qwen2.5-coder-14b-instruct"
-    explainer_override: Optional[str] = None
 
     def __post_init__(self) -> None:
         _check_types(self, (str,), "a string", "general", "coder", prefix="model.")
-        _check_types(self, (str, type(None)), "a string or null", "explainer_override",
-                     prefix="model.")
 
 
 @dataclass
@@ -113,15 +110,14 @@ class LLMConfig:
     temperature: float = 0.7
     max_tokens: int = 2048
     concurrency: int = DEFAULT_CONCURRENCY
-    retries: int = 3
 
     def __post_init__(self) -> None:
         _check_types(self, (str,), "a string", "base_url", "api_key")
         _check_types(self, (int, float), "a finite number", "temperature")
         if not math.isfinite(self.temperature):
             raise ValueError(f"temperature must be a finite number, not {self.temperature!r}")
-        _check_types(self, (int,), "an integer", "max_tokens", "concurrency", "retries")
-        for key, low in (("temperature", 0), ("max_tokens", 1), ("concurrency", 1), ("retries", 0)):
+        _check_types(self, (int,), "an integer", "max_tokens", "concurrency")
+        for key, low in (("temperature", 0), ("max_tokens", 1), ("concurrency", 1)):
             if getattr(self, key) < low:
                 raise ValueError(f"{key} must be >= {low}")
 
@@ -141,11 +137,7 @@ class LLMConfig:
 
 
 def route_model(stage_tag: str, config: LLMConfig) -> str:
-    if stage_tag == "coder":
-        return config.model.coder
-    if stage_tag == "explainer" and config.model.explainer_override:
-        return config.model.explainer_override
-    return config.model.general
+    return config.model.coder if stage_tag == "coder" else config.model.general
 
 
 class HTTPClient:
@@ -176,7 +168,7 @@ class HTTPClient:
             headers["Authorization"] = f"Bearer {api_key}"
         data = json.dumps(self._body(req)).encode()
         last_exc: Optional[Exception] = None
-        for attempt in range(self.config.retries + 1):
+        for attempt in range(RETRIES + 1):
             try:
                 status, text = _post(url, data, headers)
             except (OSError, http.client.HTTPException) as exc:  # URLError is an OSError
@@ -196,9 +188,9 @@ class HTTPClient:
                     raise LLMError(f"HTTP {status}: {text[:200]}")
                 else:
                     last_exc = LLMError(f"HTTP {status}")
-            if attempt < self.config.retries:
+            if attempt < RETRIES:
                 time.sleep(RETRY_BASE_SECONDS * (2 ** attempt))
-        raise LLMError(f"transport failure after {self.config.retries} retries: {last_exc}")
+        raise LLMError(f"transport failure after {RETRIES} retries: {last_exc}")
 
 
 def _post(url: str, data: bytes, headers: dict) -> tuple[int, str]:

@@ -417,12 +417,11 @@ def score(predictions: list[tuple[Question, Optional[Answer]]]) -> ScoreReport:
 
 
 def ensemble_curve(records_by_question: dict[str, list[RunRecord]],
-                   questions: list[Question], max_n: int) -> list[tuple[int, float]]:
-    """Accuracy when voting over only the first n repetitions, for
-    n = 1..max_n."""
+                   questions: list[Question]) -> list[tuple[int, float]]:
+    """Accuracy when voting over the first n repetitions, n = 1..the most any question has."""
     by_id = {q.id: q for q in questions}
-    max_n = min(max_n, max((len({r.repetition for r in recs})
-                            for recs in records_by_question.values()), default=0))
+    max_n = max((len({r.repetition for r in recs})
+                 for recs in records_by_question.values()), default=0)
     points = []
     for n in range(1, max_n + 1):
         preds = []

@@ -169,12 +169,13 @@ class Builtin:
         self.column_args = tuple(i for i, p in enumerate(params) if p.endswith("column"))
         self._coercions = tuple(_COERCIONS[p] for p in params)
 
-    def call(self, args: Sequence):
-        """Coerce the arguments and run the implementation; a failure
-        (arithmetic too) becomes a PlanRuntimeError naming the builtin."""
+    def call(self, args: Sequence, **options):
+        """Coerce the arguments and run the implementation with `options`;
+        a failure (arithmetic too) becomes a PlanRuntimeError naming it."""
         impl = getattr(tablefns, self.impl) if isinstance(self.impl, str) else self.impl
         try:
-            result = impl(*(coerce(a) for coerce, a in zip(self._coercions, args, strict=True)))
+            result = impl(*(coerce(a) for coerce, a in zip(self._coercions, args, strict=True)),
+                          **options)
         except (TableFnError, TypeError, ValueError, ArithmeticError) as exc:
             raise PlanRuntimeError(f"{self.name}: {exc}") from exc
         return float(result) if type(result) is int else result

@@ -4,6 +4,8 @@ The coder is prompted with the clarified instructions, the selected
 schema and the full DSL reference.  Any parse, validation or runtime
 error feeds a repair prompt (last failed plan plus the error, not the
 whole history) and the loop continues until success or the attempt limit.
+Only flattens grow tables: one plan's build `tablefns.PLAN_ROW_BUDGET`
+rows in all at most, and the one that would pass that fails unbuilt.
 A plan text already run on the table in this ensemble (the memo the
 ensemble hands `solve`) reuses that outcome: its value, or its parse,
 validation or runtime error.  Any other exception is not memoised and
@@ -78,14 +80,19 @@ def render_value(v: RuntimeValue) -> object:
     return render_cell(v)
 
 
-def _evaluate(expr: Expr, env: dict[str, RuntimeValue]) -> RuntimeValue:
+def _evaluate(expr: Expr, env: dict[str, RuntimeValue], rows: list[int]) -> RuntimeValue:
     if isinstance(expr, Literal):
         return list(expr.value) if isinstance(expr.value, tuple) else expr.value
     if isinstance(expr, Ref):
         if expr.name not in env:
             raise PlanRuntimeError(f"undefined reference '{expr.name}'")
         return env[expr.name]
-    return BUILTINS[expr.fn].call([_evaluate(a, env) for a in expr.args])
+    args = [_evaluate(a, env, rows) for a in expr.args]
+    if expr.fn != "flatten_column_values":
+        return BUILTINS[expr.fn].call(args)
+    value = BUILTINS[expr.fn].call(args, built=rows[0])
+    rows[0] += value.row_count
+    return value
 
 
 def execute_plan(plan: Plan, t: Table) -> RuntimeValue:
@@ -94,9 +101,10 @@ def execute_plan(plan: Plan, t: Table) -> RuntimeValue:
     # `_evaluate` is not a closure: one that calls itself is a reference
     # cycle, keeping `env` and its tables alive until the cyclic GC runs.
     env: dict[str, RuntimeValue] = {"df": t}
+    rows = [0]  # the rows the plan's flattens have built
     for name, expr in plan.bindings:
-        env[name] = _evaluate(expr, env)
-    return _evaluate(plan.answer, env)
+        env[name] = _evaluate(expr, env, rows)
+    return _evaluate(plan.answer, env, rows)
 
 
 CODER_SYSTEM = (

@@ -29,8 +29,8 @@ from .table_core import (
 NO_MATCHING_RECORDS = "No matching records were found"
 
 FLATTEN_DELIMITERS = (";", ",", "|")
-# Chained flattens multiply rows; a flatten that would build more is refused.
-MAX_FLATTEN_ROWS = 500_000
+# The rows one plan's flattens may build in all, so the most one flatten builds.
+PLAN_ROW_BUDGET = 500_000
 
 
 class TableFnError(Exception):
@@ -58,18 +58,18 @@ def _rows_where(col: Column, test: Callable[[int], bool]) -> list[int]:
     return list(compress(range(len(col)), map(hit.__getitem__, col.codes)))
 
 
-def flatten_column_values(t: Table, column: str) -> Table:
+def flatten_column_values(t: Table, column: str, built: int = 0) -> Table:
     """Explode multi-valued text cells into one row per value.
 
     A cell splits on the first of ";", ",", "|" that occurs in it; split
-    values are trimmed.  Single-valued rows pass through.  A result of
-    more than MAX_FLATTEN_ROWS rows is refused before it is built.
+    values are trimmed.  Single-valued rows pass through.  A result over
+    PLAN_ROW_BUDGET less the `built` rows the plan has is refused unbuilt.
     """
     col = _resolve(t, column)
     split = {code: _split_cell(col.uniques[code]) for code in col.counts}
     rows = sum(len(split[code]) * n for code, n in col.counts.items())
-    if rows > MAX_FLATTEN_ROWS:
-        raise TableFnError(f"would build {rows} rows, over the budget of {MAX_FLATTEN_ROWS} rows")
+    if rows > PLAN_ROW_BUDGET - built:
+        raise TableFnError(f"would build {rows} rows, over the budget of {PLAN_ROW_BUDGET - built} rows")
     parts = list(map(split.__getitem__, col.codes))
     out = t.take_rows([i for i, ps in enumerate(parts) for _ in ps]).columns
     # An unsplit row keeps its own cell: 0.0 and -0.0 share a code.

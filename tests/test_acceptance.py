@@ -215,7 +215,7 @@ def test_ensemble_voting_and_curve(tmp_path):
     finals8, records8 = ensemble_answers(questions, tables_dir, ctx,
                                          EnsembleConfig(repetitions=4))
     bench_accuracy = score([(q, finals8[q.id]) for q in questions]).overall_accuracy
-    curve = ensemble_curve(records8, questions, 4)
+    curve = ensemble_curve(records8, questions)
     assert curve[-1] == (4, pytest.approx(bench_accuracy))
     ok("repetitions=1 equals a single pass; plurality, tie-break and "
        "sentinel discarding behave as documented; curve at n=max equals "

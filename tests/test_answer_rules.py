@@ -123,6 +123,13 @@ def test_infinity_scores_equal_only_to_itself(wrap):
     assert not compare_answers(wrap(math.nan), wrap(math.nan))
 
 
+def test_nan_list_vote_key_ignores_order():
+    first = Answer(AnswerType.LIST_NUMBER, [float("nan"), 1.0])
+    last = Answer(AnswerType.LIST_NUMBER, [1.0, float("nan")])
+    assert first.vote_key() == last.vote_key() == (AnswerType.LIST_NUMBER, (1.0, math.nan))
+    assert not compare_answers(first, last)  # NaN still never scores correct
+
+
 def test_infinite_gold_from_the_questions_file():
     """JSON's Infinity loads as inf, and a plan's overflow gives inf."""
     gold = Answer.from_dict(json.loads('{"type": "Number", "value": Infinity}'))

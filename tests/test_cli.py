@@ -200,11 +200,14 @@ def test_malformed_questions_file_is_a_usage_error(runner, fixture_paths, tmp_pa
      "ValueError: stage must be one of descriptor, selector, explainer, coder, not 'explainr'"),
     ("--mock", '[{"stage": "coder", "reply": "x", "consume_once": "yes"}]',
      "ValueError: consume_once must be true or false, not 'yes'"),
+    # Settings removed from the config file are unknown keys like any other.
+    ("--config", "retries: 5\n", "TypeError: .*'retries'"),
+    ("--config", "model: {explainer_override: x}\n", "TypeError: .*'explainer_override'"),
 ], ids=["config-bad-setting", "config-bad-yaml", "mock-no-reply", "mock-bad-json",
         "config-directory", "config-unknown-key", "config-unknown-model-key",
         "config-url-not-text", "config-key-not-text", "mock-unknown-key",
         "mock-match-not-text", "mock-reply-not-text", "mock-unknown-stage",
-        "mock-consume-once-not-bool"])
+        "mock-consume-once-not-bool", "config-retries", "config-explainer-override"])
 def test_unreadable_config_or_mock_file_is_a_usage_error(runner, fixture_paths,
                                                          tmp_path, option, text, message):
     tables_dir, questions_path, _ = fixture_paths
@@ -370,7 +373,7 @@ class TestBench:
             "--mock", mock_path, "--repetitions", "3", "--out-dir", out_dir,
         ])
         assert result.exit_code == 0, result.output
-        curve = runner.invoke(main, ["ensemble-curve", questions_path, out_dir, "--max-n", "8"])
+        curve = runner.invoke(main, ["ensemble-curve", questions_path, out_dir])
         assert curve.exit_code == 0, curve.output
         lines = curve.output.strip().splitlines()
         assert lines[0] == "n,accuracy"
@@ -378,6 +381,20 @@ class TestBench:
         assert [int(n) for n, _ in rows] == [1, 2, 3]
         # deterministic mock: flat curve equal to the bench accuracy
         assert all(float(acc) == pytest.approx(5 / 6, abs=1e-4) for _, acc in rows)
+
+    def test_ensemble_curve_runs_to_the_bench_repetitions(self, runner, fixture_paths, tmp_path):
+        # The curve has a point for every repetition in the log, past the 8
+        # that `bench` runs by default.
+        tables_dir, questions_path, mock_path = fixture_paths
+        out_dir = str(tmp_path / "bench_out")
+        result = runner.invoke(main, [
+            "bench", questions_path, "--tables-dir", tables_dir,
+            "--mock", mock_path, "--repetitions", "10", "--out-dir", out_dir,
+        ])
+        assert result.exit_code == 0, result.output
+        curve = runner.invoke(main, ["ensemble-curve", questions_path, out_dir])
+        assert curve.exit_code == 0, curve.output
+        assert curve.output.splitlines() == ["n,accuracy"] + [f"{n},0.8333" for n in range(1, 11)]
 
     def test_repetitions_round_trip_with_failed_run_and_abstain(
             self, runner, fixture_paths, tmp_path):
@@ -400,7 +417,7 @@ class TestBench:
         runs["q2", 0].update(answer=None, failure="explain: no JSON object")
         with open(log_path, "w", encoding="utf-8") as fh:
             fh.writelines(json.dumps(line, ensure_ascii=False) + "\n" for line in lines)
-        curve = runner.invoke(main, ["ensemble-curve", questions_path, out_dir, "--max-n", "2"])
+        curve = runner.invoke(main, ["ensemble-curve", questions_path, out_dir])
         assert curve.exit_code == 0, curve.output
         assert curve.output.splitlines() == ["n,accuracy", "1,0.6667", "2,0.8333"]
 
@@ -509,8 +526,9 @@ def test_question_without_run_lines_abstains(runner, tmp_path):
     assert result.output.splitlines() == ["n,accuracy", "1,0.5000"]
 
 
-def test_ensemble_curve_max_n_below_one_is_a_usage_error(runner, tmp_path):
-    result = runner.invoke(main, ["ensemble-curve", *write_bench_dir(tmp_path), "--max-n", "0"])
+def test_ensemble_curve_max_n_is_a_usage_error(runner, tmp_path):
+    # The curve runs to the most repetitions in the log; there is no option.
+    result = runner.invoke(main, ["ensemble-curve", *write_bench_dir(tmp_path), "--max-n", "8"])
     assert result.exit_code == 2, result.output
     assert "--max-n" in result.output
 

@@ -69,11 +69,6 @@ class TestRouting:
         assert route_model("coder", cfg) == cfg.model.coder
         assert route_model("explainer", cfg) == cfg.model.general
 
-    def test_explainer_override(self):
-        cfg = LLMConfig(model=ModelNames(explainer_override="qwen3-14b"))
-        assert route_model("explainer", cfg) == "qwen3-14b"
-        assert route_model("selector", cfg) == cfg.model.general
-
 
 class TestMockClient:
     def test_scripted_match(self):
@@ -201,22 +196,30 @@ def fast_retries(monkeypatch):
     monkeypatch.setattr(llm_client, "RETRY_BASE_SECONDS", 0.01)
 
 
+@pytest.fixture
+def set_retries(monkeypatch):
+    """Sets how many times HTTPClient retries a request (RETRIES is 3)."""
+    return lambda n: monkeypatch.setattr(llm_client, "RETRIES", n)
+
+
 @pytest.mark.usefixtures("fast_retries")
 class TestHTTPClient:
-    def test_wire_format(self, stub_server):
-        cfg = LLMConfig(base_url=stub_server, retries=0)
+    def test_wire_format(self, stub_server, set_retries):
+        set_retries(0)
+        cfg = LLMConfig(base_url=stub_server)
         client = HTTPClient(cfg)
         out = client.complete(req("coder", "hola"))
         assert out == f"echo:{cfg.model.coder}:hola"
 
-    def test_transport_error_after_retries(self):
-        cfg = LLMConfig(base_url="http://127.0.0.1:1/v1", retries=1)
+    def test_transport_error_after_retries(self, set_retries):
+        set_retries(1)
+        cfg = LLMConfig(base_url="http://127.0.0.1:1/v1")
         with pytest.raises(LLMError, match="transport"):
             HTTPClient(cfg).complete(req("coder", "x"))
 
-    def test_config_sampling_settings_reach_the_wire(self, stub_server):
-        cfg = LLMConfig(base_url=stub_server, retries=0, temperature=0.1,
-                        max_tokens=100)
+    def test_config_sampling_settings_reach_the_wire(self, stub_server, set_retries):
+        set_retries(0)
+        cfg = LLMConfig(base_url=stub_server, temperature=0.1, max_tokens=100)
         HTTPClient(cfg).complete(req("explainer", "x"))
         assert _StubHandler.last_body["temperature"] == 0.1
         assert _StubHandler.last_body["max_tokens"] == 100
@@ -228,24 +231,26 @@ class TestHTTPClient:
         b'{"choices": []}',
         b'{"choices": [{"message": {"content": null}}]}',
     ], ids=["empty-object", "not-json", "list", "no-choices", "null-content"])
-    def test_malformed_200_is_retried_then_llm_error(self, body):
+    def test_malformed_200_is_retried_then_llm_error(self, body, set_retries):
+        set_retries(1)
         handler, server = scripted_server(body)
         with server as url:
-            cfg = LLMConfig(base_url=url, retries=1)
+            cfg = LLMConfig(base_url=url)
             with pytest.raises(LLMError, match="transport failure after 1 retries"):
                 HTTPClient(cfg).complete(req("coder", "x"))
         assert handler.hits == 2
 
-    def test_malformed_200_then_valid_reply(self):
+    def test_malformed_200_then_valid_reply(self, set_retries):
+        set_retries(2)
         handler, server = scripted_server(b"{}", b"not json", GOOD_REPLY)
         with server as url:
-            cfg = LLMConfig(base_url=url, retries=2)
+            cfg = LLMConfig(base_url=url)
             assert HTTPClient(cfg).complete(req("coder", "x")) == "fine"
         assert handler.hits == 3
 
     def test_deterministic_flag_zeroes_temperature(self, stub_server, tmp_path):
         config = tmp_path / "config.yaml"
-        config.write_text(f"base_url: {stub_server}\ntemperature: 0.7\nretries: 0\n")
+        config.write_text(f"base_url: {stub_server}\ntemperature: 0.7\n")
         ctx = cli._build_context(str(config), None, True, None)
         ctx.llm.complete(req("coder", "x"))
         assert _StubHandler.last_body["temperature"] == 0.0
@@ -254,43 +259,56 @@ class TestHTTPClient:
         handler, server = scripted_server((404, b"no such model " + b"x" * 300))
         with server as url:
             with pytest.raises(LLMError, match=r"^HTTP 404: no such model x+$") as info:
-                HTTPClient(LLMConfig(base_url=url, retries=3)).complete(req("coder", "x"))
+                HTTPClient(LLMConfig(base_url=url)).complete(req("coder", "x"))
         assert handler.hits == 1
         assert len(str(info.value)) == len("HTTP 404: ") + 200
 
-    def test_5xx_is_retried_then_transport_failure(self):
+    def test_5xx_is_retried_then_transport_failure(self, set_retries):
+        set_retries(2)
         handler, server = scripted_server((503, b"overloaded"))
         with server as url:
             with pytest.raises(LLMError,
                                match=r"^transport failure after 2 retries: HTTP 503$"):
-                HTTPClient(LLMConfig(base_url=url, retries=2)).complete(req("coder", "x"))
+                HTTPClient(LLMConfig(base_url=url)).complete(req("coder", "x"))
         assert handler.hits == 3
 
+    def test_a_request_is_retried_three_times(self):
+        handler, server = scripted_server((503, b"overloaded"))
+        with server as url:
+            with pytest.raises(LLMError,
+                               match=r"^transport failure after 3 retries: HTTP 503$"):
+                HTTPClient(LLMConfig(base_url=url)).complete(req("coder", "x"))
+        assert handler.hits == 4
+
     @pytest.mark.parametrize("status", [500, 429])  # 429: rate-limited, retried too
-    def test_retried_status_then_valid_reply(self, status):
+    def test_retried_status_then_valid_reply(self, status, set_retries):
+        set_retries(1)
         handler, server = scripted_server((status, b"busy"), GOOD_REPLY)
         with server as url:
-            cfg = LLMConfig(base_url=url, retries=1)
+            cfg = LLMConfig(base_url=url)
             assert HTTPClient(cfg).complete(req("coder", "x")) == "fine"
         assert handler.hits == 2
 
     @pytest.mark.parametrize("key", ["sekrit", None], ids=["set", "unset"])
-    def test_bearer_header_only_when_the_key_variable_is_set(self, monkeypatch, key):
+    def test_bearer_header_only_when_the_key_variable_is_set(self, monkeypatch, key,
+                                                             set_retries):
+        set_retries(0)
         if key is None:
             monkeypatch.delenv("TABLEQA_TEST_KEY", raising=False)
         else:
             monkeypatch.setenv("TABLEQA_TEST_KEY", key)
         handler, server = scripted_server(GOOD_REPLY)
         with server as url:
-            cfg = LLMConfig(base_url=url, retries=0, api_key="TABLEQA_TEST_KEY")
+            cfg = LLMConfig(base_url=url, api_key="TABLEQA_TEST_KEY")
             HTTPClient(cfg).complete(req("coder", "x"))
         headers, _ = handler.received[0]
         assert headers.get("authorization") == (key and f"Bearer {key}")
 
-    def test_wire_body_is_json(self):
+    def test_wire_body_is_json(self, set_retries):
+        set_retries(0)
         handler, server = scripted_server(GOOD_REPLY)
         with server as url:
-            cfg = LLMConfig(base_url=url, retries=0)
+            cfg = LLMConfig(base_url=url)
             HTTPClient(cfg).complete(req("selector", "¿hola?"))
         headers, body = handler.received[0]
         assert headers["content-type"] == "application/json"
@@ -302,14 +320,15 @@ class TestHTTPClient:
             "max_tokens": cfg.max_tokens,
         }
 
-    def test_stalled_server_times_out_as_transport_failure(self, monkeypatch):
+    def test_stalled_server_times_out_as_transport_failure(self, monkeypatch, set_retries):
         monkeypatch.setattr(llm_client, "REQUEST_TIMEOUT_SECONDS", 0.2)
+        set_retries(0)
         handler, server = scripted_server(GOOD_REPLY)
         handler.stall = threading.Event()
         with server as url:
             try:
                 with pytest.raises(LLMError, match="^transport failure after 0 retries"):
-                    HTTPClient(LLMConfig(base_url=url, retries=0)).complete(
+                    HTTPClient(LLMConfig(base_url=url)).complete(
                         req("coder", "x"))
             finally:
                 handler.stall.set()
@@ -318,12 +337,12 @@ class TestHTTPClient:
 def test_config_from_dict():
     cfg = LLMConfig.from_dict({
         "base_url": "http://host/v1",
-        "model": {"general": "g", "coder": "c", "explainer_override": "e"},
+        "model": {"general": "g", "coder": "c"},
         "temperature": 0.5,
         "concurrency": 2,
     })
     assert cfg.base_url == "http://host/v1"
-    assert cfg.model == ModelNames("g", "c", "e")
+    assert cfg.model == ModelNames("g", "c")
     assert cfg.concurrency == 2
 
 
@@ -331,7 +350,6 @@ def test_config_from_dict():
     ("temperature", -0.1),
     ("max_tokens", 0),
     ("concurrency", 0),
-    ("retries", -1),
 ])
 def test_config_rejects_out_of_range_settings(setting, value):
     with pytest.raises(ValueError, match=f"{setting} must be"):
@@ -356,14 +374,13 @@ def test_config_model_key_with_nothing_under_it():
     ({"max_tokens": 2048.0}, "max_tokens"),
     ({"concurrency": 2.5}, "concurrency"),
     ({"concurrency": True}, "concurrency"),
-    ({"retries": False}, "retries"),
-    ({"retries": "3"}, "retries"),
+    ({"concurrency": None}, "concurrency"),
+    ({"concurrency": "8"}, "concurrency"),
     ({"base_url": 5}, "base_url"),
     ({"base_url": None}, "base_url"),
     ({"api_key": 5}, "api_key"),
     ({"model": {"general": 5}}, "model.general"),
     ({"model": {"coder": None}}, "model.coder"),
-    ({"model": {"explainer_override": ["qwen3"]}}, "model.explainer_override"),
 ])
 def test_config_rejects_wrong_shape_or_type(data, key):
     with pytest.raises(ValueError, match=f"^{re.escape(key)} must be"):

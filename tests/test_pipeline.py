@@ -2,6 +2,7 @@ import collections
 import dataclasses
 import errno
 import json
+import math
 import os
 import random
 import re
@@ -184,6 +185,14 @@ class TestVote:
                    for rep, value in enumerate(runs)]
         assert vote(records, EnsembleConfig()).value == ["Madrid", "Sevilla"]
 
+    @pytest.mark.parametrize("shared", [False, True], ids=["separate", "shared"])
+    def test_nan_answers_vote_as_one_class(self, shared):
+        """Two NaN runs outvote two single runs, whether the NaNs are one
+        float object or two (as when each run computes its own)."""
+        nans = [math.nan] * 2 if shared else [float("nan"), float("nan")]
+        records = [mk_record(rep, num(x)) for rep, x in enumerate([1.0, *nans, 2.0])]
+        assert math.isnan(vote(records, EnsembleConfig()).value)
+
 
 class TestEnsemble:
     def test_repetitions_one_equals_single_run(self, e2e):
@@ -337,20 +346,20 @@ class TestEnsembleCurve:
         for qid_recs in recs.values():
             for r in qid_recs:
                 r.question_id = "a"
-        points = ensemble_curve(recs, [q], 4)
+        points = ensemble_curve(recs, [q])
         assert points == [(1, 1.0), (2, 1.0), (3, 1.0), (4, 1.0)]
 
     def test_n1_equals_first_run(self):
         q = Question("a", "t", "?", AnswerType.NUMBER, gold=num(1))
         recs = self._records({"a": [num(2), num(1), num(1)]})
-        points = ensemble_curve(recs, [q], 3)
+        points = ensemble_curve(recs, [q])
         assert points[0] == (1, 0.0)
         assert points[-1] == (3, 1.0)
 
     def test_max_n_truncated_to_available(self):
         q = Question("a", "t", "?", AnswerType.NUMBER, gold=num(1))
         recs = self._records({"a": [num(1), num(1)]})
-        assert ensemble_curve(recs, [q], 10)[-1][0] == 2
+        assert ensemble_curve(recs, [q])[-1][0] == 2
 
 
 class _ShuffledDelays:

@@ -1,5 +1,9 @@
 import gc
+import json
+import os
 import random
+import subprocess
+import sys
 import time
 import weakref
 
@@ -121,6 +125,37 @@ class TestExecutePlan:
         with pytest.raises(PlanRuntimeError, match=NO_MATCHING_RECORDS):
             run('answer = most_frequent_in_subset(df, "Mes", "Mes", "zzzzzz")',
                 mes_table)
+
+    def test_plan_over_the_row_budget_fails_fast_in_little_memory(self):
+        """Eleven flattens of 200 rows of `a;b` cells reach 409,600 rows, each
+        within the flatten limit, and thirty more flattens of the flat column
+        keep that many: unbounded, the plan ran 18 s at 1.3 GiB and answered
+        409600.  The first ten build 409,200 rows, so the eleventh is refused
+        unbuilt.  It runs in a child, whose peak RSS before the plan is that
+        of its start-up, timed in CPU seconds, which other load does not
+        inflate."""
+        names = [f"c{i}" for i in range(14)]
+        steps = names[:11] + ["c0"] * 30
+        plan = "".join(f't{i + 1} = flatten_column_values({f"t{i}" if i else "df"}, "{n}")\n'
+                       for i, n in enumerate(steps)) + f"answer = count_rows(t{len(steps)})"
+        child = (
+            "import json, resource, sys, time\n"
+            "from tableqa.runner import try_plan\n"
+            "from tableqa.table_core import Column, Table\n"
+            "t = Table('t', tuple(Column.from_cells(f'c{i}', ['a;b'] * 200) for i in range(14)))\n"
+            "rss = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # MiB\n"
+            "before, start = rss(), time.process_time()\n"
+            "stage, message, _ = try_plan(sys.stdin.read(), t)\n"
+            "print(json.dumps([stage, message, time.process_time() - start, rss() - before]))\n")
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        result = subprocess.run([sys.executable, "-c", child], input=plan, capture_output=True,
+                                text=True, env={**os.environ, "PYTHONPATH": src}, timeout=10)
+        assert result.returncode == 0, result.stderr
+        stage, message, seconds, rss_mib = json.loads(result.stdout)
+        assert (stage, message) == ("execute", "flatten_column_values: would build "
+                                              "409600 rows, over the budget of 90800 rows")
+        assert seconds < 1.0
+        assert rss_mib < 100
 
     def test_tables_die_without_the_cyclic_collector(self):
         """Plan evaluation makes no reference cycle: the input table and a
@@ -262,8 +297,9 @@ class TestSolve:
 
     def test_flatten_chain_over_the_row_budget_is_repaired(self):
         # Nine chained flattens of four-valued cells would build 200 * 4**9
-        # (~52M) rows; the sixth, at 819,200 rows, is refused unbuilt.
-        budget = tablefns.MAX_FLATTEN_ROWS
+        # (~52M) rows; the first five build 272,800, so the sixth, at
+        # 819,200 rows, is refused unbuilt.
+        left = tablefns.PLAN_ROW_BUDGET - 272_800
         names = [f"c{i}" for i in range(9)]
         t = Table("t", tuple(Column.from_cells(n, ["a;b;c;d"] * 200) for n in names))
         chain = "".join(f't{i + 1} = flatten_column_values({f"t{i}" if i else "df"}, "{n}")\n'
@@ -276,11 +312,37 @@ class TestSolve:
         trace = solve(self.prompt(), t, mock)
         assert time.perf_counter() - start < 1.0
         error = ("flatten_column_values: would build 819200 rows, "
-                 f"over the budget of {budget} rows")
+                 f"over the budget of {left} rows")
         assert (trace.attempts[0].error_stage, trace.attempts[0].error_message) == \
             ("execute", error)
         assert f"Error: {error}" in mock.calls[1].last_user_content
         assert trace.succeeded and trace.final_value == 200.0
+
+    def test_plan_over_the_row_budget_is_repaired_and_memoised(self, mes_table, monkeypatch):
+        monkeypatch.setattr(tablefns, "PLAN_ROW_BUDGET", 5)
+        over = ('x = flatten_column_values(df, "Mes")\n'
+                'y = flatten_column_values(x, "Mes")\nanswer = count_rows(y)')
+        mock = MockClient.from_list([
+            {"stage": "coder", "reply": over, "consume_once": True},
+            {"stage": "coder", "reply": VALID_PLAN},
+        ])
+        memo = {}
+        trace = solve(self.prompt(), mes_table, mock, memo)
+        error = "flatten_column_values: would build 3 rows, over the budget of 2 rows"
+        assert (trace.attempts[0].error_stage, trace.attempts[0].error_message) == \
+            ("execute", error)
+        assert f"Error: {error}" in mock.calls[1].last_user_content
+        assert trace.succeeded and trace.final_value == 3.0
+        assert memo[over] == ("execute", error, None)
+
+    def test_only_flattens_spend_the_row_budget(self, mes_table, monkeypatch):
+        # Sorts, filters and deletes never return more rows than they
+        # take, so a plan of them answers on a table of any size.
+        monkeypatch.setattr(tablefns, "PLAN_ROW_BUDGET", 1)
+        plan = ('a = sort_alphabetical(df, "Mes")\nb = filter_not_contains(a, "Mes", "zz")\n'
+                'c = delete_rows_by_column_value(b, "Mes", "Marzo")\nd = sort_alphabetical(c, "Mes")\n'
+                'answer = count_rows(d)')
+        assert run(plan, mes_table) == 3.0
 
     def test_formatting_a_memoised_list_leaves_it_unchanged(self, mes_table):
         plan = 'answer = head_n(unique(column(df, "Mes")), 1)'

@@ -44,7 +44,7 @@ class TestFlattenColumnValues:
         assert col_values(out, "d") == ["keep", "keep"]
 
     def test_row_budget_is_inclusive(self, monkeypatch):
-        monkeypatch.setattr(tablefns, "MAX_FLATTEN_ROWS", 5)
+        monkeypatch.setattr(tablefns, "PLAN_ROW_BUDGET", 5)
         assert tablefns.flatten_column_values(one_col("c", ["a;b", "x", "p|q"]), "c").row_count == 5
         with pytest.raises(TableFnError, match="^would build 6 rows, over the budget of 5 rows$"):
             tablefns.flatten_column_values(one_col("c", ["a;b", "x,y", "p|q"]), "c")
