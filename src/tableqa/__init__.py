@@ -1,16 +1,4 @@
 """Question answering over CSV tables via LLM-generated plans in a
 closed, loop-free table query language."""
 
-from .answerer import Answer, AnswerType, compare_answers, format_answer
-from .table_core import Table, load_csv
-
-__all__ = [
-    "Answer",
-    "AnswerType",
-    "Table",
-    "compare_answers",
-    "format_answer",
-    "load_csv",
-]
-
 __version__ = "0.1.0"

@@ -2,8 +2,8 @@
 
 Subcommands: describe, ask, bench, plan-run, ensemble-curve,
 dsl-reference.  Global flags pick the LLM backend (--mock for scripted
-tests, otherwise HTTP per the config file), the profile cache directory,
-and deterministic sampling.
+tests, otherwise HTTP per the config file) and the profile cache
+directory.
 """
 
 from __future__ import annotations
@@ -44,8 +44,7 @@ def _usage_error(param: str, *errors: type, named: bool = False):
         raise click.BadParameter(message, param_hint=f"'{param}'") from exc
 
 
-def _build_context(config_path, mock_path, deterministic, cache_dir,
-                   trace_dir=None) -> PipelineContext:
+def _build_context(config_path, mock_path, cache_dir, trace_dir=None) -> PipelineContext:
     cfg = LLMConfig()
     if config_path:
         import yaml  # only runs with a config file pay for it
@@ -53,8 +52,6 @@ def _build_context(config_path, mock_path, deterministic, cache_dir,
                           RecursionError, yaml.YAMLError, named=True), \
                 open(config_path, encoding="utf-8") as fh:
             cfg = LLMConfig.from_dict(yaml.safe_load(fh) or {})
-    if deterministic:
-        cfg.temperature = 0.0
     with _usage_error("--mock", OSError, TypeError, ValueError, RecursionError, named=True):
         llm = MockClient.from_file(mock_path) if mock_path else HTTPClient(cfg)
     return PipelineContext(
@@ -77,8 +74,6 @@ def _global_options(fn):
                       default=None, help="YAML/JSON config file.")(fn)
     fn = click.option("--mock", "mock_path", type=click.Path(exists=True),
                       default=None, help="Scripted mock LLM (JSON).")(fn)
-    fn = click.option("--deterministic", is_flag=True,
-                      help="Temperature 0 for reproducible runs.")(fn)
     fn = click.option("--cache-dir", type=click.Path(file_okay=False), default=None,
                       help="Column-profile cache directory.")(fn)
     return fn
@@ -92,9 +87,9 @@ def main():
 @main.command()
 @click.argument("table_path", type=click.Path(exists=True))
 @_global_options
-def describe(table_path, config_path, mock_path, deterministic, cache_dir):
+def describe(table_path, config_path, mock_path, cache_dir):
     """Profile a table and print its column descriptions."""
-    ctx = _build_context(config_path, mock_path, deterministic, cache_dir)
+    ctx = _build_context(config_path, mock_path, cache_dir)
     if mock_path is None and config_path is None:
         ctx.llm = None  # offline: template descriptions
     with _usage_error("TABLE_PATH", TableError):
@@ -113,7 +108,7 @@ def describe(table_path, config_path, mock_path, deterministic, cache_dir):
 @click.option("--trace-dir", type=click.Path(file_okay=False), default=None)
 @_global_options
 def ask(table_path, question, answer_type, repetitions, trace_dir,
-        config_path, mock_path, deterministic, cache_dir):
+        config_path, mock_path, cache_dir):
     """Answer a single question over one CSV table."""
     # The pipeline finds a table as <tables-dir>/<table id>.csv.
     table_id = os.path.basename(table_path)
@@ -121,8 +116,7 @@ def ask(table_path, question, answer_type, repetitions, trace_dir,
         raise click.BadParameter(f"{table_path!r} is not a .csv file",
                                  param_hint="'TABLE_PATH'")
     table_id = table_id[:-4]
-    ctx = _build_context(config_path, mock_path, deterministic, cache_dir,
-                         trace_dir)
+    ctx = _build_context(config_path, mock_path, cache_dir, trace_dir)
     tables_dir = os.path.dirname(os.path.abspath(table_path))
     q = Question("q0", table_id, question, AnswerType(answer_type))
     finals, _ = ensemble_answers([q], tables_dir, ctx, EnsembleConfig(repetitions))
@@ -141,13 +135,11 @@ def ask(table_path, question, answer_type, repetitions, trace_dir,
 @click.option("--out-dir", type=click.Path(file_okay=False), default="bench_out",
               show_default=True, help="Predictions, report and traces.")
 @_global_options
-def bench(questions_path, tables_dir, repetitions, out_dir, config_path,
-          mock_path, deterministic, cache_dir):
+def bench(questions_path, tables_dir, repetitions, out_dir, config_path, mock_path, cache_dir):
     """Run the benchmark: answer every question, vote, score, report."""
     with _usage_error("QUESTIONS_PATH", OSError, ValueError):
         questions = load_questions(questions_path)
-    ctx = _build_context(config_path, mock_path, deterministic,
-                         cache_dir or os.path.join(out_dir, "cache"),
+    ctx = _build_context(config_path, mock_path, cache_dir or os.path.join(out_dir, "cache"),
                          trace_dir=os.path.join(out_dir, "trace"))
     for option, path in (("--out-dir", ctx.trace_dir),
                          ("--cache-dir" if cache_dir else "--out-dir", ctx.cache_dir)):
@@ -192,8 +184,8 @@ def plan_run(table_path, plan_path):
 @click.argument("questions_path", type=click.Path(exists=True))
 @click.argument("bench_dir", type=click.Path(exists=True))
 def ensemble_curve_cmd(questions_path, bench_dir):
-    """Recompute voting accuracy for n=1..(most repetitions of any question)
-    from the run log of a bench run over QUESTIONS_PATH; emits CSV (n,accuracy)."""
+    """Recompute voting accuracy over each question's first n logged runs,
+    n=1..(most of any question), from a bench run's log; emits CSV (n,accuracy)."""
     with _usage_error("QUESTIONS_PATH", OSError, ValueError):
         questions = load_questions(questions_path)
     records = {q.id: [] for q in questions}  # a question with no run lines abstains

@@ -229,7 +229,6 @@ class MockClient:
 
     def __init__(self, entries: Sequence[MockEntry]):
         self.entries = list(entries)
-        self.calls: list[ChatRequest] = []
         self._lock = threading.Lock()
 
     @staticmethod
@@ -243,7 +242,6 @@ class MockClient:
 
     def complete(self, req: ChatRequest) -> str:
         with self._lock:
-            self.calls.append(req)
             prompt = req.last_user_content
             for entry in self.entries:  # "" is in every prompt
                 if entry.stage == req.stage_tag and not entry._consumed and entry.match in prompt:

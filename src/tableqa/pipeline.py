@@ -298,7 +298,7 @@ def _run_repetitions(questions: list[Question], tables_dir: str, ctx: PipelineCo
         records = []
         for key in sorted(futures):  # (repetition, question index)
             # Logged while later runs go on; a failed log fails the rest.
-            rec, artifacts = futures[key].result()
+            rec, artifacts = futures.pop(key).result()  # its artifacts go once logged
             log.write({"question_id": rec.question_id, **rec.to_dict(), **artifacts})
             if log.error:
                 rec.answer, rec.failure = None, f"trace: {log.error}"
@@ -418,18 +418,13 @@ def score(predictions: list[tuple[Question, Optional[Answer]]]) -> ScoreReport:
 
 def ensemble_curve(records_by_question: dict[str, list[RunRecord]],
                    questions: list[Question]) -> list[tuple[int, float]]:
-    """Accuracy when voting over the first n repetitions, n = 1..the most any question has."""
+    """Accuracy when voting over each question's first n logged runs, in
+    log order, n = 1..the most runs any question has."""
     by_id = {q.id: q for q in questions}
-    max_n = max((len({r.repetition for r in recs})
-                 for recs in records_by_question.values()), default=0)
-    points = []
-    for n in range(1, max_n + 1):
-        preds = []
-        for qid, recs in records_by_question.items():
-            subset = [r for r in recs if r.repetition < n]
-            preds.append((by_id[qid], vote(subset, EnsembleConfig())))
-        points.append((n, score(preds).overall_accuracy))
-    return points
+    max_n = max(map(len, records_by_question.values()), default=0)
+    return [(n, score([(by_id[qid], vote(recs[:n], EnsembleConfig()))
+                       for qid, recs in records_by_question.items()]).overall_accuracy)
+            for n in range(1, max_n + 1)]
 
 
 def load_questions(path: str) -> list[Question]:

@@ -1,6 +1,7 @@
 """Shared end-to-end fixture: six questions over the survey table (one
-per answer type plus one designed solve-failure) and a mock script
-covering all four LLM stages."""
+per answer type plus one designed solve-failure), a mock script
+covering all four LLM stages, and a client wrapper that records the
+requests sent."""
 
 import json
 import os
@@ -114,3 +115,17 @@ def read_run_log(trace_dir):
         lines = [json.loads(line) for line in fh]
     return ([line for line in lines if "final" not in line],
             [line for line in lines if "final" in line])
+
+
+class Recording:
+    """An LLM client wrapper that keeps every request in `calls`, in the
+    order the requests reach it.  It records before the inner call, so at
+    concurrency 1 that is the order the inner client served them."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = []
+
+    def complete(self, req):
+        self.calls.append(req)
+        return self.inner.complete(req)

@@ -145,7 +145,7 @@ def test_retry_loop_attempt_counts():
         entries = [{"stage": "coder", "reply": "answer = count_rows(",
                     "consume_once": True} for _ in range(k)]
         entries.append({"stage": "coder", "reply": "answer = count_rows(df)"})
-        mock = MockClient.from_list(entries)
+        mock = e2e_fixtures.Recording(MockClient.from_list(entries))
         trace = solve(prompt, table, mock)
         assert trace.succeeded and trace.final_value == 2.0
         coder_calls = [c for c in mock.calls if c.stage_tag == "coder"]

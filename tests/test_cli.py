@@ -526,6 +526,21 @@ def test_question_without_run_lines_abstains(runner, tmp_path):
     assert result.output.splitlines() == ["n,accuracy", "1,0.5000"]
 
 
+@pytest.mark.parametrize("command", ["describe", "ask", "bench"])
+def test_deterministic_is_a_usage_error(runner, fixture_paths, command):
+    # `temperature: 0` in --config is the one way to set greedy sampling.
+    tables_dir, questions_path, mock_path = fixture_paths
+    table_path = os.path.join(tables_dir, "encuestas.csv")
+    args = {
+        "describe": ["describe", table_path],
+        "ask": ["ask", table_path, "¿Q?", "--type", "Number"],
+        "bench": ["bench", questions_path, "--tables-dir", tables_dir],
+    }[command]
+    result = runner.invoke(main, args + ["--mock", mock_path, "--deterministic"])
+    assert result.exit_code == 2, result.output
+    assert "No such option" in result.output and "--deterministic" in result.output
+
+
 def test_ensemble_curve_max_n_is_a_usage_error(runner, tmp_path):
     # The curve runs to the most repetitions in the log; there is no option.
     result = runner.invoke(main, ["ensemble-curve", *write_bench_dir(tmp_path), "--max-n", "8"])
@@ -601,8 +616,8 @@ def test_config_concurrency_sets_runs_in_flight(tmp_path):
 
     config = tmp_path / "config.yaml"
     config.write_text("concurrency: 2\n", encoding="utf-8")
-    assert _build_context(str(config), None, False, None).concurrency == 2
-    assert _build_context(None, None, False, None).concurrency == DEFAULT_CONCURRENCY
+    assert _build_context(str(config), None, None).concurrency == 2
+    assert _build_context(None, None, None).concurrency == DEFAULT_CONCURRENCY
 
 
 # Every input file is untrusted: seeded mutations of valid inputs must end

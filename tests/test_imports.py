@@ -1,6 +1,7 @@
 """Every module-level import in src/tableqa is used by its module, unless
-the module re-exports the name on purpose by listing it in `__all__`; and
-an offline run starts without loading an HTTP, TLS or YAML module."""
+the module re-exports the name on purpose by listing it in `__all__`;
+`import tableqa` loads no submodule; and an offline run starts without
+loading an HTTP, TLS or YAML module."""
 
 import ast
 import os
@@ -42,6 +43,16 @@ def test_guard_flags_unused_and_allows_reexports():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_package_import_loads_no_submodule():
+    child = ("import sys, tableqa\n"
+             "loaded = sorted(m for m in sys.modules if m.startswith('tableqa.'))\n"
+             "assert not loaded, loaded\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    result = subprocess.run([sys.executable, "-c", child], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stdout + result.stderr
 
 
 # `requests` is blocked, so importing it anywhere fails the child.

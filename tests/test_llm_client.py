@@ -9,7 +9,7 @@ import time
 import pytest
 import yaml
 
-from tableqa import cli, llm_client
+from tableqa import llm_client
 from tableqa.llm_client import (
     ChatRequest,
     HTTPClient,
@@ -247,13 +247,6 @@ class TestHTTPClient:
             cfg = LLMConfig(base_url=url)
             assert HTTPClient(cfg).complete(req("coder", "x")) == "fine"
         assert handler.hits == 3
-
-    def test_deterministic_flag_zeroes_temperature(self, stub_server, tmp_path):
-        config = tmp_path / "config.yaml"
-        config.write_text(f"base_url: {stub_server}\ntemperature: 0.7\n")
-        ctx = cli._build_context(str(config), None, True, None)
-        ctx.llm.complete(req("coder", "x"))
-        assert _StubHandler.last_body["temperature"] == 0.0
 
     def test_4xx_fails_at_once_with_the_body_prefix(self):
         handler, server = scripted_server((404, b"no such model " + b"x" * 300))

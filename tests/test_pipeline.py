@@ -10,6 +10,7 @@ import shutil
 import sys
 import threading
 import time
+import weakref
 
 import pytest
 from hypothesis import given, strategies as st
@@ -46,7 +47,7 @@ def e2e(tmp_path):
     tables_dir, questions_path, mock_path = e2e_fixtures.write_fixture(tmp_path)
     questions = load_questions(questions_path)
     ctx = PipelineContext(
-        llm=MockClient.from_file(mock_path),
+        llm=e2e_fixtures.Recording(MockClient.from_file(mock_path)),
         cache_dir=str(tmp_path / "cache"),
         trace_dir=str(tmp_path / "trace"),
     )
@@ -212,6 +213,38 @@ class TestEnsemble:
         for qid, expected in e2e_fixtures.EXPECTED.items():
             assert answer_dict(finals[qid]) == expected
 
+    def test_a_logged_run_lets_go_of_its_artifacts(self, e2e, monkeypatch):
+        tables_dir, questions, ctx, _ = e2e
+        ctx.concurrency = 1
+
+        class Probe:
+            pass
+
+        probes = []
+        real_run_one = pipeline._run_one
+
+        def probed_run_one(q, repetition, loaded, llm, artifacts):
+            artifacts["probe"] = Probe()
+            probes.append(weakref.ref(artifacts["probe"]))
+            return real_run_one(q, repetition, loaded, llm, artifacts)
+
+        alive = []  # probes alive at each run line
+        real_write = pipeline.TraceWriter.write
+
+        def counting_write(self, line):
+            if "probe" in line:
+                alive.append(sum(p() is not None for p in probes))
+                line = {k: v for k, v in line.items() if k != "probe"}
+            real_write(self, line)
+
+        monkeypatch.setattr(pipeline, "_run_one", probed_run_one)
+        monkeypatch.setattr(pipeline.TraceWriter, "write", counting_write)
+        ensemble_answers(questions, tables_dir, ctx, EnsembleConfig(repetitions=8))
+        # Every run has finished by the last line; only that line's own
+        # artifacts are still held.
+        assert len(alive) == 8 * len(questions)
+        assert alive[-1] == 1
+
     def test_votes_trace_written(self, e2e):
         tables_dir, questions, ctx, tmp_path = e2e
         ensemble_answers(questions, tables_dir, ctx, EnsembleConfig(repetitions=2))
@@ -356,6 +389,13 @@ class TestEnsembleCurve:
         assert points[0] == (1, 0.0)
         assert points[-1] == (3, 1.0)
 
+    def test_votes_each_questions_first_n_logged_runs(self):
+        # A log with a gap in its repetitions (0, 2, 3) still votes all
+        # three runs at n = 3.
+        q = Question("a", "t", "?", AnswerType.NUMBER, gold=num(1))
+        recs = {"a": [mk_record(rep, num(a)) for rep, a in ((0, 2), (2, 1), (3, 1))]}
+        assert ensemble_curve(recs, [q]) == [(1, 0.0), (2, 0.0), (3, 1.0)]
+
     def test_max_n_truncated_to_available(self):
         q = Question("a", "t", "?", AnswerType.NUMBER, gold=num(1))
         recs = self._records({"a": [num(1), num(1)]})
@@ -454,7 +494,7 @@ class TestConcurrentEnsemble:
             return real_load_csv(path, *args, **kwargs)
 
         monkeypatch.setattr(pipeline, "load_csv", counting_load_csv)
-        mock = MockClient.from_file(mock_path)
+        mock = e2e_fixtures.Recording(MockClient.from_file(mock_path))
         ctx = _context(tmp_path, "run", mock, concurrency=4, cache=False)
         finals, _ = ensemble_answers(questions[:2], tables_dir, ctx,
                                      EnsembleConfig(repetitions=8))
@@ -504,12 +544,12 @@ class TestConcurrentEnsemble:
         tables_dir, questions_path, mock_path = e2e_fixtures.write_fixture(tmp_path)
         questions = load_questions(questions_path)
         reps = 3
-        reference = MockClient.from_file(mock_path)
+        reference = e2e_fixtures.Recording(MockClient.from_file(mock_path))
         reference_ctx = _context(tmp_path, "reference", reference, 1)
         for rep in range(reps):
             for q in questions:
                 run_pipeline_batch([q], tables_dir, reference_ctx, rep)
-        mock = MockClient.from_file(mock_path)
+        mock = e2e_fixtures.Recording(MockClient.from_file(mock_path))
         ensemble_answers(questions, tables_dir, _context(tmp_path, "run", mock, 1),
                          EnsembleConfig(repetitions=reps))
 
@@ -771,7 +811,7 @@ class TestDescriptorFanOut:
 
     def test_serial_descriptor_prompts_keep_table_then_chunk_order(self, tmp_path):
         tables_dir = str(tmp_path / "tables")
-        mock = MockClient.from_list(_write_wide_tables(tables_dir))
+        mock = e2e_fixtures.Recording(MockClient.from_list(_write_wide_tables(tables_dir)))
         expected = [req.last_user_content for t in ("wide_a", "wide_b")
                     for req in describe_requests(profile_table(
                         pipeline.load_csv(os.path.join(tables_dir, f"{t}.csv"))))]
@@ -783,7 +823,7 @@ class TestDescriptorFanOut:
 
     def test_failed_chunk_keeps_only_its_columns_on_the_template(self, tmp_path):
         tables_dir = str(tmp_path / "tables")
-        mock = MockClient.from_list(_write_wide_tables(tables_dir))
+        mock = e2e_fixtures.Recording(MockClient.from_list(_write_wide_tables(tables_dir)))
 
         class FailingChunk:
             def complete(self, req):
@@ -902,7 +942,7 @@ class TestRunsStartPerTable:
 
     def test_serial_prompts_go_table_by_table(self, tmp_path):
         tables_dir = str(tmp_path / "tables")
-        mock = MockClient.from_list(_write_wide_tables(tables_dir))
+        mock = e2e_fixtures.Recording(MockClient.from_list(_write_wide_tables(tables_dir)))
         questions = [Question("q1", "wide_a", "¿Cuántas filas tiene wide_a?", AnswerType.NUMBER),
                      Question("q2", "wide_b", "¿Cuántas filas tiene wide_b?", AnswerType.NUMBER),
                      Question("q3", "wide_a", "¿Y filas en wide_a?", AnswerType.NUMBER)]
@@ -977,7 +1017,7 @@ class TestRepliesNestedTooDeep:
 
     def _ensemble(self, tmp_path, script):
         tables_dir, questions_path, _ = e2e_fixtures.write_fixture(tmp_path)
-        ctx = PipelineContext(llm=MockClient.from_list(script),
+        ctx = PipelineContext(llm=e2e_fixtures.Recording(MockClient.from_list(script)),
                               cache_dir=str(tmp_path / "cache"), trace_dir=str(tmp_path / "trace"))
         finals, _ = ensemble_answers(load_questions(questions_path), tables_dir, ctx,
                                      EnsembleConfig(repetitions=1))
@@ -1049,7 +1089,7 @@ class TestPlanMemo:
         script = [e for e in e2e_fixtures.MOCK_SCRIPT if e["stage"] != "coder"] + [
             {"stage": "coder", "match": "Your previous plan failed", "reply": valid},
             {"stage": "coder", "reply": failing}]
-        mock = MockClient.from_list(script)
+        mock = e2e_fixtures.Recording(MockClient.from_list(script))
         executions = _CountedExecutions(monkeypatch)
         ctx = _context(tmp_path, "run", mock, concurrency=8)
         question = load_questions(questions_path)[1]

@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+from e2e_fixtures import Recording
+
 from tableqa import profiler
 from tableqa.llm_client import MockClient
 from tableqa.profiler import (
@@ -92,9 +94,9 @@ class TestDescribeColumns:
     def test_batches_of_25(self, survey_table):
         profiles = [ColumnProfile(name=f"c{i}", kind=ColumnKind.CATEGORICAL)
                     for i in range(60)]
-        mock = MockClient.from_list([
+        mock = Recording(MockClient.from_list([
             {"stage": "descriptor", "reply": "{}"},
-        ])
+        ]))
         described(profiles, mock)
         assert len(mock.calls) == 3
 

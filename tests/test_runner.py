@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_table
+from e2e_fixtures import Recording
 from tableqa import tablefns
 from tableqa.answerer import AnswerType, format_answer
 from tableqa.explainer import InstructionSet
@@ -224,7 +225,7 @@ class TestSolve:
         entries = [{"stage": "coder", "reply": BROKEN_PLAN, "consume_once": True}
                    for _ in range(k)]
         entries.append({"stage": "coder", "reply": VALID_PLAN})
-        mock = MockClient.from_list(entries)
+        mock = Recording(MockClient.from_list(entries))
         trace = solve(self.prompt(), mes_table, mock)
         assert trace.succeeded
         assert trace.attempts_used == k + 1
@@ -242,30 +243,30 @@ class TestSolve:
             assert a.error_message
 
     def test_repair_prompt_includes_previous_plan_and_error(self, mes_table):
-        mock = MockClient.from_list([
+        mock = Recording(MockClient.from_list([
             {"stage": "coder", "reply": BROKEN_PLAN, "consume_once": True},
             {"stage": "coder", "reply": VALID_PLAN},
-        ])
+        ]))
         solve(self.prompt(), mes_table, mock)
         repair = mock.calls[1].last_user_content
         assert BROKEN_PLAN in repair
         assert "parse" in repair
 
     def test_runtime_error_feeds_repair(self, mes_table):
-        mock = MockClient.from_list([
+        mock = Recording(MockClient.from_list([
             {"stage": "coder", "reply": 'answer = div(1, 0)', "consume_once": True},
             {"stage": "coder", "reply": VALID_PLAN},
-        ])
+        ]))
         trace = solve(self.prompt(), mes_table, mock)
         assert trace.succeeded
         assert trace.attempts[0].error_stage == "execute"
         assert "division by zero" in mock.calls[1].last_user_content
 
     def test_overflow_feeds_repair(self, mes_table):
-        mock = MockClient.from_list([
+        mock = Recording(MockClient.from_list([
             {"stage": "coder", "reply": "answer = mean([1e308, 1e308])", "consume_once": True},
             {"stage": "coder", "reply": VALID_PLAN},
-        ])
+        ]))
         trace = solve(self.prompt(), mes_table, mock)
         assert trace.succeeded
         assert trace.final_value == 3.0
@@ -304,10 +305,10 @@ class TestSolve:
         t = Table("t", tuple(Column.from_cells(n, ["a;b;c;d"] * 200) for n in names))
         chain = "".join(f't{i + 1} = flatten_column_values({f"t{i}" if i else "df"}, "{n}")\n'
                         for i, n in enumerate(names))
-        mock = MockClient.from_list([
+        mock = Recording(MockClient.from_list([
             {"stage": "coder", "reply": chain + "answer = count_rows(t9)", "consume_once": True},
             {"stage": "coder", "reply": VALID_PLAN},
-        ])
+        ]))
         start = time.perf_counter()
         trace = solve(self.prompt(), t, mock)
         assert time.perf_counter() - start < 1.0
@@ -322,10 +323,10 @@ class TestSolve:
         monkeypatch.setattr(tablefns, "PLAN_ROW_BUDGET", 5)
         over = ('x = flatten_column_values(df, "Mes")\n'
                 'y = flatten_column_values(x, "Mes")\nanswer = count_rows(y)')
-        mock = MockClient.from_list([
+        mock = Recording(MockClient.from_list([
             {"stage": "coder", "reply": over, "consume_once": True},
             {"stage": "coder", "reply": VALID_PLAN},
-        ])
+        ]))
         memo = {}
         trace = solve(self.prompt(), mes_table, mock, memo)
         error = "flatten_column_values: would build 3 rows, over the budget of 2 rows"
@@ -392,8 +393,8 @@ def test_shared_memo_solves_like_a_fresh_one(seed, streams):
     def solve_all(memo_for_run):
         out = []
         for stream in streams:
-            mock = MockClient.from_list([{"stage": "coder", "reply": r, "consume_once": True}
-                                         for r in stream])
+            mock = Recording(MockClient.from_list([{"stage": "coder", "reply": r,
+                                                    "consume_once": True} for r in stream]))
             trace = solve(prompt, t, mock, memo_for_run())
             out.append((trace.to_dict(), [c.last_user_content for c in mock.calls]))
         return out

@@ -1,5 +1,7 @@
 import json
 
+from e2e_fixtures import Recording
+
 from tableqa.llm_client import MockClient
 from tableqa.profiler import ColumnProfile
 from tableqa.selector import DENYLIST, prune_uninformative, select_columns
@@ -40,7 +42,7 @@ class TestPrune:
 class TestSelectColumns:
     def test_chunking_three_calls(self):
         profiles = profiles_named(*[f"c{i}" for i in range(60)])
-        mock = MockClient.from_list([{"stage": "selector", "reply": "[]"}])
+        mock = Recording(MockClient.from_list([{"stage": "selector", "reply": "[]"}]))
         select_columns("q?", profiles, mock)
         assert len(mock.calls) == 3
         sizes = [c.last_user_content.count("- c") for c in mock.calls]
@@ -56,10 +58,10 @@ class TestSelectColumns:
 
     def test_unparseable_chunk_kept(self):
         profiles = profiles_named("a", "b")
-        mock = MockClient.from_list([
+        mock = Recording(MockClient.from_list([
             {"stage": "selector", "reply": "not json", "consume_once": True},
             {"stage": "selector", "reply": "still not json", "consume_once": True},
-        ])
+        ]))
         out = select_columns("q?", profiles, mock)
         assert [p.name for p in out] == ["a", "b"]
         assert len(mock.calls) == 2
@@ -93,7 +95,7 @@ class TestSelectColumns:
 
     def test_prompt_contains_question_and_recall_bias(self):
         profiles = profiles_named("a")
-        mock = MockClient.from_list([{"stage": "selector", "reply": '["a"]'}])
+        mock = Recording(MockClient.from_list([{"stage": "selector", "reply": '["a"]'}]))
         select_columns("¿Cuántas encuestas?", profiles, mock)
         assert "¿Cuántas encuestas?" in mock.calls[0].last_user_content
         system = mock.calls[0].messages[0].content
