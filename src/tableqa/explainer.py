@@ -138,11 +138,13 @@ def clarify(inst: InstructionSet, t: Table, profiles: list[ColumnProfile]) -> In
         else:
             candidates = corrected_columns
         for cand in candidates:
-            distinct = t.column(cand).distinct
-            if value in distinct:
+            col = t.column(cand)
+            if value in col.distinct:
                 break
-            firsts = [first for first, _ in distinct.values()]
-            match = best_fuzzy_match(firsts, value, MATCH_THRESHOLD)
+            key = (value, MATCH_THRESHOLD)
+            if key not in col.fuzzy_matches:
+                col.fuzzy_matches[key] = best_fuzzy_match([f for f, _ in col.distinct.values()], *key)
+            match = col.fuzzy_matches[key]
             if match is not None:
                 be_careful.append(BE_CAREFUL_TEMPLATE.format(value=value, stored=render_cell(match)))
                 break
@@ -150,9 +152,7 @@ def clarify(inst: InstructionSet, t: Table, profiles: list[ColumnProfile]) -> In
     type_lines: list[str] = []
     for name in corrected_columns:
         profile = by_name.get(name)
-        if profile is None:
-            continue
-        if profile.kind is ColumnKind.NUMERIC:
+        if profile is None or profile.kind is ColumnKind.NUMERIC:
             continue
         examples = ", ".join(profile.example_values[:EXAMPLE_COUNT])
         type_lines.append(TYPE_LINE_TEMPLATE.format(

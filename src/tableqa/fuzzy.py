@@ -15,11 +15,12 @@ per-character bitmask over Python ints, and each character of the other
 string costs a constant number of integer operations, whatever the
 lengths.  `best_fuzzy_match` builds the target's masks once and reuses
 them for every value, and skips a value whose score cannot reach the
-threshold or the best so far: an indel distance is at least the length
-difference, so 100 * (1 - |len(t) - len(v)| / (len(t) + len(v))) bounds
-the score (the length filter of Gravano et al., VLDB 2001).  The bound
-takes the lowercased lengths ("İ" lowercases to two characters) and the
-score's own float operations, which are monotone, so it is exact.
+threshold or the best so far.  An LCS holds at most len(t) characters,
+and only those of the value's p characters that occur in the target, so
+the score with LCS = min(len(t), p) bounds the real one (the length and
+q = 1 count filters of Gravano et al., VLDB 2001).  The bound takes the
+lowercased strings ("İ" lowercases to two characters) and the score's
+own float operations, monotone in the LCS, so it is exact.
 
 Levenshtein distance is bit-parallel too, over the same `_match_masks`:
 the bit-vector algorithm of Myers (J. ACM 46(3), 1999), in the global
@@ -125,15 +126,14 @@ def best_fuzzy_match(values: Sequence[Cell], target: str, threshold: int) -> Opt
             continue
         lowered = render_cell(v).lower()
         total = length + len(lowered)
-        # The length bound on the score (see the module docstring).
-        if total and 100.0 * (1.0 - abs(length - len(lowered)) / total) < max(threshold, best_score):
+        # The bound on the score (see the module docstring).
+        lcs = min(length, sum(map(masks.__contains__, lowered)))
+        if total and 100.0 * (1.0 - (total - 2 * lcs) / total) < max(threshold, best_score):
             continue
         score = _indel_similarity(masks, length, lowered)
         if score > best_score:
             best_val, best_score = v, score
-    if best_val is not None and best_score >= threshold:
-        return best_val
-    return None
+    return best_val if best_score >= threshold else None
 
 
 def correct_name(name: str, candidates: Sequence[str]) -> str:

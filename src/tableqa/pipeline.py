@@ -1,8 +1,8 @@
 """Pipeline orchestration, majority-voting ensemble, and benchmark
 scoring.
 
-An ensemble loads and profiles each distinct table once, and runs every
-(question, repetition) pair as one independent task: prune+select ->
+An ensemble loads, profiles and prunes each distinct table once, and runs
+every (question, repetition) pair as one independent task: select ->
 explain+clarify -> solve -> format.  Tasks run on a thread pool of
 `PipelineContext.concurrency` workers.  The calling thread loads the
 tables in order of first use, and submits each table's column descriptor
@@ -164,14 +164,14 @@ def _load_table(path: str, ctx: PipelineContext, pool: ThreadPoolExecutor):
     file bytes are unchanged; else profile it and send its descriptor
     requests on `pool`.  Returns a function that waits for the replies,
     fills the descriptions, caches the profiles if every reply parsed and
-    returns (table, profiles)."""
+    returns (table, profiles, their pruned (kept, dropped))."""
     table = load_csv(path)
     cache = ProfileCache(ctx.cache_dir) if ctx.cache_dir else None
     if cache:
         with open(path, "rb") as fh:
             fingerprint = table_fingerprint(fh.read())
         if (profiles := cache.get(fingerprint)) is not None:
-            return lambda: (table, profiles)
+            return lambda: (table, profiles, prune_uninformative(profiles))
     profiles = profile_table(table)
     # Each request runs in a copy of the caller's context, as the runs do.
     futures = [] if ctx.llm is None else [
@@ -183,7 +183,7 @@ def _load_table(path: str, ctx: PipelineContext, pool: ThreadPoolExecutor):
         # Templates are not cached: a chunk that failed is asked again next time.
         if describe_columns(profiles, replies) and cache:
             cache.put(fingerprint, profiles)
-        return table, profiles
+        return table, profiles, prune_uninformative(profiles)
     return finish
 
 
@@ -191,7 +191,7 @@ def load_table_profiles(path: str, ctx: PipelineContext):
     """Load a CSV and profile it, reusing the on-disk cache when the
     file bytes are unchanged."""
     with ThreadPoolExecutor(max_workers=ctx.concurrency) as pool:
-        return _load_table(path, ctx, pool)()
+        return _load_table(path, ctx, pool)()[:2]
 
 
 class _TurnTakingLLM:
@@ -213,19 +213,18 @@ class _TurnTakingLLM:
 
 
 def _run_one(q: Question, repetition: int, loaded, llm, artifacts: dict) -> RunRecord:
-    """One pipeline pass over one question: prune+select ->
-    explain+clarify -> solve -> format.  `loaded` is the question's
-    (table, profiles, plan memo) triple, or the failure text of its table
-    load; its stages call `llm`.  Any exception becomes the run's failure,
+    """One pipeline pass over one question: select -> explain+clarify ->
+    solve -> format.  `loaded` is the question's (table, profiles, pruned
+    (kept, dropped), plan memo), or the failure text of its table load;
+    its stages call `llm`.  Any exception becomes the run's failure,
     prefixed with its stage.  Log artifacts go into `artifacts`, unwritten."""
     rec = RunRecord(q.id, repetition)
     if isinstance(loaded, str):
         rec.failure = loaded
         return rec
-    table, profiles, memo = loaded
+    table, profiles, (kept, dropped), memo = loaded
     stage = "select"
     try:
-        kept, dropped = prune_uninformative(profiles)
         warnings: list[str] = []
         chosen = select_columns(q.text, kept, llm, warnings)
         artifacts["selector"] = {

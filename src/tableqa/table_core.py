@@ -7,27 +7,27 @@ A cell is one of: a number (float), a boolean, a text string, or None
 Tables are never mutated after load; every transforming operation
 returns a new Table.
 
-Columns are dictionary-coded.  A *root* column holds its `cells`,
-`uniques` (one cell per distinct `(type(c), c)`, or for a loaded column
-per distinct raw text) and `codes` (per row, the position of its cell in
-`uniques`).  A *derived* column, made by `Table.take_rows`, holds its
-root and a tuple of root row numbers, one tuple shared by the table's
-columns; it gathers its `cells` and `codes` from the root when first
-read and shares the root's `uniques`.  A filter therefore builds one
-index tuple and copies no column.
+Columns are dictionary-coded.  A *root* column holds `uniques` (one cell
+per distinct `(type(c), c)`, or for a loaded column per distinct raw
+text), `codes` (per row, the position of its cell in `uniques`) and
+`cells`, which a loaded column builds on first read.  A *derived*
+column, made by `Table.take_rows`, holds its root and a tuple of root
+row numbers, one tuple shared by the table's columns; it gathers its
+`cells` and `codes` from the root when first read and shares the root's
+`uniques`.  A filter therefore builds one index tuple and copies no column.
 
 Columns never change, so derived values are cached on them:
 
 - per unique, on the root: `unique_lowered` (lowercased rendering) and
   `unique_numbers` (`extract_numeric`), computed once per loaded table
   and read per row through `codes`;
-- per column: `counts` (code -> rows, first-seen order) and `distinct`
+- per column: `counts` (code -> rows, first-seen order), `distinct`
   (rendering -> (first cell, count) over the non-missing cells, in
-  first-seen order).
+  first-seen order) and `fuzzy_matches` ((value, threshold) -> match).
 
-Loading strips and classifies each distinct raw text once and fills
-`cells`, `uniques`, `codes`, `counts` and `unique_numbers` (the numbers
-kind inference parsed) and no other view; `profile_table` fills `distinct`.
+Loading codes LOAD_CHUNK_ROWS rows at a time by raw text, classifies each
+distinct text once, and fills `uniques`, `codes`, `counts` and
+`unique_numbers` and no other view; `profile_table` fills `distinct`.
 """
 
 from __future__ import annotations
@@ -35,9 +35,10 @@ from __future__ import annotations
 import csv
 import enum
 import re
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import count, islice
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 Cell = Union[float, bool, str, None]
@@ -59,12 +60,14 @@ BOOLEAN_TRUE = {"si", "sí", "yes", "true"}
 BOOLEAN_FALSE = {"no", "false"}
 BOOLEAN_LEXICON = BOOLEAN_TRUE | BOOLEAN_FALSE
 
-# A full numeric token: optional sign, digits, optional decimal part with
-# "." or "," (decimal comma normalized to point).
-_FULL_NUMBER_RE = re.compile(r"^[+-]?(?:\d+(?:[.,]\d+)?|\.\d+)$")
+# A numeric token: optional sign, digits, optional decimal part with "."
+# or "," (decimal comma normalized to point).
+_NUMBER = r"[+-]?(?:\d+(?:[.,]\d+)?|\.\d+)"
+_FULL_NUMBER_RE = re.compile(rf"^{_NUMBER}$")
 # First number embedded in free text; the comma/point only counts as a
 # decimal separator when it sits between digits.
 _EMBEDDED_NUMBER_RE = re.compile(r"[+-]?\d+(?:[.,]\d+)?")
+LOAD_CHUNK_ROWS = 1024  # rows a load holds at once, so no GC pass walks every row
 
 
 def is_number(cell: Cell) -> bool:
@@ -81,14 +84,10 @@ def extract_numeric(cell: Cell) -> Optional[float]:
     """
     if cell is None:
         return None
-    if isinstance(cell, bool):
-        return 1.0 if cell else 0.0
-    if is_number(cell):
+    if isinstance(cell, (int, float)):  # booleans too, as 1.0 and 0.0
         return float(cell)
     m = _EMBEDDED_NUMBER_RE.search(cell)
-    if m is None:
-        return None
-    return float(m.group(0).replace(",", "."))
+    return None if m is None else float(m.group(0).replace(",", "."))
 
 
 def render_cell(cell: Cell) -> str:
@@ -138,24 +137,27 @@ def _classify(cells: Sequence[Cell], weights: Sequence[int]
     Boolean when every one sits in the boolean lexicon, MixedNumeric when
     at least half the non-missing rows carry an extractable number, and
     Categorical otherwise, or when no cell is present."""
-    numbers: list[Optional[float]] = []
-    for c in cells:
-        n = _as_number(c)
-        if n is None and c is not None:  # a boolean, or a text that is no number
-            break
-        numbers.append(n)
-    else:  # every cell is missing or a number, which is then its own coercion
-        kind = ColumnKind.NUMERIC if numbers.count(None) < len(numbers) else ColumnKind.CATEGORICAL
-        return kind, tuple(numbers), tuple(numbers)
-
     present = [c for c in cells if c is not None]
+    # With text cells only, one regex pass over them finds all-number or digit-free columns.
+    texts = set(map(type, present)) <= {str}
+    joined = "\n".join(present) if texts else ""
+    if texts and joined.count("\n") == len(present) - 1 \
+            and not re.search(rf"(?m)^(?!{_NUMBER}$)", joined):  # a line that is no number
+        floats = map(float, joined.replace(",", ".").split("\n"))
+        numbers = tuple(map(dict(zip(present, floats)).get, cells) if None in cells else floats)
+        return ColumnKind.NUMERIC, numbers, numbers
+    if None not in map(_as_number, present):  # every cell is missing or a number,
+        numbers = tuple(map(_as_number, cells))  # which is then its own coercion
+        return ColumnKind.NUMERIC if present else ColumnKind.CATEGORICAL, numbers, numbers
+
     if all(isinstance(c, bool) or (isinstance(c, str) and c.strip().lower() in BOOLEAN_LEXICON)
            for c in present):
         coerced = tuple(c if c is None or isinstance(c, bool) else c.strip().lower() in BOOLEAN_TRUE
                         for c in cells)
         return ColumnKind.BOOLEAN, coerced, tuple(map(extract_numeric, coerced))
 
-    numbers = tuple(map(extract_numeric, cells))
+    numbers = (None,) * len(cells) if texts and not re.search(r"\d", joined) \
+        else tuple(map(extract_numeric, cells))
     # The majority is over rows, not over distinct cells.
     rows = sum(w for c, w in zip(cells, weights) if c is not None)
     extractable = sum(w for n, w in zip(numbers, weights) if n is not None)
@@ -167,15 +169,19 @@ class Column:
     """A named, typed column: a root, or a row selection of a root (see
     the module docstring).  Equal by (name, kind, cells)."""
 
-    def __init__(self, name: str, kind: ColumnKind, cells: Iterable[Cell] = (), *,
+    def __init__(self, name: str, kind: ColumnKind, cells: Optional[Iterable[Cell]] = None, *,
                  root: Optional["Column"] = None, index: Optional[tuple[int, ...]] = None):
         self.name = name
         self.kind = kind
         self.root = root  # None on a root: pointing at itself would be a reference
         # cycle, which frees the loaded table only at a cyclic collection
         self.index = index
-        if root is None:
+        self.fuzzy_matches: dict = {}
+        if cells is not None:  # None on a loaded root, whose loader sets `uniques` and `codes`
             self.cells = tuple(cells)
+            code_of = defaultdict(count().__next__)
+            self.codes = tuple(map(code_of.__getitem__, zip(map(type, self.cells), self.cells)))
+            self.uniques = tuple(c for _, c in code_of)
 
     @staticmethod
     def from_cells(name: str, cells: Iterable[Cell]) -> "Column":
@@ -183,7 +189,7 @@ class Column:
         return Column(name, *_classify(raw, [1] * len(raw))[:2])
 
     def __len__(self) -> int:
-        return len(self.cells if self.index is None else self.index)
+        return len(self.codes if self.index is None else self.index)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Column):
@@ -195,20 +201,17 @@ class Column:
 
     @cached_property
     def cells(self) -> tuple[Cell, ...]:
+        if self.root is None:  # a loaded root
+            return tuple(map(self.uniques.__getitem__, self.codes))
         return tuple(map(self.root.cells.__getitem__, self.index))
 
     @cached_property
     def uniques(self) -> tuple[Cell, ...]:
-        if self.root is not None:
-            return self.root.uniques
-        return tuple(c for _, c in dict.fromkeys(zip(map(type, self.cells), self.cells)))
+        return self.root.uniques
 
     @cached_property
     def codes(self) -> tuple[int, ...]:
-        if self.root is not None:
-            return tuple(map(self.root.codes.__getitem__, self.index))
-        code = {(type(c), c): i for i, c in enumerate(self.uniques)}
-        return tuple(map(code.__getitem__, zip(map(type, self.cells), self.cells)))
+        return tuple(map(self.root.codes.__getitem__, self.index))
 
     @cached_property
     def unique_lowered(self) -> tuple[str, ...]:
@@ -278,12 +281,12 @@ class Table:
 
 
 def _dedupe_names(names: list[str]) -> list[str]:
-    seen: Counter = Counter()
-    out = []
+    out: dict[str, None] = {}
     for n in names:
-        seen[n] += 1
-        out.append(n if seen[n] == 1 else f"{n}#{seen[n]}")
-    return out
+        if n in out:
+            n = next(m for k in count(2) if (m := f"{n}#{k}") not in out and m not in names)
+        out[n] = None
+    return list(out)
 
 
 def load_csv(path: str) -> Table:
@@ -291,39 +294,35 @@ def load_csv(path: str) -> Table:
     into an immutable Table.
 
     Cell values are trimmed of surrounding whitespace and empty cells
-    become missing.  Duplicate header names get #2, #3, ... suffixes.
+    become missing.  Repeated header names get the first free #2, #3, ...
     """
     try:
         with open(path, encoding="utf-8", newline="") as fh:
-            rows = list(csv.reader(fh))
+            reader = csv.reader(fh)
+            if (header := next(reader, None)) is None:
+                raise TableError(f"empty CSV file {path!r}: no header row")
+            width = len(header)
+            code_of = [defaultdict(count().__next__) for _ in header]  # text -> code, first seen first
+            codes: list[list[int]] = [[] for _ in header]
+            for i, chunk in enumerate(iter(lambda: list(islice(reader, LOAD_CHUNK_ROWS)), [])):
+                for n, row in enumerate(chunk, 2 + i * LOAD_CHUNK_ROWS):
+                    if row and len(row) != width:
+                        raise TableError(f"{path!r} row {n}: expected {width} fields, got {len(row)}")
+                for col_codes, code, raw in zip(codes, code_of, zip(*filter(None, chunk))):
+                    col_codes.extend(map(code.__getitem__, raw))
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise TableError(f"cannot read {path!r}: {exc}") from exc
-    if not rows:
-        raise TableError(f"empty CSV file {path!r}: no header row")
 
-    header = _dedupe_names([h.strip() for h in rows[0]])
-    width = len(header)
-    body = [row for row in rows[1:] if row]
-    if set(map(len, body)) - {width}:
-        rownum, row = next((i, r) for i, r in enumerate(rows[1:], 2) if r and len(r) != width)
-        raise TableError(f"{path!r} row {rownum}: expected {width} fields, got {len(row)}")
-
-    name = path.rsplit("/", 1)[-1]
-    if name.endswith(".csv"):
-        name = name[:-4]
-    columns = list(zip(*body)) or [()] * width
-    del rows, body  # free the row lists before the columns are built
-    return Table(name, tuple(_load_column(h, raw) for h, raw in zip(header, columns)))
+    name = path.rsplit("/", 1)[-1].removesuffix(".csv")
+    header = _dedupe_names([h.strip() for h in header])
+    return Table(name, tuple(map(_load_column, header, code_of, codes)))
 
 
-def _load_column(name: str, raw: Sequence[str]) -> Column:
-    """Strip and classify once per distinct raw text, then code the rows
-    by it."""
-    counts = Counter(raw)
-    kind, uniques, numbers = _classify([text.strip() or None for text in counts],
+def _load_column(name: str, code_of: dict[str, int], codes: list[int]) -> Column:
+    """Strip and classify once per distinct raw text."""
+    counts = Counter(codes)
+    kind, uniques, numbers = _classify([text.strip() or None for text in code_of],
                                        list(counts.values()))
-    codes = tuple(map(dict(zip(counts, range(len(counts)))).__getitem__, raw))
-    col = Column(name, kind, map(uniques.__getitem__, codes))
-    col.uniques, col.codes, col.unique_numbers = uniques, codes, numbers
-    col.counts = Counter(dict(enumerate(counts.values())))
+    col = Column(name, kind)
+    col.uniques, col.unique_numbers, col.codes, col.counts = uniques, numbers, tuple(codes), counts
     return col

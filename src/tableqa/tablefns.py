@@ -145,8 +145,10 @@ def filter_contains(t: Table, column: str, value: Cell) -> Table:
     keep = _rows_where(col, _contains(col, value))
     textual = col.kind in (ColumnKind.CATEGORICAL, ColumnKind.MIXED_NUMERIC)
     if not keep and textual and isinstance(value, str) and value != "":
-        firsts = [first for first, _ in col.distinct.values()]
-        match = best_fuzzy_match(firsts, value, FILTER_THRESHOLD)
+        key = (value, FILTER_THRESHOLD)
+        if key not in col.fuzzy_matches:
+            col.fuzzy_matches[key] = best_fuzzy_match([f for f, _ in col.distinct.values()], *key)
+        match = col.fuzzy_matches[key]
         if match is not None:
             equal = equal_to(match)
             keep = _rows_where(col, lambda code: equal(col.uniques[code]))

@@ -185,10 +185,16 @@ def ref_load_csv(path) -> Table:
     cell by cell."""
     with open(path, encoding="utf-8", newline="") as fh:
         rows = list(csv.reader(fh))
-    header, seen = [], Counter()
-    for h in (h.strip() for h in rows[0]):
-        seen[h] += 1
-        header.append(h if seen[h] == 1 else f"{h}#{seen[h]}")
+    names = [h.strip() for h in rows[0]]
+    header = []
+    for h in names:
+        # a repeat takes the first #k that neither the file nor an earlier
+        # column holds
+        name, k = h, 1
+        while name in header or (k > 1 and name in names):
+            k += 1
+            name = f"{h}#{k}"
+        header.append(name)
     data = [[] for _ in header]
     for row in rows[1:]:
         for i, raw in enumerate(row):

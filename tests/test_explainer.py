@@ -70,6 +70,35 @@ class TestParseInstructionSet:
 
 
 class TestClarify:
+    def test_fuzzy_lookups_are_memoised_per_threshold(self, monkeypatch):
+        from tableqa import explainer, tablefns
+        from tableqa.fuzzy import similarity
+        from tableqa.table_core import Column, Table
+
+        calls = []
+
+        def counting(values, target, threshold):
+            calls.append((target, threshold))
+            return best_fuzzy_match(values, target, threshold)
+
+        best_fuzzy_match = explainer.best_fuzzy_match
+        monkeypatch.setattr(explainer, "best_fuzzy_match", counting)
+        t = Table("t", (Column.from_cells("Partido", ["Partido Popular", "Vox"]),))
+        profiles = profile_table(t)
+        # Over 75, so filter_contains matches it, and under 90, so clarify does not.
+        assert 75 <= similarity("partido puplor", "partido popular") < 90
+        assert tablefns.filter_contains(t, "Partido", "Partido Puplor").row_count == 1
+        inst = InstructionSet(["x"], ["Partido"], [("Partido", "Partido Puplor"),
+                                                   ("Partido", "Partido Populer")])
+        fresh = clarify(inst, t, profiles)
+        assert fresh.instructions[1] == ("Be careful!. The value Partido Populer appears in "
+                                         "the database with the following format: 'Partido Popular'")
+        assert not any("Puplor" in line for line in fresh.instructions)
+        assert clarify(inst, t, profiles).instructions == fresh.instructions
+        assert calls == [("Partido Puplor", 90), ("Partido Populer", 90)]
+        assert set(t.columns[0].fuzzy_matches) == {
+            ("Partido Puplor", 75), ("Partido Puplor", 90), ("Partido Populer", 90)}
+
     def test_be_careful_line(self, survey_table, survey_profiles):
         inst = InstructionSet(
             instructions=["Count the surveys conducted in january"],

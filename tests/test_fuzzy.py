@@ -139,6 +139,16 @@ class TestBestFuzzyMatch:
         assert best_fuzzy_match(values, target, threshold) == \
             ref_best_fuzzy_match(values, target, threshold)
 
+    # The bound, the score and the threshold all on 75, then on 90.
+    @example(["aaaaaabb", "bbaaaaaa"], "aaaaaaaa", 75)
+    @example(["aaaaaaaaab"], "aaaaaaaaaa", 90)
+    @given(st.lists(st.one_of(st.none(), st.text(alphabet="aabcd", max_size=10)), max_size=8),
+           st.text(alphabet="abxyz", max_size=10), st.sampled_from([75, 90]))
+    def test_matches_reference_when_target_letters_are_absent_from_values(
+            self, values, target, threshold):
+        assert best_fuzzy_match(values, target, threshold) == \
+            ref_best_fuzzy_match(values, target, threshold)
+
     def test_scores_only_values_whose_length_bound_can_win(self, monkeypatch):
         scored = []
 
@@ -148,10 +158,12 @@ class TestBestFuzzyMatch:
 
         indel_similarity = fuzzy._indel_similarity
         monkeypatch.setattr(fuzzy, "_indel_similarity", counting)
-        # "abcd" and "ab" cannot reach 90 against "abc"; "abd" can still tie
-        # the best (its bound is 100), "a" * 50 cannot.
-        assert best_fuzzy_match(["abcd", "ab", "abc", "a" * 50, "abd"], "abc", 90) == "abc"
-        assert scored == ["abc", "abd"]
+        # "abcd" and "ab" cannot reach 90 against "abc"; "acb" can still tie
+        # the best (its bound is 100), "a" * 50 cannot, and neither can "abd",
+        # whose "d" is not in the target (its bound is 100 * (1 - 2/6)).
+        values = ["abcd", "ab", "abc", "a" * 50, "acb", "abd"]
+        assert best_fuzzy_match(values, "abc", 90) == "abc"
+        assert scored == ["abc", "acb"]
 
     @given(st.lists(st.one_of(words, bound_words), max_size=8),
            st.one_of(words, bound_words), st.integers(0, 100))
@@ -174,6 +186,9 @@ class TestBestFuzzyMatch:
         for other, score in scored:
             bound = 100.0 * (1.0 - abs(len(t) - len(other)) / (len(t) + len(other) or 1))
             assert bound >= max(threshold, best)
+            lcs = min(len(t), sum(ch in t for ch in other))
+            assert 100.0 * (1.0 - (len(t) + len(other) - 2 * lcs) / (len(t) + len(other) or 1)) \
+                >= max(threshold, best)
             best = max(best, score)
 
 

@@ -2,6 +2,7 @@ import csv
 import os
 import random
 import tempfile
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -9,6 +10,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from conftest import random_table
 from reference import (per_row_views, ref_cells_equal, ref_extract_numeric, ref_load_csv,
                        ref_render)
+from tableqa import table_core
 from tableqa.profiler import profile_table
 from tableqa.table_core import (
     Column,
@@ -21,33 +23,64 @@ from tableqa.table_core import (
 )
 
 
-# padded, equal-valued and boolean-cased texts, and numbers with and
-# without text, so that a column lands near the MixedNumeric line
+# padded, equal-valued and boolean-cased texts, numbers with and without
+# text, so that a column lands near the MixedNumeric line, a Unicode digit,
+# and a number split by a newline, the separator of the one-pass kind check
 _LOAD_TEXTS = ["1", "1.0", " 1 ", "1,5", "-0", "0", ".5", "+65", "Sí", "si", "SI", "no",
-               "true", "", "  ", "a", " a", "10 - Le votaría siempre", "texto", "x;y"]
+               "true", "", "  ", "a", " a", "10 - Le votaría siempre", "texto", "x;y",
+               "\u0663", "1\n2"]
 
 
 @st.composite
 def csv_files(draw):
     width = draw(st.integers(1, 4))
-    header = draw(st.lists(st.sampled_from(["a", "b", " a", ""]), min_size=width, max_size=width))
+    header = draw(st.lists(st.sampled_from(["a", "b", " a", "", "a#2"]),
+                           min_size=width, max_size=width))
     pools = [draw(st.lists(st.sampled_from(_LOAD_TEXTS), min_size=1, max_size=3))
              for _ in range(width)]
-    rows = draw(st.lists(st.tuples(*(st.sampled_from(p) for p in pools)), max_size=12))
+    # blank rows ([]) are skipped, but still counted in row numbers
+    rows = draw(st.lists(st.one_of(st.tuples(*(st.sampled_from(p) for p in pools)),
+                                   st.just(())), max_size=12))
     return [header] + [list(r) for r in rows]
 
 
+def _write_csv(tmp, rows):
+    path = os.path.join(tmp, "t.csv")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    return path
+
+
 @settings(max_examples=300, deadline=None)
-@given(csv_files())
-def test_load_csv_matches_the_row_by_row_loader(rows):
+@given(csv_files(), st.integers(1, 3))
+def test_load_csv_matches_the_row_by_row_loader(rows, chunk_rows):
     def shape(t):
         return t.name, [(c.name, c.kind, [repr(x) for x in c.cells]) for c in t.columns]
 
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "t.csv")
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            csv.writer(fh).writerows(rows)
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(table_core, "LOAD_CHUNK_ROWS", chunk_rows):
+        path = _write_csv(tmp, rows)
         assert shape(load_csv(path)) == shape(ref_load_csv(path))
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 2, 3])
+@pytest.mark.parametrize("bad_row", [2, 3, 5, 6, 7])
+def test_ragged_row_after_a_chunk_reports_its_row_number(monkeypatch, tmp_path, chunk_rows, bad_row):
+    monkeypatch.setattr(table_core, "LOAD_CHUNK_ROWS", chunk_rows)
+    rows = [["a", "b"], ["1", "2"], [], ["3", "4"], ["5", "6"], [], ["7", "8"]]
+    rows[bad_row - 1] = ["9", "9", "9"]
+    with pytest.raises(TableError, match=f"row {bad_row}: expected 2 fields, got 3$"):
+        load_csv(_write_csv(str(tmp_path), rows))
+
+
+@pytest.mark.parametrize("tail", [b"\xff\xfe,1\n", b'"' + b"x" * 200_000 + b'",1\n'],
+                         ids=["utf8", "csv"])
+def test_unreadable_rows_after_a_chunk_fail_the_load(monkeypatch, tmp_path, tail):
+    monkeypatch.setattr(table_core, "LOAD_CHUNK_ROWS", 2)
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"a,b\n1,2\n3,4\n5,6\n" + tail + b"7,8\n")
+    with pytest.raises(TableError, match="^cannot read"):
+        load_csv(str(path))
 
 
 # Unicode digits, padded numbers and boolean cases on top of _LOAD_TEXTS;
@@ -145,6 +178,13 @@ class TestLoadCsv:
         path.write_text("a,a,a\n1,2,3\n", encoding="utf-8")
         t = load_csv(str(path))
         assert t.column_names == ["a", "a#2", "a#3"]
+
+    def test_duplicate_header_skips_a_suffix_the_file_holds(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("a,a,a#2,a\n1,2,3,4\n", encoding="utf-8")
+        t = load_csv(str(path))
+        assert t.column_names == ["a", "a#3", "a#2", "a#4"]
+        assert t.column("a#2").cells == (3.0,)
 
     def test_ragged_row_reports_row_number(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -277,8 +317,13 @@ class TestColumnViews:
     def test_load_computes_no_view(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("a,b\nx,1\ny,2\n", encoding="utf-8")
-        for col in load_csv(str(path)).columns:
-            assert not {"distinct", "unique_lowered"} & set(vars(col))
+        t = load_csv(str(path))
+        for col in t.columns:
+            assert not {"distinct", "unique_lowered", "cells"} & set(vars(col))
+        profile_table(t)
+        assert t.row_count == 2
+        assert not any("cells" in vars(col) for col in t.columns)
+        assert t.columns[0].cells == ("x", "y")  # built on first read
 
     def test_take_rows_views_match_fresh_recomputation(self):
         rng = random.Random(11)

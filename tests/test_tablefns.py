@@ -134,6 +134,27 @@ class TestFilterContains:
         t = one_col("c", ["a", "b"])
         assert tablefns.filter_contains(t, "c", "zzz").row_count == 0
 
+    def test_fuzzy_round_is_memoised_on_the_column(self, monkeypatch):
+        calls = []
+
+        def counting(values, target, threshold):
+            calls.append((target, threshold))
+            return best_fuzzy_match(values, target, threshold)
+
+        best_fuzzy_match = tablefns.best_fuzzy_match
+        monkeypatch.setattr(tablefns, "best_fuzzy_match", counting)
+        t = one_col("p", ["Partido Popular", "Vox", "Partido Popular"])
+        fresh = tablefns.filter_contains(t, "p", "Partido Populer")
+        memoised = tablefns.filter_contains(t, "p", "Partido Populer")
+        assert ref.rows_of(memoised) == ref.rows_of(fresh) == [{"p": "Partido Popular"}] * 2
+        assert calls == [("Partido Populer", 75)]
+        assert t.columns[0].fuzzy_matches == {("Partido Populer", 75): "Partido Popular"}
+        # A derived column has its own memo.
+        derived = t.take_rows([1, 2])
+        assert ref.rows_of(tablefns.filter_contains(derived, "p", "Partido Populer")) == \
+            [{"p": "Partido Popular"}]
+        assert len(calls) == 2 and derived.columns[0].fuzzy_matches is not t.columns[0].fuzzy_matches
+
     def test_column_name_corrected(self, survey_table):
         out = tablefns.filter_contains(survey_table, "Mes de realizacion", "Enero")
         assert out.row_count == 3
